@@ -3,9 +3,9 @@
 # installed), race-test the concurrency-sensitive packages (sched runs the
 # worker pool; exp/core/ilp/lp — including the sparse basis-factorization
 # kernels in lp/factor.go, lp/ft.go and lp/ftran.go, and the differential
-# fuzz matrix (pricing Dantzig/devex/steepest × presolve on/off × algorithm
-# primal/dual × basis update FT/PFI) that gates the whole configurable LP
-# engine against the dense reference — execute inside it; obs is updated
+# fuzz (presolve auto/off × algorithm primal/dual, cold and along warm
+# bound-change dives) that gates the LP engine against the dense Bland's-rule
+# test oracle — execute inside it; obs is updated
 # from solver goroutines and hosts the sampling profiler's ticker goroutine;
 # calib's probes must stay race-clean because they run inside instrumented
 # bench sessions; xchg is the lock-free portfolio exchange both race engines

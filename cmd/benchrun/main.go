@@ -11,7 +11,6 @@
 //	benchrun [-short] [-timeout 30s] [-j N] [-o file | -dir dir]
 //	benchrun [-baseline file [-max-regress R] [-max-work-regress R]]
 //	benchrun [-par N] [-portfolio] [-sample file [-sample-hz N]]
-//	benchrun [-pricing R] [-presolve M] [-algorithm A] [-update U]
 //	benchrun [-trace file [-flight] [-flight-every N] [-trace-max-mb MB] [-trace-keep K]] ...
 //	benchrun -check file.json
 //	benchrun -calib
@@ -64,7 +63,6 @@ import (
 
 	"optrouter/internal/calib"
 	"optrouter/internal/exp"
-	"optrouter/internal/lp"
 	"optrouter/internal/obs"
 	"optrouter/internal/report"
 )
@@ -116,11 +114,6 @@ func run() (int, error) {
 		flight     = flag.Bool("flight", false,
 			"record per-node search events onto the trace (requires -trace; costs solve wall time)")
 		flightEvery = flag.Int("flight-every", 1, "sample 1 in N node events after the burst")
-
-		pricing   = flag.String("pricing", "auto", "LP pricing rule for ilp/portfolio cases: auto, dantzig, devex or steepest")
-		presolve  = flag.String("presolve", "auto", "structural LP presolve for ilp/portfolio cases: auto or off")
-		algorithm = flag.String("algorithm", "auto", "simplex algorithm for ilp/portfolio cases: auto, primal or dual")
-		update    = flag.String("update", "auto", "sparse-engine basis-update scheme: auto, ft or pfi")
 	)
 	flag.Parse()
 
@@ -186,26 +179,6 @@ func run() (int, error) {
 		Calibration: &report.BenchCalibration{
 			ProbesNs: calRes.ProbesNs(), ScoreNs: calRes.ScoreNs, WallMS: calRes.WallMS,
 		},
-	}
-	if pr, err := lp.ParsePricing(*pricing); err != nil {
-		return 1, err
-	} else {
-		runOpt.LP.Pricing = pr
-	}
-	if ps, err := lp.ParsePresolveMode(*presolve); err != nil {
-		return 1, err
-	} else {
-		runOpt.LP.Presolve = ps
-	}
-	if alg, err := lp.ParseAlgorithm(*algorithm); err != nil {
-		return 1, err
-	} else {
-		runOpt.LP.Algorithm = alg
-	}
-	if up, err := lp.ParseUpdate(*update); err != nil {
-		return 1, err
-	} else {
-		runOpt.LP.Update = up
 	}
 	if *flight && *trace == "" {
 		return 1, fmt.Errorf("-flight needs -trace (node events have nowhere to go)")

@@ -48,7 +48,6 @@ import (
 
 	"optrouter/internal/calib"
 	"optrouter/internal/exp"
-	"optrouter/internal/lp"
 	"optrouter/internal/obs"
 	"optrouter/internal/report"
 	"optrouter/internal/tech"
@@ -97,39 +96,10 @@ func run() error {
 		calibrate   = flag.Bool("calib", false, "run the machine-calibration probe suite before the sweep and report its score")
 		sampleOn    = flag.Bool("sample", false, "run the sampling profiler across the sweep; print top functions at exit")
 		sampleHz    = flag.Int("sample-hz", 100, "sampling-profiler rate in stacks/second (with -sample)")
-		lpEngine    = flag.String("lp-engine", "sparse", "LP basis engine for -portfolio solves: sparse or dense (differential reference)")
-		pricing     = flag.String("pricing", "auto", "LP pricing rule for -portfolio solves: auto, dantzig, devex or steepest")
-		presolve    = flag.String("presolve", "auto", "structural LP presolve for -portfolio solves: auto or off")
-		algorithm   = flag.String("algorithm", "auto", "simplex algorithm for -portfolio solves: auto, primal or dual")
-		update      = flag.String("update", "auto", "sparse-engine basis-update scheme: auto, ft or pfi")
 	)
 	flag.Parse()
 
 	solve := exp.SolveOptions{PerClipTimeout: *timeout, Workers: *jobs, Par: *par, Portfolio: *portfolio}
-	{
-		e, err := lp.ParseEngine(*lpEngine)
-		if err != nil {
-			return err
-		}
-		pr, err := lp.ParsePricing(*pricing)
-		if err != nil {
-			return err
-		}
-		ps, err := lp.ParsePresolveMode(*presolve)
-		if err != nil {
-			return err
-		}
-		alg, err := lp.ParseAlgorithm(*algorithm)
-		if err != nil {
-			return err
-		}
-		up, err := lp.ParseUpdate(*update)
-		if err != nil {
-			return err
-		}
-		solve.LP.Engine, solve.LP.Pricing, solve.LP.Presolve = e, pr, ps
-		solve.LP.Algorithm, solve.LP.Update = alg, up
-	}
 	var metrics *obs.Registry
 	if *stats || *pprofA != "" {
 		// /metrics needs a registry even without -stats; the end-of-run
@@ -141,9 +111,7 @@ func run() error {
 	if *pprofA != "" {
 		status = obs.NewStatus()
 		if *portfolio {
-			status.SetLPConfig(fmt.Sprintf("%s/%s/presolve=%s/alg=%s/update=%s",
-				*lpEngine, solve.LP.Pricing, solve.LP.Presolve,
-				solve.LP.Algorithm, solve.LP.Update))
+			status.EnableLP()
 		}
 		http.Handle("/metrics", obs.MetricsHandler(metrics))
 		http.Handle("/statusz", obs.StatusHandler(status))

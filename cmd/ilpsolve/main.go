@@ -6,21 +6,14 @@
 //
 //	ilpsolve [flags] model.lp     (or reads stdin with no argument)
 //
-// Flags select the LP subsolver configuration:
+// Flags:
 //
-//	-engine sparse|dense    basis representation (dense is the slow
-//	                        differential reference)
-//	-pricing auto|dantzig|devex|steepest
-//	                        simplex pricing rule (auto = devex; dantzig is
-//	                        the legacy full-sweep reference)
-//	-presolve auto|off      structural LP presolve in front of the search
-//	-algorithm auto|primal|dual
-//	                        cold-solve simplex algorithm (auto = dual for
-//	                        the root LP, primal elsewhere)
-//	-update auto|ft|pfi     sparse-engine basis-update scheme (auto = ft;
-//	                        pfi is the product-form reference)
 //	-time-limit d           stop the branch-and-bound after duration d
 //	-stats                  print LP engine statistics after the solve
+//
+// The LP engine has one configuration: the MILP search presolves once in
+// front of the root LP, solves the root with the dual simplex and
+// reoptimizes every node warm from its parent's basis.
 //
 // Exit status: 0 solved, 2 infeasible, 1 error.
 package main
@@ -34,40 +27,13 @@ import (
 	"time"
 
 	"optrouter/internal/ilp"
-	"optrouter/internal/lp"
 	"optrouter/internal/lpformat"
 )
 
 func main() {
-	engineFlag := flag.String("engine", "sparse", "LP basis engine: sparse or dense (differential reference)")
-	pricingFlag := flag.String("pricing", "auto", "simplex pricing rule: auto, dantzig, devex or steepest")
-	presolveFlag := flag.String("presolve", "auto", "structural LP presolve: auto or off")
-	algorithmFlag := flag.String("algorithm", "auto", "simplex algorithm: auto, primal or dual")
-	updateFlag := flag.String("update", "auto", "sparse-engine basis-update scheme: auto, ft or pfi")
 	timeLimit := flag.Duration("time-limit", 0, "stop the search after this wall time (0 = none)")
 	stats := flag.Bool("stats", false, "print LP engine statistics after the solve")
 	flag.Parse()
-
-	engine, err := lp.ParseEngine(*engineFlag)
-	if err != nil {
-		fatal(err)
-	}
-	pricing, err := lp.ParsePricing(*pricingFlag)
-	if err != nil {
-		fatal(err)
-	}
-	presolve, err := lp.ParsePresolveMode(*presolveFlag)
-	if err != nil {
-		fatal(err)
-	}
-	algorithm, err := lp.ParseAlgorithm(*algorithmFlag)
-	if err != nil {
-		fatal(err)
-	}
-	update, err := lp.ParseUpdate(*updateFlag)
-	if err != nil {
-		fatal(err)
-	}
 
 	var r io.Reader = os.Stdin
 	if flag.NArg() > 0 {
@@ -83,21 +49,17 @@ func main() {
 		fatal(err)
 	}
 	start := time.Now()
-	res := model.Solve(ilp.Options{
-		TimeLimit: *timeLimit,
-		LP: lp.Options{Engine: engine, Pricing: pricing, Presolve: presolve,
-			Algorithm: algorithm, Update: update},
-	})
+	res := model.Solve(ilp.Options{TimeLimit: *timeLimit})
 	fmt.Printf("status: %s (%d nodes, %d LP iterations, %v)\n",
 		res.Status, res.Nodes, res.LPIters, time.Since(start).Round(time.Millisecond))
 	if *stats {
 		st := res.Stats
 		fmt.Printf("lp: %d solves, %d warm starts, %d refactorizations\n",
 			st.LPSolves, st.LPWarmStarts, st.LPRefactors)
-		fmt.Printf("pricing: %s, %d candidate hits, %d reference resets, %d dual bound flips\n",
-			pricing.String(), st.LPCandidateHits, st.LPRefResets, st.LPDualBoundFlips)
-		fmt.Printf("presolve: %s, %d rows and %d cols removed\n",
-			presolve.String(), st.PresolveRows, st.PresolveCols)
+		fmt.Printf("pricing: %d candidate hits, %d reference resets, %d dual bound flips\n",
+			st.LPCandidateHits, st.LPRefResets, st.LPDualBoundFlips)
+		fmt.Printf("presolve: %d rows and %d cols removed\n",
+			st.PresolveRows, st.PresolveCols)
 		fmt.Printf("refactor: %d eta_len, %d fill, %d pivot_quality, %d update_rejected\n",
 			st.LPRefactorEtaLen, st.LPRefactorFill,
 			st.LPRefactorPivotQuality, st.LPRefactorUpdateRejected)

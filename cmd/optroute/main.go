@@ -5,8 +5,6 @@
 //
 //	optroute -clip clip.json [-rule RULE1|all] [-solver bnb|ilp|heur|portfolio]
 //	         [-par N] [-timeout 30s] [-j N] [-render] [-viashapes]
-//	         [-lp-engine sparse|dense] [-pricing auto|dantzig|devex|steepest]
-//	         [-presolve auto|off] [-algorithm auto|primal|dual] [-update auto|ft|pfi]
 //	         [-stats] [-quiet] [-converge out.jsonl] [-pprof addr]
 //	         [-trace out.jsonl [-flight] [-flight-every N] [-trace-max-mb MB] [-trace-keep K]]
 //	optroute -synth 7x10x4 -nets 5 -seed 3   (generate an instance instead)
@@ -51,7 +49,6 @@ import (
 	"optrouter/internal/clip"
 	"optrouter/internal/core"
 	"optrouter/internal/ilp"
-	"optrouter/internal/lp"
 	"optrouter/internal/obs"
 	"optrouter/internal/report"
 	"optrouter/internal/rgraph"
@@ -101,18 +98,8 @@ func run() (int, error) {
 		calibrate   = flag.Bool("calib", false, "run the machine-calibration probe suite before solving and report its score")
 		sampleOn    = flag.Bool("sample", false, "run the sampling profiler across the run; print top functions at exit")
 		sampleHz    = flag.Int("sample-hz", 100, "sampling-profiler rate in stacks/second (with -sample)")
-		lpEngine    = flag.String("lp-engine", "sparse", "LP basis engine for -solver ilp/portfolio: sparse or dense (differential reference)")
-		pricing     = flag.String("pricing", "auto", "LP pricing rule for -solver ilp/portfolio: auto, dantzig, devex or steepest")
-		presolve    = flag.String("presolve", "auto", "structural LP presolve for -solver ilp/portfolio: auto or off")
-		algorithm   = flag.String("algorithm", "auto", "simplex algorithm for -solver ilp/portfolio: auto, primal or dual")
-		update      = flag.String("update", "auto", "sparse-engine basis-update scheme: auto, ft or pfi")
 	)
 	flag.Parse()
-
-	lpOpt, lpCfg, err := parseLPFlags(*lpEngine, *pricing, *presolve, *algorithm, *update)
-	if err != nil {
-		return 0, err
-	}
 
 	var metrics *obs.Registry
 	var status *obs.Status
@@ -212,12 +199,12 @@ func run() (int, error) {
 	}
 
 	if *solver == "ilp" || *solver == "portfolio" {
-		status.SetLPConfig(lpCfg)
+		status.EnableLP()
 	}
 	sw := sweepEnv{
 		solver: *solver, par: *par, timeout: *timeout, workers: *jobsN,
 		shapes: *shapes, bidir: *bidir, viaCost: *viaCost,
-		stats: *stats, quiet: *quiet, lp: lpOpt,
+		stats: *stats, quiet: *quiet,
 		tracer: tracer, flight: flightOpt, conv: conv, metrics: metrics, status: status,
 	}
 	if *ruleName == "all" {
@@ -248,9 +235,9 @@ func run() (int, error) {
 	case "bnb":
 		sol, err = core.SolveBnB(g, core.BnBOptions{TimeLimit: *timeout, Par: *par, Tracer: tracer, Flight: flightOpt})
 	case "ilp":
-		sol, err = core.SolveILP(g, ilp.Options{TimeLimit: *timeout, LP: lpOpt, Tracer: tracer, Flight: flightOpt})
+		sol, err = core.SolveILP(g, ilp.Options{TimeLimit: *timeout, Tracer: tracer, Flight: flightOpt})
 	case "portfolio":
-		sol, err = core.SolvePortfolio(g, core.BnBOptions{TimeLimit: *timeout, Par: *par, LP: lpOpt, Tracer: tracer, Flight: flightOpt})
+		sol, err = core.SolvePortfolio(g, core.BnBOptions{TimeLimit: *timeout, Par: *par, Tracer: tracer, Flight: flightOpt})
 	case "heur":
 		sol = core.SolveHeuristic(g, core.HeuristicOptions{})
 	default:
@@ -322,7 +309,6 @@ type sweepEnv struct {
 	shapes, bidir bool
 	viaCost       int
 	stats, quiet  bool
-	lp            lp.Options
 	tracer        *obs.Tracer
 	flight        obs.FlightOptions
 	conv          *report.ConvergenceWriter
@@ -364,10 +350,10 @@ func (e sweepEnv) runAllRules(c *clip.Clip) error {
 					TimeLimit: e.timeout, Par: e.par, Tracer: e.tracer, Flight: e.flight, Ctx: jctx})
 			case "ilp":
 				sol, err = core.SolveILP(g, ilp.Options{
-					TimeLimit: e.timeout, LP: e.lp, Tracer: e.tracer, Flight: e.flight, Ctx: jctx})
+					TimeLimit: e.timeout, Tracer: e.tracer, Flight: e.flight, Ctx: jctx})
 			case "portfolio":
 				sol, err = core.SolvePortfolio(g, core.BnBOptions{
-					TimeLimit: e.timeout, Par: e.par, LP: e.lp, Tracer: e.tracer, Flight: e.flight, Ctx: jctx})
+					TimeLimit: e.timeout, Par: e.par, Tracer: e.tracer, Flight: e.flight, Ctx: jctx})
 			case "heur":
 				sol = core.SolveHeuristic(g, core.HeuristicOptions{})
 			default:
@@ -485,36 +471,6 @@ func printStats(sol *core.Solution) {
 	}
 	printPhases("phases", st.Phases)
 	printPhases("lp_phases", st.LPPhases)
-}
-
-// parseLPFlags validates the LP subsolver flag set and returns the
-// resulting options plus the short config string shown on /statusz.
-func parseLPFlags(engine, pricing, presolve, algorithm, update string) (lp.Options, string, error) {
-	var o lp.Options
-	e, err := lp.ParseEngine(engine)
-	if err != nil {
-		return o, "", err
-	}
-	pr, err := lp.ParsePricing(pricing)
-	if err != nil {
-		return o, "", err
-	}
-	ps, err := lp.ParsePresolveMode(presolve)
-	if err != nil {
-		return o, "", err
-	}
-	alg, err := lp.ParseAlgorithm(algorithm)
-	if err != nil {
-		return o, "", err
-	}
-	up, err := lp.ParseUpdate(update)
-	if err != nil {
-		return o, "", err
-	}
-	o.Engine, o.Pricing, o.Presolve = e, pr, ps
-	o.Algorithm, o.Update = alg, up
-	cfg := fmt.Sprintf("%s/%s/presolve=%s/alg=%s/update=%s", engine, pr, ps, alg, up)
-	return o, cfg, nil
 }
 
 // printPhases renders a wall-time breakdown as "name=12.3ms" pairs in sorted

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"optrouter/internal/drc"
-	"optrouter/internal/lp"
 	"optrouter/internal/obs"
 	"optrouter/internal/rgraph"
 	"optrouter/internal/xchg"
@@ -27,10 +26,6 @@ type BnBOptions struct {
 	// NoHeuristicSeed disables the initial heuristic incumbent (used by
 	// tests that want the pure search).
 	NoHeuristicSeed bool
-	// LP tunes the MILP engine's LP subsolver (basis engine, pricing rule,
-	// presolve mode) when this options struct drives a portfolio race
-	// (SolvePortfolio); the combinatorial SolveBnB itself ignores it.
-	LP lp.Options
 	// Progress, if non-nil, is invoked every ProgressEvery explored nodes
 	// and on every incumbent update with a live view of the search.
 	Progress func(BnBProgress)

@@ -71,7 +71,6 @@ func SolvePortfolio(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	ilpOpt := ilp.Options{
 		TimeLimit: opt.TimeLimit,
 		Ctx:       ctx,
-		LP:        opt.LP,
 		Tracer:    opt.Tracer,
 		Flight:    opt.Flight,
 		Exchange:  ex,

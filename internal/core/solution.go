@@ -91,20 +91,20 @@ type SolveStats struct {
 	LPIters      int           // total simplex iterations
 	LPWarmStarts int           // node LPs reoptimized from the parent basis
 	LPRefactors  int           // basis refactorizations across all node LPs
-	LPEtaPivots  int           // basis exchanges absorbed by eta updates
+	LPEtaPivots  int           // basis exchanges absorbed by Forrest-Tomlin updates
 	LPFTRANNnz   int64         // sparse FTRAN result nonzeros (deterministic work)
 	LPBTRANNnz   int64         // sparse BTRAN result nonzeros (deterministic work)
 	LPTime       time.Duration // wall time inside the LP subsolver
 	// Pricing and presolve telemetry of the LP engine (zero for the
-	// combinatorial BnB and for Dantzig/no-presolve configurations).
+	// combinatorial BnB).
 	LPCandidateHits  int // pricing rounds served from the candidate list
-	LPRefResets      int // devex/steepest reference-framework resets
+	LPRefResets      int // devex reference-framework resets
 	LPDualBoundFlips int // bound-flip ratio-test flips across warm starts
 	PresolveRows     int // rows removed by structural LP presolve
 	PresolveCols     int // columns removed by structural LP presolve
 	// Refactorization triggers across all node LPs: update-count budget,
 	// update-storage fill budget, tiny mid-iteration pivot, rejected
-	// FT/PFI update on spike-pivot quality.
+	// FT update on spike-pivot quality.
 	LPRefactorEtaLen         int
 	LPRefactorFill           int
 	LPRefactorPivotQuality   int

@@ -125,10 +125,6 @@ type BenchRunOptions struct {
 	// (effective only with a Tracer). Off by default: the benchmark exists to
 	// measure the solvers, and recording costs wall time.
 	Flight obs.FlightOptions
-	// LP tunes the MILP engine's LP subsolver for the ilp and portfolio
-	// cases (the bnb cases never touch it). CollectPhases is forced on for
-	// ilp cases regardless — the document records the LP phase breakdown.
-	LP lp.Options
 	// Calibration, if non-nil, is stamped into the document's calibration
 	// block as-is (cmd/benchrun runs the probe suite once up front and
 	// shares the result with its progress output). Nil runs the suite here:
@@ -278,18 +274,17 @@ func runBenchCase(ctx context.Context, s BenchSpec, opt BenchRunOptions) (report
 			Tracer: opt.Tracer, Flight: opt.Flight,
 		})
 	case "ilp":
-		lpOpt := opt.LP
-		lpOpt.CollectPhases = true
+		// The document records the LP phase breakdown of ilp cases.
 		sol, err = core.SolveILP(g, ilp.Options{
 			TimeLimit: opt.Timeout,
 			Ctx:       ctx,
-			LP:        lpOpt,
+			LP:        lp.Options{CollectPhases: true},
 			Tracer:    opt.Tracer,
 			Flight:    opt.Flight,
 		})
 	case "portfolio":
 		sol, err = core.SolvePortfolio(g, core.BnBOptions{
-			TimeLimit: opt.Timeout, Ctx: ctx, Par: s.Par, LP: opt.LP,
+			TimeLimit: opt.Timeout, Ctx: ctx, Par: s.Par,
 			Tracer: opt.Tracer, Flight: opt.Flight,
 		})
 	}
@@ -332,8 +327,7 @@ func runBenchCase(ctx context.Context, s BenchSpec, opt BenchRunOptions) (report
 	bc.LPPhasesMS = st.LPPhases.MS()
 	bc.Work = benchWork(s, st)
 	// Pricing/presolve telemetry rides only on ilp cases (the portfolio race
-	// is scheduling-dependent) and only when any counter is nonzero, so
-	// Dantzig/no-presolve reference runs produce documents without the block.
+	// is scheduling-dependent) and only when any counter is nonzero.
 	if s.Solver == "ilp" && (st.LPCandidateHits > 0 || st.LPRefResets > 0 ||
 		st.LPDualBoundFlips > 0 || st.PresolveRows > 0 || st.PresolveCols > 0 ||
 		st.LPRefactorEtaLen > 0 || st.LPRefactorFill > 0 ||

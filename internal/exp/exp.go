@@ -28,7 +28,6 @@ import (
 	"optrouter/internal/clip"
 	"optrouter/internal/core"
 	"optrouter/internal/extract"
-	"optrouter/internal/lp"
 	"optrouter/internal/netlist"
 	"optrouter/internal/obs"
 	"optrouter/internal/pincost"
@@ -208,10 +207,6 @@ type SolveOptions struct {
 	// is a race outcome, so route CSVs are only stable across runs for clips
 	// where both engines agree arc-for-arc.
 	Portfolio bool
-	// LP tunes the MILP engine's LP subsolver (basis engine, pricing rule,
-	// presolve mode) on portfolio solves; the pure CDC-BnB path ignores it.
-	// The zero value means sparse engine, devex pricing, presolve on.
-	LP lp.Options
 
 	// Progress, if non-nil, receives per-clip lifecycle events ("start",
 	// "progress" during the solve, "done") — the source of cmd/beoleval's
@@ -482,7 +477,6 @@ func solveClipCtx(ctx context.Context, c *clip.Clip, rule tech.RuleConfig, opt S
 		TimeLimit: opt.PerClipTimeout,
 		MaxNodes:  opt.MaxNodes,
 		Par:       opt.Par,
-		LP:        opt.LP,
 		Tracer:    opt.Tracer,
 		Flight:    opt.Flight,
 		Ctx:       ctx,

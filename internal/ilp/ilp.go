@@ -209,11 +209,11 @@ type Stats struct {
 	LPWarmStarts int   // node LPs reoptimized from the parent basis
 	LPDualIters  int   // dual-simplex iterations across warm starts
 	LPRefactors  int   // basis refactorizations across all node LPs
-	LPEtaPivots  int   // basis exchanges absorbed by eta updates
+	LPEtaPivots  int   // basis exchanges absorbed by Forrest-Tomlin updates
 	LPFTRANNnz   int64 // sparse FTRAN result nonzeros across node LPs
 	LPBTRANNnz   int64 // sparse BTRAN result nonzeros across node LPs
 	// LPCandidateHits counts node-LP pricing rounds served from the partial
-	// candidate list (no full sweep); LPRefResets counts devex/steepest
+	// candidate list (no full sweep); LPRefResets counts devex
 	// reference-framework resets; LPDualBoundFlips counts boxed nonbasic
 	// variables flipped by the bound-flipping dual ratio test.
 	LPCandidateHits  int
@@ -221,7 +221,7 @@ type Stats struct {
 	LPDualBoundFlips int
 	// LPRefactor* attribute the refactorizations by trigger: update-count
 	// budget exhausted, update-storage fill budget exhausted, a tiny pivot
-	// mid-iteration, or a rejected FT/PFI update on spike-pivot quality.
+	// mid-iteration, or a rejected FT update on spike-pivot quality.
 	LPRefactorEtaLen         int
 	LPRefactorFill           int
 	LPRefactorPivotQuality   int

@@ -39,7 +39,6 @@ func dualSolve(p *Problem, opt Options) (Result, *simplex, bool) {
 	if s.opt.CollectPhases {
 		s.clock = obs.NewPhaseClock()
 	}
-	s.setPricing(opt.Pricing)
 	s.clock.Enter(PhaseBuild)
 	s.buildColumns()
 	art := s.dualBasis()
@@ -137,14 +136,7 @@ func (s *simplex) dualBasis() []dualArtBound {
 	}
 
 	s.growWorkspaces()
-	if s.opt.Engine == EngineDense {
-		s.binv = make([]float64, m*m)
-		for i := 0; i < m; i++ {
-			s.binv[i*m+i] = 1
-		}
-		return art
-	}
-	s.lu = &luFactor{ftMode: s.opt.Update.resolve() == UpdateFT}
+	s.lu = &luFactor{}
 	// The all-slack basis is the identity; this factorization cannot fail.
 	s.lu.factorize(m, s.basis, s.colIdx, s.colVal)
 	s.noteFactorization()

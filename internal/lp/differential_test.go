@@ -54,8 +54,8 @@ func randomLP(rng *rand.Rand) *Problem {
 	return p
 }
 
-// cloneProblem rebuilds an identical Problem (fresh caches) so the two
-// engines never share a cached simplex.
+// cloneProblem rebuilds an identical Problem (fresh caches) so two solves
+// never share a cached simplex.
 func cloneProblem(p *Problem) *Problem {
 	q := NewProblem()
 	for j := 0; j < p.NumVars(); j++ {
@@ -69,28 +69,30 @@ func cloneProblem(p *Problem) *Problem {
 	return q
 }
 
-// TestEngineDifferential fuzzes random bounded LPs through both linear-
-// algebra engines and requires agreement on status and (when optimal)
-// objective within tolerance. This is the answer-preservation gate for the
-// sparse factorization: the dense inverse is the reference.
+// TestEngineDifferential fuzzes random bounded LPs through the engine's
+// default configuration and the independent dense oracle (oracle_test.go),
+// requiring agreement on status and (when optimal) objective within
+// tolerance, and a feasible engine primal. This is the answer-preservation
+// gate for the sparse factorization, the Forrest-Tomlin updates and devex
+// pricing together.
 func TestEngineDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	counts := map[Status]int{}
 	for trial := 0; trial < 400; trial++ {
 		p := randomLP(rng)
-		sp := p.Solve(Options{Engine: EngineSparse})
-		de := cloneProblem(p).Solve(Options{Engine: EngineDense})
-		if sp.Status != de.Status {
-			t.Fatalf("trial %d: status sparse=%v dense=%v", trial, sp.Status, de.Status)
+		got := p.Solve(Options{})
+		ref := oracleSolve(p)
+		if got.Status != ref.Status {
+			t.Fatalf("trial %d: status engine=%v oracle=%v", trial, got.Status, ref.Status)
 		}
-		counts[sp.Status]++
-		if sp.Status == Optimal {
-			if math.Abs(sp.Obj-de.Obj) > 1e-6*(1+math.Abs(de.Obj)) {
-				t.Fatalf("trial %d: obj sparse=%.12g dense=%.12g", trial, sp.Obj, de.Obj)
+		counts[got.Status]++
+		if got.Status == Optimal {
+			if math.Abs(got.Obj-ref.Obj) > 1e-6*(1+math.Abs(ref.Obj)) {
+				t.Fatalf("trial %d: obj engine=%.12g oracle=%.12g", trial, got.Obj, ref.Obj)
 			}
-			// The sparse solution must itself be feasible — agreement on the
+			// The engine's solution must itself be feasible — agreement on the
 			// objective alone could mask a corrupted primal vector.
-			checkFeasible(t, trial, p, sp.X)
+			checkFeasible(t, trial, p, got.X)
 		}
 	}
 	for _, st := range []Status{Optimal, Infeasible, Unbounded} {
@@ -132,49 +134,58 @@ func checkFeasible(t *testing.T, trial int, p *Problem, x []float64) {
 	}
 }
 
-// TestEngineDifferentialWarm runs the same branch-and-bound-style dive under
-// both engines — warm starts, cached-engine reoptimization and snapshot
-// restores included — and requires identical statuses and objectives at every
-// node. This covers the dual-simplex restore path, which the cold fuzz above
-// never reaches.
+// assignmentDive runs a branch-and-bound-style dive on p — fix one variable
+// per step, alternating 0 and 1, warm-starting every solve from the previous
+// optimal basis (cached-engine reoptimization and snapshot restores
+// included) — and checks each node against the oracle on the same bounds.
+// It stops at the first non-optimal node and returns the nodes solved.
+func assignmentDive(t *testing.T, p *Problem, opt Options, steps int) []Result {
+	t.Helper()
+	opt.SnapshotBasis = true
+	res := p.Solve(opt)
+	if res.Status != Optimal {
+		t.Fatalf("root status %v", res.Status)
+	}
+	basis := res.Basis
+	var nodes []Result
+	for step := 0; step < steps; step++ {
+		j := (step * 7) % p.NumVars()
+		v := float64(step % 2)
+		p.SetVarBounds(j, v, v)
+		opt.WarmStart = basis
+		r := p.Solve(opt)
+		ref := oracleSolve(p)
+		if r.Status != ref.Status {
+			t.Fatalf("node %d: status engine=%v oracle=%v", step, r.Status, ref.Status)
+		}
+		if r.Status == Optimal && math.Abs(r.Obj-ref.Obj) > 1e-6*(1+math.Abs(ref.Obj)) {
+			t.Fatalf("node %d: obj engine=%g oracle=%g", step, r.Obj, ref.Obj)
+		}
+		nodes = append(nodes, r)
+		if r.Status != Optimal {
+			break
+		}
+		if r.Basis != nil {
+			basis = r.Basis
+		}
+	}
+	return nodes
+}
+
+// TestEngineDifferentialWarm runs a branch-and-bound-style dive on the
+// assignment LP and requires the oracle's status and objective at every
+// node. This covers the dual-simplex restore path, which the cold fuzz
+// above never reaches.
 func TestEngineDifferentialWarm(t *testing.T) {
 	const n = 6
-	run := func(engine Engine) ([]Status, []float64) {
-		p := assignmentLP(n)
-		res := p.Solve(Options{SnapshotBasis: true, Engine: engine})
-		if res.Status != Optimal {
-			t.Fatalf("engine %v: root status %v", engine, res.Status)
+	nodes := assignmentDive(t, assignmentLP(n), Options{}, 3*n)
+	warm := 0
+	for _, r := range nodes {
+		if r.Stats.WarmStarted {
+			warm++
 		}
-		basis := res.Basis
-		var sts []Status
-		var objs []float64
-		for step := 0; step < 3*n; step++ {
-			j := (step * 7) % (n * n)
-			v := float64(step % 2)
-			p.SetVarBounds(j, v, v)
-			r := p.Solve(Options{WarmStart: basis, SnapshotBasis: true, Engine: engine})
-			sts = append(sts, r.Status)
-			objs = append(objs, r.Obj)
-			if r.Status != Optimal {
-				break
-			}
-			if r.Basis != nil {
-				basis = r.Basis
-			}
-		}
-		return sts, objs
 	}
-	sSt, sObj := run(EngineSparse)
-	dSt, dObj := run(EngineDense)
-	if len(sSt) != len(dSt) {
-		t.Fatalf("dive lengths differ: sparse=%d dense=%d", len(sSt), len(dSt))
-	}
-	for k := range sSt {
-		if sSt[k] != dSt[k] {
-			t.Fatalf("node %d: status sparse=%v dense=%v", k, sSt[k], dSt[k])
-		}
-		if sSt[k] == Optimal && math.Abs(sObj[k]-dObj[k]) > 1e-6 {
-			t.Fatalf("node %d: obj sparse=%g dense=%g", k, sObj[k], dObj[k])
-		}
+	if warm == 0 {
+		t.Fatal("no node solve took the warm path")
 	}
 }

@@ -27,12 +27,9 @@ import (
 // phase-2 pass certifies optimality regardless of where the solve started.
 func (s *simplex) reSolve(opt Options) (Result, bool) {
 	s.opt = opt.withDefaults(s.m, s.n)
-	s.setPricing(opt.Pricing) // invalidates maintained state on rule change
 	s.iters = 0
 	s.stats = Stats{WarmStarted: true}
-	if s.lu != nil {
-		s.noteFactorization() // carry the retained factorization's size stats
-	}
+	s.noteFactorization() // carry the retained factorization's size stats
 	s.bland = false
 	s.stall = 0
 	s.clock = nil
@@ -93,7 +90,6 @@ func warmSolve(p *Problem, opt Options) (Result, bool) {
 	if s.opt.CollectPhases {
 		s.clock = obs.NewPhaseClock()
 	}
-	s.setPricing(opt.Pricing)
 	s.clock.Enter(PhaseBuild)
 	s.buildColumns()
 	if !s.loadBasis(bs) {
@@ -166,11 +162,7 @@ func (s *simplex) loadBasis(bs *Basis) bool {
 	}
 	s.xB = make([]float64, s.m)
 	s.growWorkspaces()
-	if s.opt.Engine == EngineDense {
-		s.binv = make([]float64, s.m*s.m)
-	} else {
-		s.lu = &luFactor{ftMode: s.opt.Update.resolve() == UpdateFT}
-	}
+	s.lu = &luFactor{}
 	return s.refactorize()
 }
 
@@ -182,159 +174,9 @@ func (s *simplex) loadBasis(bs *Basis) bool {
 // and ok=false when the path must fall back (pivot cap, singular basis,
 // or an infeasibility verdict resting on borderline pivot magnitudes).
 //
-// Like the primal loop, the restore is rule-dispatched: PricingDantzig keeps
-// the legacy restore (full duals + a per-column dot-product sweep every
-// pivot) as the differential reference; the other rules run the fast restore
-// below — incremental reduced costs, ratio-test alphas accumulated
-// row-driven over the pivot row's nonzero pattern, weighted row selection,
-// and a bound-flipping ratio test. Both restores are only basis steering:
-// the final primal pass in reSolve/warmSolve certifies every answer.
-func (s *simplex) dualRestore() (Status, bool) {
-	if s.pr.rule == PricingDantzig {
-		return s.dualRestoreClassic()
-	}
-	return s.dualRestoreFast()
-}
-
-func (s *simplex) dualRestoreClassic() (Status, bool) {
-	s.pr.valid = false // classic pivots do not maintain reduced costs
-	m := s.m
-	tol := s.opt.Tol
-	cost := s.cost[:s.ncols]
-	maxIters := s.dualIterCap()
-	for it := 0; ; it++ {
-		if it >= maxIters || s.iters >= s.opt.MaxIters {
-			return 0, false
-		}
-		s.clock.Enter(PhasePricing)
-
-		// Leaving row: the largest bound violation among basic variables.
-		r := -1
-		worst := tol
-		above := false
-		for i := 0; i < m; i++ {
-			bj := s.basis[i]
-			if v := s.xB[i] - s.hi[bj]; v > worst {
-				worst, r, above = v, i, true
-			}
-			if v := s.lo[bj] - s.xB[i]; v > worst {
-				worst, r, above = v, i, false
-			}
-		}
-		if r == -1 {
-			return Optimal, true // primal feasible
-		}
-		s.iters++
-		s.stats.DualIters++
-
-		// Duals y = cB' B^{-1}, for entering-column reduced costs, and the
-		// tableau row rho = e_r' B^{-1} for the ratio-test alphas (both BTRANs
-		// under the sparse engine).
-		s.computeDuals(cost)
-		rho := s.binvRow(r)
-		s.clock.Enter(PhaseRatioTest)
-
-		// Dual ratio test: among nonbasic columns whose movement off their
-		// rest side reduces the violation, pick the smallest |d|/|alpha|
-		// (the first reduced cost driven to zero), breaking ties toward the
-		// larger pivot for stability, then the lower index for determinism.
-		enter := -1
-		bestRatio := math.Inf(1)
-		bestAlpha := 0.0
-		shaky := false
-		for j := 0; j < s.ncols; j++ {
-			st := s.state[j]
-			if st == stBasic {
-				continue
-			}
-			if s.hi[j]-s.lo[j] < 1e-13 && st != stFreeZero {
-				continue // fixed variable cannot move
-			}
-			alpha := 0.0
-			for k, i := range s.colIdx[j] {
-				alpha += rho[i] * s.colVal[j][k]
-			}
-			var eligible, wouldHelp bool
-			switch {
-			case st == stFreeZero:
-				eligible = math.Abs(alpha) > tol
-				wouldHelp = math.Abs(alpha) > 1e-12
-			case above: // basic above its upper bound: must decrease
-				eligible = (st == stAtLower && alpha > tol) || (st == stAtUpper && alpha < -tol)
-				wouldHelp = (st == stAtLower && alpha > 1e-12) || (st == stAtUpper && alpha < -1e-12)
-			default: // basic below its lower bound: must increase
-				eligible = (st == stAtLower && alpha < -tol) || (st == stAtUpper && alpha > tol)
-				wouldHelp = (st == stAtLower && alpha < -1e-12) || (st == stAtUpper && alpha > 1e-12)
-			}
-			if !eligible {
-				if wouldHelp {
-					shaky = true // certificate would rest on a borderline alpha
-				}
-				continue
-			}
-			d := cost[j]
-			for k, i := range s.colIdx[j] {
-				d -= s.y[i] * s.colVal[j][k]
-			}
-			ratio := math.Abs(d) / math.Abs(alpha)
-			if ratio < bestRatio-1e-12 ||
-				(ratio < bestRatio+1e-12 && math.Abs(alpha) > math.Abs(bestAlpha)) {
-				bestRatio, enter, bestAlpha = ratio, j, alpha
-			}
-		}
-		if enter == -1 {
-			if shaky {
-				return 0, false // let the cold solve decide
-			}
-			return Infeasible, true
-		}
-		s.clock.Enter(PhasePivot)
-
-		// Full pivot column w = B^{-1} A_enter (an FTRAN).
-		s.computePivotColumn(enter)
-		piv := s.w[r]
-		if math.Abs(piv) < 1e-11 {
-			// The sparse alpha and the dense recomputation disagree badly:
-			// rebuild the inverse and retry the row.
-			s.stats.RefactorPivotQuality++
-			if !s.refactorize() {
-				return 0, false
-			}
-			continue
-		}
-
-		// The leaving variable lands exactly on its violated bound.
-		bj := s.basis[r]
-		beta := s.lo[bj]
-		if above {
-			beta = s.hi[bj]
-		}
-		dx := (s.xB[r] - beta) / piv
-		enterVal := s.nbValue(enter) + dx
-		for _, i := range s.wv.ind {
-			s.xB[i] -= s.w[i] * dx
-		}
-		s.stats.Pivots++
-		if above {
-			s.state[bj] = stAtUpper
-		} else {
-			s.state[bj] = stAtLower
-		}
-		s.basis[r] = enter
-		s.state[enter] = stBasic
-		s.xB[r] = enterVal
-		if !s.updateBasisRep(r) {
-			return 0, false
-		}
-		if s.iters%256 == 0 {
-			s.refresh()
-		}
-	}
-}
-
-// dualRestoreFast is the fast dual restore used by the incremental pricing
-// rules. Three differences from the classic restore, none of which affect
-// correctness (the primal certify pass does):
+// The restore is only basis steering — the final primal pass in
+// reSolve/warmSolve/dualSolve certifies every answer — so it is built for
+// speed:
 //
 //   - Reduced costs are maintained incrementally (pricing.go) instead of
 //     being recomputed via a BTRAN of the basic costs every pivot — the
@@ -343,11 +185,11 @@ func (s *simplex) dualRestoreClassic() (Status, bool) {
 //     pivot row's nonzero pattern (rowTimesA), so the sweep visits only
 //     columns that intersect the row instead of dotting every column.
 //   - The leaving row is chosen by weighted violation (dual devex weights,
-//     or exact dual steepest-edge row norms under PricingSteepest), and a
+//     or exact dual steepest-edge row norms when dualDSE is set), and a
 //     bound-flipping ratio test lets one pivot step through a run of boxed
 //     breakpoints — the flips are applied with a single combined FTRAN and
 //     counted in Stats.DualBoundFlips.
-func (s *simplex) dualRestoreFast() (Status, bool) {
+func (s *simplex) dualRestore() (Status, bool) {
 	m := s.m
 	tol := s.opt.Tol
 	cost := s.cost[:s.ncols]
@@ -397,7 +239,7 @@ func (s *simplex) dualRestoreFast() (Status, bool) {
 		// alpha in one row-driven accumulation over rho's pattern. Columns
 		// outside the pattern have alpha = 0 and can be neither eligible nor
 		// shaky, so the sweep below visits only the touched columns.
-		s.binvRow(r)
+		s.invRow(r)
 		s.rowTimesA(&s.rhov, &pr.alphaAcc)
 		s.clock.Enter(PhaseRatioTest)
 
@@ -538,7 +380,7 @@ func (s *simplex) dualRestoreFast() (Status, bool) {
 		// already in the accumulator) and the dual row weights, both against
 		// the old basis representation.
 		bj := s.basis[r]
-		s.pricingUpdate(cost, enter, r, bj, piv, dq, &s.rhov, true)
+		s.pricingUpdate(cost, enter, r, bj, piv, dq, &s.rhov)
 		s.dualWeightUpdate(r, piv)
 
 		// The leaving variable lands exactly on its violated bound.
@@ -598,80 +440,46 @@ func (s *simplex) applyBoundFlips() {
 		return
 	}
 	s.stats.DualBoundFlips += n
-	if s.lu != nil {
-		prev := s.clockSub(PhaseFTRAN)
-		s.lu.ftran(&s.av, &s.fv)
-		s.stats.FTRANNnz += len(s.fv.ind)
-		s.clockBack(prev)
-		for _, i := range s.fv.ind {
-			s.xB[i] -= s.fv.val[i]
-		}
-		return
-	}
-	m := s.m
-	for _, k32 := range s.av.ind {
-		v := s.av.val[k32]
-		if v == 0 {
-			continue
-		}
-		k := int(k32)
-		for i := 0; i < m; i++ {
-			s.xB[i] -= s.binv[i*m+k] * v
-		}
+	prev := s.clockSub(PhaseFTRAN)
+	s.lu.ftran(&s.av, &s.fv)
+	s.stats.FTRANNnz += len(s.fv.ind)
+	s.clockBack(prev)
+	for _, i := range s.fv.ind {
+		s.xB[i] -= s.fv.val[i]
 	}
 }
 
 // dualWeightUpdate maintains the dual pricing weights across the exchange on
-// row r. Under PricingSteepest the weights are exact dual steepest-edge row
-// norms |B^{-1}_i|^2, updated with the extra FTRAN tau = B^{-1} rho the
-// Forrest-Goldfarb recurrence needs; otherwise a devex-style reference
-// update keeps them cheap approximations. Must run before updateBasisRep
-// (rho, w and tau all live under the old representation).
+// row r. With dualDSE set (the primary dual simplex, algorithm.go) the
+// weights are exact dual steepest-edge row norms |B^{-1}_i|^2, updated with
+// the extra FTRAN tau = B^{-1} rho the Forrest-Goldfarb recurrence needs;
+// otherwise a devex-style reference update keeps them cheap approximations.
+// Must run before updateBasisRep (rho, w and tau all live under the old
+// representation).
 func (s *simplex) dualWeightUpdate(r int, piv float64) {
 	m := s.m
 	dw := s.dw[:m]
 
 	// Exact weight of the pivot row, free from rho itself.
 	brExact := 0.0
-	if s.lu != nil {
-		for _, i := range s.rhov.ind {
-			v := s.rhov.val[i]
-			brExact += v * v
-		}
-	} else {
-		for i := 0; i < m; i++ {
-			v := s.rhov.val[i]
-			brExact += v * v
-		}
+	for _, i := range s.rhov.ind {
+		v := s.rhov.val[i]
+		brExact += v * v
 	}
 
-	if (s.pr.rule == PricingSteepest && !s.pr.fellBack) || s.dualDSE {
+	if s.dualDSE {
 		// tau = B^{-1} rho^T: the correction term of the exact update.
-		var tau []float64
-		if s.lu != nil {
-			prev := s.clockSub(PhaseFTRAN)
-			s.av.reset()
-			for _, i := range s.rhov.ind {
-				if v := s.rhov.val[i]; v != 0 {
-					s.av.set(i, v)
-				}
-			}
-			s.lu.ftran(&s.av, &s.tauv)
-			s.stats.FTRANNnz += len(s.tauv.ind)
-			s.clockBack(prev)
-			tau = s.tauv.val
-		} else {
-			s.tauv.grow(m)
-			tau = s.tauv.val
-			for i := 0; i < m; i++ {
-				sum := 0.0
-				row := s.binv[i*m : i*m+m]
-				for k := 0; k < m; k++ {
-					sum += row[k] * s.rhov.val[k]
-				}
-				tau[i] = sum
+		prev := s.clockSub(PhaseFTRAN)
+		s.av.reset()
+		for _, i := range s.rhov.ind {
+			if v := s.rhov.val[i]; v != 0 {
+				s.av.set(i, v)
 			}
 		}
+		s.lu.ftran(&s.av, &s.tauv)
+		s.stats.FTRANNnz += len(s.tauv.ind)
+		s.clockBack(prev)
+		tau := s.tauv.val
 		for _, i32 := range s.wv.ind {
 			i := int(i32)
 			if i == r {

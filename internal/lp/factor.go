@@ -3,16 +3,16 @@ package lp
 import "math"
 
 // This file implements the sparse LU factorization behind the simplex
-// engine's default linear algebra (Options.Engine == EngineSparse). The
-// basis matrix B — flow-conservation rows, via-adjacency rows, EOL rows,
-// each with a handful of nonzeros — is factorized by Gaussian elimination
-// with Markowitz pivot selection (minimizing predicted fill-in subject to a
-// relative stability threshold), storing the elimination multipliers (L) and
-// the reduced pivot rows (U) as index/value triangles. Basis exchanges do
-// not refactorize: each pivot appends one product-form eta vector, and the
-// factorization is rebuilt only when the eta file grows past its budget or a
-// pivot is numerically unacceptable. FTRAN/BTRAN over this representation
-// live in ftran.go.
+// engine's linear algebra. The basis matrix B — flow-conservation rows,
+// via-adjacency rows, EOL rows, each with a handful of nonzeros — is
+// factorized by Gaussian elimination with Markowitz pivot selection
+// (minimizing predicted fill-in subject to a relative stability threshold),
+// storing the elimination multipliers (L) and the reduced pivot rows (U) as
+// index/value triangles. Basis exchanges do not refactorize: each pivot is
+// folded into U by a Forrest-Tomlin update (ft.go), and the factorization is
+// rebuilt only when the updates exceed their count or fill budget or a pivot
+// is numerically unacceptable. FTRAN/BTRAN over this representation live in
+// ftran.go.
 
 const (
 	// markowitzThreshold rejects pivot candidates smaller than this fraction
@@ -24,15 +24,15 @@ const (
 	// dropTol discards entries this small during elimination (cancellation
 	// noise that would otherwise accumulate as structural fill).
 	dropTol = 1e-14
-	// etaPivotRel rejects a product-form update whose pivot entry is this
-	// much smaller than the largest entry of the transformed column; the
-	// caller refactorizes instead of compounding the error.
+	// etaPivotRel rejects a Forrest-Tomlin update whose new pivot is this
+	// much smaller than the largest entry of the spike; the caller
+	// refactorizes instead of compounding the error.
 	etaPivotRel = 1e-8
 )
 
 // luFactor is a sparse LU factorization of one simplex basis plus the
-// product-form eta file accumulated since. Rebuilt in place by factorize;
-// all backing slices are reused across refactorizations.
+// Forrest-Tomlin update state accumulated since. Rebuilt in place by
+// factorize; all backing slices are reused across refactorizations.
 type luFactor struct {
 	m int
 
@@ -47,34 +47,18 @@ type luFactor struct {
 	lInd []int32
 	lVal []float64
 
-	// U: pivot values per step plus the off-pivot entries of each pivot row,
-	// stored row-wise (urInd = basis position) for BTRAN and column-wise
-	// (ucInd = step index of the row holding the entry) for FTRAN.
+	// U as factorized: pivot values per step plus the off-pivot entries of
+	// each pivot row (urInd = basis position). ftInit copies it into the
+	// dynamic Forrest-Tomlin form that the solves and updates work on.
 	upiv  []float64
 	urPtr []int32
 	urInd []int32
 	urVal []float64
-	ucPtr []int32
-	ucInd []int32
-	ucVal []float64
-
-	// Product-form eta file, one eta per basis exchange since the last
-	// factorization, stored in applied form: the transformed column r gets
-	// value etaDiag*t and each (etaInd, etaVal) entry accumulates etaVal*t.
-	etaPtr  []int32
-	etaR    []int32
-	etaDiag []float64
-	etaInd  []int32
-	etaVal  []float64
 
 	basisNNZ  int // nonzeros of the basis matrix at the last factorization
 	factorNNZ int // nonzeros of L + U (incl. pivots) at the last factorization
 
-	// Forrest-Tomlin update state (ft.go). ftMode requests the scheme for the
-	// next factorize; the zero value keeps the product-form eta file, so a
-	// bare luFactor behaves exactly as before.
-	ftMode bool
-	ft     ftState
+	ft ftState // Forrest-Tomlin update state (ft.go)
 
 	// Test hooks (ft_test.go): force every update to be rejected, and make
 	// the next factorize report the basis singular, exercising the recovery
@@ -108,24 +92,6 @@ func (f *luFactor) reset(m int) {
 	f.urPtr = append(f.urPtr[:0], 0)
 	f.urInd = f.urInd[:0]
 	f.urVal = f.urVal[:0]
-	f.clearEtas()
-}
-
-func (f *luFactor) clearEtas() {
-	f.etaPtr = append(f.etaPtr[:0], 0)
-	f.etaR = f.etaR[:0]
-	f.etaDiag = f.etaDiag[:0]
-	f.etaInd = f.etaInd[:0]
-	f.etaVal = f.etaVal[:0]
-}
-
-// etaCount returns the number of updates accumulated since the last
-// factorization (product-form etas or Forrest-Tomlin exchanges).
-func (f *luFactor) etaCount() int {
-	if f.ft.on {
-		return f.ft.updates
-	}
-	return len(f.etaR)
 }
 
 // refactorReason attributes a refactorization trigger (Stats.Refactor*).
@@ -140,79 +106,25 @@ const (
 )
 
 // refactorDue reports whether (and why) the update representation has
-// outgrown its budget. For the eta file: too many updates, or more update
-// nonzeros than the factorization itself (at which point every FTRAN/BTRAN
-// pays more for the etas than for the LU). For Forrest-Tomlin: the looser
-// ftUpdateCap, or the dynamic U plus its row etas growing past the same
-// fill budget (spike fill-in degradation).
+// outgrown its budget: ftUpdateCap exchanges, or the dynamic U plus its row
+// etas holding more nonzeros than twice the factorization (spike fill-in
+// degradation, at which point every FTRAN/BTRAN pays more for the updates
+// than for the LU).
 func (f *luFactor) refactorDue() refactorReason {
-	if f.ft.on {
-		if f.ft.updates >= ftUpdateCap {
-			return refactorEtaLen
-		}
-		if f.ft.nnz+len(f.ft.etaMul) > 2*f.factorNNZ+4*f.m {
-			return refactorFill
-		}
-		return refactorNone
-	}
-	if len(f.etaR) >= 96 {
+	if f.ft.updates >= ftUpdateCap {
 		return refactorEtaLen
 	}
-	if len(f.etaVal) > 2*f.factorNNZ+4*f.m {
+	if f.ft.nnz+len(f.ft.etaMul) > 2*f.factorNNZ+4*f.m {
 		return refactorFill
 	}
 	return refactorNone
 }
 
-// needRefactor reports whether the update file has outgrown its budget.
-func (f *luFactor) needRefactor() bool { return f.refactorDue() != refactorNone }
-
-// update folds one basis exchange into the factorization: w is the
-// FTRAN-transformed entering column and leave the basis position it replaces.
-// Forrest-Tomlin mode edits U in place (ft.go); eta-file mode appends one
-// product-form eta. Returns false when the pivot entry is too small relative
-// to the column — the caller must refactorize (the basis itself, already
-// exchanged, stays valid).
-func (f *luFactor) update(leave int32, w *spVec) bool {
-	if f.testRejectUpdates {
-		return false
-	}
-	if f.ft.on {
-		return f.ftUpdate(leave, w)
-	}
-	wr := w.val[leave]
-	wmax := 0.0
-	for _, i := range w.ind {
-		if a := math.Abs(w.val[i]); a > wmax {
-			wmax = a
-		}
-	}
-	if math.Abs(wr) < etaPivotRel*wmax || wr == 0 {
-		return false
-	}
-	d := 1 / wr
-	for _, i := range w.ind {
-		if i == leave {
-			continue
-		}
-		v := w.val[i]
-		if v == 0 {
-			continue
-		}
-		f.etaInd = append(f.etaInd, i)
-		f.etaVal = append(f.etaVal, -v*d)
-	}
-	f.etaR = append(f.etaR, leave)
-	f.etaDiag = append(f.etaDiag, d)
-	f.etaPtr = append(f.etaPtr, int32(len(f.etaInd)))
-	return true
-}
-
 // factorize rebuilds the LU factorization from the basis columns (basis[pos]
 // names the column basic at position pos; colIdx/colVal are the column
 // nonzeros by row). Returns false when the basis matrix is numerically
-// singular. The eta file is cleared — the factorization alone represents
-// the basis afterwards.
+// singular. The update state is cleared — the factorization alone
+// represents the basis afterwards.
 func (f *luFactor) factorize(m int, basis []int, colIdx [][]int32, colVal [][]float64) bool {
 	if f.testFailFactorize {
 		f.testFailFactorize = false
@@ -220,7 +132,6 @@ func (f *luFactor) factorize(m int, basis []int, colIdx [][]int32, colVal [][]fl
 	}
 	f.reset(m)
 	f.growScratch(m)
-	f.ft.on = false
 
 	// Assemble the working rows (col = basis position).
 	nnz := 0
@@ -253,16 +164,7 @@ func (f *luFactor) factorize(m int, basis []int, colIdx [][]int32, colVal [][]fl
 		}
 		f.eliminate(pr, pk)
 	}
-	if f.ftMode {
-		// Forrest-Tomlin updates work on a dynamic U; the static column-wise
-		// transpose is never consulted, so skip building it.
-		for pos, k := range f.pcol {
-			f.stepOf[k] = int32(pos)
-		}
-		f.ftInit(m)
-	} else {
-		f.buildColumnwiseU(m)
-	}
+	f.ftInit(m)
 	f.factorNNZ = len(f.lVal) + len(f.urVal) + m
 	return true
 }
@@ -418,52 +320,6 @@ func (f *luFactor) mergeRow(i, kk int, mult float64, uLo, uHi int32) {
 	}
 	f.rwIdx[i] = idx
 	f.rwVal[i] = val
-}
-
-// buildColumnwiseU transposes the row-wise U into the column-oriented form
-// the FTRAN back substitution scatters through: for each step k, the entries
-// U_j[pcol[k]] of earlier steps j, identified by step index.
-func (f *luFactor) buildColumnwiseU(m int) {
-	if cap(f.ucPtr) < m+1 {
-		f.ucPtr = make([]int32, m+1)
-	}
-	f.ucPtr = f.ucPtr[:m+1]
-	for k := range f.ucPtr {
-		f.ucPtr[k] = 0
-	}
-	for pos, k := range f.pcol {
-		f.stepOf[k] = int32(pos)
-	}
-	nnz := len(f.urInd)
-	if cap(f.ucInd) < nnz {
-		f.ucInd = make([]int32, nnz)
-		f.ucVal = make([]float64, nnz)
-	}
-	f.ucInd = f.ucInd[:nnz]
-	f.ucVal = f.ucVal[:nnz]
-	// Counting pass: entries per destination step.
-	for _, c := range f.urInd {
-		f.ucPtr[f.stepOf[c]+1]++
-	}
-	for k := 0; k < m; k++ {
-		f.ucPtr[k+1] += f.ucPtr[k]
-	}
-	// Scatter pass, cursoring through each step's span (accMark doubles as
-	// the cursor scratch; it is re-zeroed after, restoring the epoch-stamp
-	// invariant for the next factorization's mergeRow calls).
-	cursor := f.accMark[:m]
-	copy(cursor, f.ucPtr[:m])
-	for j := 0; j < m; j++ {
-		for e := f.urPtr[j]; e < f.urPtr[j+1]; e++ {
-			k := f.stepOf[f.urInd[e]]
-			f.ucInd[cursor[k]] = int32(j)
-			f.ucVal[cursor[k]] = f.urVal[e]
-			cursor[k]++
-		}
-	}
-	for k := range cursor {
-		cursor[k] = 0
-	}
 }
 
 // growScratch sizes the factorization workspaces for m rows.

@@ -8,7 +8,7 @@ import (
 
 // randBasisColumns builds m deterministic, diagonally dominant sparse columns
 // (so the matrix is guaranteed nonsingular) plus extra off-basis columns that
-// eta-update tests can bring in. Returns the column arrays and the identity
+// basis-update tests can bring in. Returns the column arrays and the identity
 // basis over the first m columns.
 func randBasisColumns(rng *rand.Rand, m, extra int) (colIdx [][]int32, colVal [][]float64, basis []int) {
 	ncols := m + extra
@@ -138,11 +138,14 @@ func TestLUFactorizeSolves(t *testing.T) {
 	}
 }
 
-// TestLUEtaUpdate performs a chain of basis exchanges through product-form
-// eta updates and re-checks the FTRAN contract against the exchanged basis
-// after every step — the invariant the simplex pivot loop depends on.
-func TestLUEtaUpdate(t *testing.T) {
+// TestFTUpdateMatchesRefactorize performs a chain of basis exchanges
+// through Forrest-Tomlin updates and, after every step, compares FTRAN and
+// BTRAN through the updated factorization against a fresh factorization of
+// the same exchanged basis, and checks the FTRAN contract B x = a directly —
+// the invariant the simplex pivot loop depends on.
+func TestFTUpdateMatchesRefactorize(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	updates := 0
 	for trial := 0; trial < 20; trial++ {
 		m := 5 + rng.Intn(30)
 		extra := 10
@@ -152,10 +155,48 @@ func TestLUEtaUpdate(t *testing.T) {
 			t.Fatalf("trial %d: initial factorize failed", trial)
 		}
 
-		var a, w, out spVec
+		var a, w, out, fresh spVec
 		a.grow(m)
 		w.grow(m)
 		out.grow(m)
+		fresh.grow(m)
+		ref := &luFactor{}
+		// solve runs one FTRAN (or BTRAN) of the same sparse rhs through the
+		// updated and the fresh factorization, returning both results.
+		solve := func(btran bool) (got, want []float64, rhs []float64) {
+			rhs = make([]float64, m)
+			for k := 0; k < 2; k++ {
+				rhs[rng.Intn(m)] += rng.Float64()*2 - 1
+			}
+			load := func() {
+				a.reset()
+				for i, v := range rhs {
+					if v != 0 {
+						a.set(int32(i), v)
+					}
+				}
+			}
+			load()
+			if btran {
+				f.btran(&a, &out)
+			} else {
+				f.ftran(&a, &out)
+			}
+			load()
+			if btran {
+				ref.btran(&a, &fresh)
+			} else {
+				ref.ftran(&a, &fresh)
+			}
+			got, want = make([]float64, m), make([]float64, m)
+			for _, i := range out.ind {
+				got[i] = out.val[i]
+			}
+			for _, i := range fresh.ind {
+				want[i] = fresh.val[i]
+			}
+			return got, want, rhs
+		}
 
 		for step := 0; step < extra; step++ {
 			enter := m + step
@@ -175,38 +216,40 @@ func TestLUEtaUpdate(t *testing.T) {
 			if leave < 0 {
 				t.Fatalf("trial %d step %d: zero transformed column", trial, step)
 			}
-			if !f.update(leave, &w) {
-				// Numerically rejected: refactorize from the exchanged basis.
-				basis[leave] = enter
-				if !f.factorize(m, basis, colIdx, colVal) {
-					t.Fatalf("trial %d step %d: refactorize after rejected eta failed", trial, step)
-				}
-			} else {
-				basis[leave] = enter
+			ok := f.update(leave, &w)
+			basis[leave] = enter
+			if ok {
+				updates++
+			} else if !f.factorize(m, basis, colIdx, colVal) {
+				t.Fatalf("trial %d step %d: refactorize after rejected update failed", trial, step)
+			}
+			if !ref.factorize(m, basis, colIdx, colVal) {
+				t.Fatalf("trial %d step %d: fresh factorize failed", trial, step)
 			}
 
-			// Contract check: x = ftran(e_r + noise) satisfies B_new x = rhs.
-			a.reset()
-			rhs := make([]float64, m)
-			for k := 0; k < 2; k++ {
-				i := int32(rng.Intn(m))
-				v := rng.Float64()*2 - 1
-				a.add(i, v)
-				rhs[i] += v
-			}
-			f.ftran(&a, &out)
-			x := make([]float64, m)
-			for _, i := range out.ind {
-				x[i] = out.val[i]
-			}
-			got := mulBasis(m, basis, colIdx, colVal, x)
-			for i := 0; i < m; i++ {
-				if math.Abs(got[i]-rhs[i]) > 1e-7 {
-					t.Fatalf("trial %d step %d: post-eta FTRAN residual %g at row %d (etas=%d)",
-						trial, step, got[i]-rhs[i], i, f.etaCount())
+			for _, btran := range []bool{false, true} {
+				got, want, rhs := solve(btran)
+				for i := 0; i < m; i++ {
+					if math.Abs(got[i]-want[i]) > 1e-7*(1+math.Abs(want[i])) {
+						t.Fatalf("trial %d step %d (btran=%v): updated %g, fresh %g at %d (updates=%d)",
+							trial, step, btran, got[i], want[i], i, f.ft.updates)
+					}
+				}
+				if btran {
+					continue
+				}
+				res := mulBasis(m, basis, colIdx, colVal, got)
+				for i := 0; i < m; i++ {
+					if math.Abs(res[i]-rhs[i]) > 1e-7 {
+						t.Fatalf("trial %d step %d: post-update FTRAN residual %g at row %d",
+							trial, step, res[i]-rhs[i], i)
+					}
 				}
 			}
 		}
+	}
+	if updates == 0 {
+		t.Fatal("every update was rejected; the FT path never ran")
 	}
 }
 

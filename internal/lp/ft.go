@@ -2,18 +2,17 @@ package lp
 
 import "math"
 
-// This file implements Forrest-Tomlin basis updates (Options.Update ==
-// UpdateFT, the default) for the sparse LU engine in factor.go. Where the
-// product-form eta file leaves L and U frozen and pays one extra eta gather
-// per FTRAN/BTRAN for every exchange since the last refactorization, the
-// Forrest-Tomlin scheme edits U itself: the FTRAN-transformed entering
-// column becomes a spike replacing the leaving column of U, the spiked
-// row/column pair is cyclically permuted to the end of the elimination
-// order, and the resulting last-row spike is eliminated with one sparse row
-// eta (recorded between L and U in the factor product, B = L R1..Rk U).
-// U stays triangular in the permuted order and near factorization density,
-// so the solves do not degrade as updates accumulate — which is what lets
-// the refactorization interval stretch (ftUpdateCap) past the eta file's.
+// This file implements the Forrest-Tomlin basis updates of the sparse LU
+// engine in factor.go. Instead of leaving L and U frozen and appending one
+// product-form eta per exchange (which every later FTRAN/BTRAN would pay
+// for), the scheme edits U itself: the FTRAN-transformed entering column
+// becomes a spike replacing the leaving column of U, the spiked row/column
+// pair is cyclically permuted to the end of the elimination order, and the
+// resulting last-row spike is eliminated with one sparse row eta (recorded
+// between L and U in the factor product, B = L R1..Rk U). U stays
+// triangular in the permuted order and near factorization density, so the
+// solves do not degrade as updates accumulate — which is what lets the
+// refactorization interval stretch to ftUpdateCap.
 //
 // The mutable U lives in per-slot growable row arrays plus per-column
 // scatter lists with generation-stamped lazy invalidation: clearing a row
@@ -23,10 +22,9 @@ import "math"
 // change, only its position in the elimination order (ftSeq/ftPosOf) does.
 
 const (
-	// ftUpdateCap bounds the updates absorbed between refactorizations.
-	// Deliberately looser than the eta file's 96: FT solves pay only for the
-	// short row etas, not one gather per exchange, so longer intervals are
-	// where the scheme wins.
+	// ftUpdateCap bounds the updates absorbed between refactorizations. FT
+	// solves pay only for the short row etas, not one gather per exchange,
+	// so long intervals are where the scheme wins.
 	ftUpdateCap = 192
 )
 
@@ -34,8 +32,7 @@ const (
 // its row-eta file, embedded in luFactor and rebuilt by ftInit at every
 // refactorization.
 type ftState struct {
-	on      bool // FT mode: ftInit ran for the current factorization
-	updates int  // exchanges absorbed since the last refactorization
+	updates int // exchanges absorbed since the last refactorization
 
 	piv    []float64 // per-slot pivot value (replaces upiv)
 	rowInd [][]int32 // per-slot off-pivot row entries: basis positions...
@@ -82,7 +79,6 @@ type ftState struct {
 // across refactorizations.
 func (f *luFactor) ftInit(m int) {
 	ft := &f.ft
-	ft.on = true
 	ft.updates = 0
 	if cap(ft.piv) < m {
 		ft.piv = make([]float64, m)
@@ -176,12 +172,16 @@ func (f *luFactor) ftInit(m int) {
 	ft.acc.grow(m)
 }
 
-// ftUpdate folds one basis exchange into the dynamic factorization: w is the
+// update folds one basis exchange into the dynamic factorization: w is the
 // FTRAN-transformed entering column (indexed by basis position) and leave the
 // basis position it replaces. Returns false — leaving the representation
 // untouched — when the new pivot of the spiked slot is too small relative to
-// the spike, in which case the caller must refactorize.
-func (f *luFactor) ftUpdate(leave int32, w *spVec) bool {
+// the spike, in which case the caller must refactorize (the basis itself,
+// already exchanged, stays valid).
+func (f *luFactor) update(leave int32, w *spVec) bool {
+	if f.testRejectUpdates {
+		return false
+	}
 	ft := &f.ft
 	m := f.m
 	t := f.stepOf[leave] // the leaving position's slot keeps its identity

@@ -9,8 +9,9 @@ import (
 // pins its costs: a rejected update must fall back to refactorization, a
 // failed (singular) refactorization must abandon the warm path for the cold
 // solve with the answer unchanged, and the primary dual algorithm must stay
-// within the cold allocation budget. The answer-equivalence of FT vs PFI
-// across random models is covered by TestPricingPresolveDifferential.
+// within the cold allocation budget. Update-vs-fresh-factorization agreement
+// is covered by TestFTUpdateMatchesRefactorize, and answer agreement with the
+// oracle across random models by TestPricingPresolveDifferential.
 
 // TestSingularBasisRecovery walks the whole recovery ladder deterministically
 // via the luFactor test hooks: every update rejected AND the next
@@ -96,34 +97,26 @@ func TestDualSolveAllocs(t *testing.T) {
 }
 
 // BenchmarkBasisUpdate measures the branch-and-bound node reoptimization
-// loop under each basis-update scheme. The FT update keeps FTRAN/BTRAN near
-// factorization density while the eta file grows with every exchange, so the
-// gap widens with the refactorization interval.
+// loop, where every exchange is a Forrest-Tomlin update and FTRAN/BTRAN
+// stay near factorization density across the refactorization interval.
 func BenchmarkBasisUpdate(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		update Update
-	}{{"ft", UpdateFT}, {"pfi", UpdatePFI}} {
-		b.Run(bc.name, func(b *testing.B) {
-			const n = 8
-			p := assignmentLP(n)
-			res := p.Solve(Options{SnapshotBasis: true, Update: bc.update})
-			if res.Status != Optimal {
-				b.Fatalf("root: %v", res.Status)
-			}
-			basis := res.Basis
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				j := (i * 5) % (n * n)
-				p.SetVarBounds(j, 0, 0)
-				r := p.Solve(Options{WarmStart: basis, SnapshotBasis: true, Update: bc.update})
-				p.SetVarBounds(j, 0, 1)
-				if r.Status == Optimal && r.Basis != nil {
-					basis = r.Basis
-				}
-			}
-		})
+	const n = 8
+	p := assignmentLP(n)
+	res := p.Solve(Options{SnapshotBasis: true})
+	if res.Status != Optimal {
+		b.Fatalf("root: %v", res.Status)
+	}
+	basis := res.Basis
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := (i * 5) % (n * n)
+		p.SetVarBounds(j, 0, 0)
+		r := p.Solve(Options{WarmStart: basis, SnapshotBasis: true})
+		p.SetVarBounds(j, 0, 1)
+		if r.Status == Optimal && r.Basis != nil {
+			basis = r.Basis
+		}
 	}
 }
 

@@ -68,8 +68,8 @@ func (v *spVec) add(i int32, x float64) {
 	v.val[i] += x
 }
 
-// ftran solves B x = a for the current basis B = B0 * F1 * ... * Fk (the LU
-// factorization B0 composed with the product-form eta updates). The input a
+// ftran solves B x = a for the current basis B = L R1..Rk U (the LU
+// factorization with its Forrest-Tomlin row etas and dynamic U). The input a
 // is indexed by row; the result is indexed by basis position and written to
 // out (which is reset first). a is consumed (mutated in place).
 func (f *luFactor) ftran(a, out *spVec) {
@@ -87,82 +87,21 @@ func (f *luFactor) ftran(a, out *spVec) {
 			a.add(f.lInd[e], -f.lVal[e]*t)
 		}
 	}
-	if f.ft.on {
-		// Forrest-Tomlin: row etas between L and U, then the dynamic U.
-		f.ftApplyEtas(a)
-		f.ftranFT(a, out)
-		return
-	}
-	// Back substitution on U, column-oriented scatter: once x[pcol[k]] is
-	// known it is substituted out of every earlier pivot row at once.
-	out.reset()
-	for k := m - 1; k >= 0; k-- {
-		t := a.val[f.prow[k]]
-		if t == 0 {
-			continue
-		}
-		t /= f.upiv[k]
-		out.set(f.pcol[k], t)
-		for e := f.ucPtr[k]; e < f.ucPtr[k+1]; e++ {
-			a.add(f.prow[f.ucInd[e]], -f.ucVal[e]*t)
-		}
-	}
-	// Eta file: apply the product-form updates in pivot order.
-	for e := 0; e < len(f.etaR); e++ {
-		r := f.etaR[e]
-		t := out.val[r]
-		if t == 0 {
-			continue
-		}
-		out.set(r, f.etaDiag[e]*t)
-		for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
-			out.add(f.etaInd[q], f.etaVal[q]*t)
-		}
-	}
+	// Row etas between L and U, then the dynamic U.
+	f.ftApplyEtas(a)
+	f.ftranFT(a, out)
 }
 
 // btran solves y B = c for the current basis. The input c is indexed by
 // basis position; the result is indexed by row and written to out (reset
 // first). c is consumed.
 func (f *luFactor) btran(c, out *spVec) {
-	m := f.m
-	if f.ft.on {
-		// Forrest-Tomlin: dynamic U solve plus transposed row etas, then the
-		// shared transposed L pass below.
-		f.btranFT(c, out)
-	} else {
-		// Eta file in reverse: right-multiplying by F^{-1} changes only the
-		// pivot-position entry (a short gather per eta).
-		for e := len(f.etaR) - 1; e >= 0; e-- {
-			r := f.etaR[e]
-			d := f.etaDiag[e] * c.val[r]
-			for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
-				d += f.etaVal[q] * c.val[f.etaInd[q]]
-			}
-			if d != 0 || c.val[r] != 0 {
-				c.set(r, d)
-			}
-		}
-		// Solve z U = c in pivot order, scattering each solved component
-		// through the pivot row (row-oriented U). Zero components skip
-		// entirely.
-		out.reset()
-		for k := 0; k < m; k++ {
-			t := c.val[f.pcol[k]]
-			if t == 0 {
-				continue
-			}
-			t /= f.upiv[k]
-			out.set(f.prow[k], t)
-			for e := f.urPtr[k]; e < f.urPtr[k+1]; e++ {
-				c.add(f.urInd[e], -f.urVal[e]*t)
-			}
-		}
-	}
+	// Dynamic U solve plus transposed row etas, then the transposed L pass.
+	f.btranFT(c, out)
 	// Transposed elimination pass: y[prow[k]] -= sum L_k[i] * y[i], in
 	// reverse pivot order. Each step is a short gather over the stored
 	// multipliers.
-	for k := m - 1; k >= 0; k-- {
+	for k := f.m - 1; k >= 0; k-- {
 		s := 0.0
 		for e := f.lPtr[k]; e < f.lPtr[k+1]; e++ {
 			s += f.lVal[e] * out.val[f.lInd[e]]
@@ -186,33 +125,5 @@ func (f *luFactor) ftranDense(a, out []float64) {
 			a[f.lInd[e]] -= f.lVal[e] * t
 		}
 	}
-	if f.ft.on {
-		f.ftranDenseFT(a, out)
-		return
-	}
-	for i := range out[:m] {
-		out[i] = 0
-	}
-	for k := m - 1; k >= 0; k-- {
-		t := a[f.prow[k]]
-		if t == 0 {
-			continue
-		}
-		t /= f.upiv[k]
-		out[f.pcol[k]] = t
-		for e := f.ucPtr[k]; e < f.ucPtr[k+1]; e++ {
-			a[f.prow[f.ucInd[e]]] -= f.ucVal[e] * t
-		}
-	}
-	for e := 0; e < len(f.etaR); e++ {
-		r := f.etaR[e]
-		t := out[r]
-		if t == 0 {
-			continue
-		}
-		out[r] = f.etaDiag[e] * t
-		for q := f.etaPtr[e]; q < f.etaPtr[e+1]; q++ {
-			out[f.etaInd[q]] += f.etaVal[q] * t
-		}
-	}
+	f.ftranDenseFT(a, out)
 }

@@ -1,5 +1,5 @@
 // Package lp implements sparse linear programming with a bounded-variable,
-// two-phase revised primal simplex method.
+// two-phase revised simplex method.
 //
 // Problems are stated in the form
 //
@@ -7,11 +7,16 @@
 //	subject to  row_i: a_i'x {<=,=,>=} b_i
 //	            l <= x <= u
 //
-// where bounds may be infinite. The solver is artificial-based two-phase
-// (big-M free) and uses Dantzig pricing with a Bland's-rule fallback for
-// anti-cycling. It is the LP engine underneath the MILP branch-and-bound in
-// package ilp, which in turn is this repository's stand-in for CPLEX in the
-// OptRouter reproduction.
+// where bounds may be infinite. There is one production path: the basis is
+// a sparse LU factorization kept current by Forrest-Tomlin updates
+// (factor.go, ft.go, ftran.go); the primal simplex is artificial-based two-
+// phase (big-M free) with devex pricing over incrementally maintained reduced
+// costs (pricing.go) and a Bland's-rule fallback for anti-cycling; warm
+// starts and the optional primary dual simplex restore primal feasibility
+// with the bound-flipping dual ratio test (dual.go, algorithm.go) before a
+// final primal pass certifies optimality. It is the LP engine underneath the
+// MILP branch-and-bound in package ilp, which in turn is this repository's
+// stand-in for CPLEX in the OptRouter reproduction.
 package lp
 
 import (
@@ -213,158 +218,6 @@ func (p *Problem) Row(i int) (coeffs []Coef, sense Sense, rhs float64) {
 	return coeffs, p.senses[i], p.rhs[i]
 }
 
-// Engine selects the linear-algebra kernel behind the simplex iterations.
-type Engine int
-
-const (
-	// EngineSparse (the default) represents the basis as a sparse LU
-	// factorization with Markowitz pivot selection, updated by product-form
-	// etas on each basis exchange, with FTRAN/BTRAN solves that exploit
-	// right-hand-side hyper-sparsity. See factor.go / ftran.go.
-	EngineSparse Engine = iota
-	// EngineDense maintains an explicit dense basis inverse with O(m^2)
-	// rank-1 pivot updates and O(m^3) refactorization. It is retained as the
-	// differential-testing reference for EngineSparse; both engines are
-	// answer-equivalent on every status and objective.
-	EngineDense
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineSparse:
-		return "sparse"
-	case EngineDense:
-		return "dense"
-	}
-	return "?"
-}
-
-// ParseEngine parses a CLI engine name ("sparse", "dense").
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "sparse":
-		return EngineSparse, nil
-	case "dense":
-		return EngineDense, nil
-	}
-	return 0, fmt.Errorf("lp: unknown engine %q (want sparse or dense)", s)
-}
-
-// Pricing selects the entering-variable rule of the primal simplex and the
-// leaving-row/ratio-test variants of the warm-start dual pivots. See
-// pricing.go for the machinery.
-type Pricing int
-
-const (
-	// PricingAuto (the zero value, the default) resolves to PricingDevex:
-	// devex reference weights with incrementally maintained reduced costs and
-	// candidate-list partial pricing, plus dual devex row weights and the
-	// bound-flipping ratio test on warm-start reoptimizations.
-	PricingAuto Pricing = iota
-	// PricingDantzig is the legacy rule kept as the differential-testing
-	// reference: duals recomputed every iteration, full most-negative-
-	// reduced-cost sweep, single-breakpoint dual ratio test.
-	PricingDantzig
-	// PricingDevex selects devex pricing explicitly (what PricingAuto does).
-	PricingDevex
-	// PricingSteepest is projected steepest-edge pricing with exact weight
-	// updates (one extra BTRAN per primal pivot, one extra FTRAN per dual
-	// pivot) and dual steepest-edge row weights. When the maintained weights
-	// break down numerically the solve counts a reference reset and falls
-	// back to devex updates for the rest of the solve.
-	PricingSteepest
-)
-
-func (pr Pricing) String() string {
-	switch pr {
-	case PricingAuto:
-		return "auto"
-	case PricingDantzig:
-		return "dantzig"
-	case PricingDevex:
-		return "devex"
-	case PricingSteepest:
-		return "steepest"
-	}
-	return "?"
-}
-
-// resolve maps PricingAuto to the concrete default rule.
-func (pr Pricing) resolve() Pricing {
-	if pr == PricingAuto {
-		return PricingDevex
-	}
-	return pr
-}
-
-// ParsePricing parses a CLI pricing-rule name.
-func ParsePricing(s string) (Pricing, error) {
-	switch s {
-	case "", "auto":
-		return PricingAuto, nil
-	case "dantzig":
-		return PricingDantzig, nil
-	case "devex":
-		return PricingDevex, nil
-	case "steepest":
-		return PricingSteepest, nil
-	}
-	return 0, fmt.Errorf("lp: unknown pricing rule %q (want auto, dantzig, devex or steepest)", s)
-}
-
-// Update selects the basis-update scheme of the sparse engine: how a basis
-// exchange is folded into the LU factorization without refactorizing.
-type Update int
-
-const (
-	// UpdateAuto (the zero value) resolves to UpdateFT.
-	UpdateAuto Update = iota
-	// UpdateFT is the Forrest-Tomlin update: the spike column replaces the
-	// leaving column inside U itself (with row/column permutation bookkeeping
-	// and one sparse row-elimination eta per exchange), keeping U triangular
-	// and compact. FTRAN/BTRAN stay near factorization density, which is what
-	// lets the refactorization interval stretch without the solves paying for
-	// it. See ft.go.
-	UpdateFT
-	// UpdatePFI is the product-form eta file: one dense-ish eta vector per
-	// exchange applied after the LU solves. Kept as the differential-testing
-	// reference for UpdateFT; both schemes are answer-equivalent.
-	UpdatePFI
-)
-
-func (u Update) String() string {
-	switch u {
-	case UpdateAuto:
-		return "auto"
-	case UpdateFT:
-		return "ft"
-	case UpdatePFI:
-		return "pfi"
-	}
-	return "?"
-}
-
-// resolve maps UpdateAuto to the concrete default scheme.
-func (u Update) resolve() Update {
-	if u == UpdateAuto {
-		return UpdateFT
-	}
-	return u
-}
-
-// ParseUpdate parses a CLI basis-update scheme name.
-func ParseUpdate(s string) (Update, error) {
-	switch s {
-	case "", "auto":
-		return UpdateAuto, nil
-	case "ft", "forrest-tomlin":
-		return UpdateFT, nil
-	case "pfi", "eta":
-		return UpdatePFI, nil
-	}
-	return 0, fmt.Errorf("lp: unknown update scheme %q (want auto, ft or pfi)", s)
-}
-
 // Algorithm selects the simplex variant of a cold solve.
 type Algorithm int
 
@@ -399,19 +252,6 @@ func (a Algorithm) String() string {
 	return "?"
 }
 
-// ParseAlgorithm parses a CLI algorithm name.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch s {
-	case "", "auto":
-		return AlgorithmAuto, nil
-	case "primal":
-		return AlgorithmPrimal, nil
-	case "dual":
-		return AlgorithmDual, nil
-	}
-	return 0, fmt.Errorf("lp: unknown algorithm %q (want auto, primal or dual)", s)
-}
-
 // PresolveMode gates the LP presolve layer (presolve.go).
 type PresolveMode int
 
@@ -436,17 +276,6 @@ func (pm PresolveMode) String() string {
 		return "off"
 	}
 	return "?"
-}
-
-// ParsePresolveMode parses a CLI presolve-mode name.
-func ParsePresolveMode(s string) (PresolveMode, error) {
-	switch s {
-	case "", "auto", "on":
-		return PresolveAuto, nil
-	case "off", "none":
-		return PresolveOff, nil
-	}
-	return 0, fmt.Errorf("lp: unknown presolve mode %q (want auto or off)", s)
 }
 
 // Result holds the outcome of a Solve.
@@ -495,25 +324,25 @@ type Stats struct {
 	WarmStarted      bool // solve reused a parent basis (no phase 1 ran)
 	DualIters        int  // dual-simplex iterations restoring primal feasibility
 
-	// Sparse-engine factorization statistics (zero under EngineDense).
+	// Basis-factorization statistics.
 	FactorNNZ int     // nonzeros of L+U at the last refactorization
 	FillRatio float64 // FactorNNZ / basis-matrix nonzeros (fill-in factor)
-	EtaPivots int     // basis exchanges absorbed by FT/PFI updates (no refactorization)
+	EtaPivots int     // basis exchanges absorbed by Forrest-Tomlin updates (no refactorization)
 	FTRANNnz  int     // result nonzeros across all sparse FTRANs (deterministic work)
 	BTRANNnz  int     // result nonzeros across all sparse BTRANs (deterministic work)
 
 	// Refactorization attribution: why refactorizations beyond the initial
 	// factorization fired. The four reasons partition the recovery paths of
-	// both update schemes; initial/structural factorizations carry no reason,
-	// so the sum can be below Refactorizations.
+	// the update layer; initial/structural factorizations carry no reason, so
+	// the sum can be below Refactorizations.
 	RefactorEtaLen         int // update-count budget exhausted ("eta_len")
 	RefactorFill           int // update-storage fill budget exhausted ("fill")
 	RefactorPivotQuality   int // tiny pivot hit mid-iteration ("pivot_quality")
-	RefactorUpdateRejected int // FT/PFI update rejected on spike-pivot quality ("update_rejected")
+	RefactorUpdateRejected int // FT update rejected on spike-pivot quality ("update_rejected")
 
-	// Pricing-layer statistics (pricing.go; zero under PricingDantzig).
+	// Pricing-layer statistics (pricing.go).
 	CandidateHits   int // pricing iterations served by the candidate list alone
-	ReferenceResets int // pricing-weight reference resets (incl. steepest→devex fallbacks)
+	ReferenceResets int // devex reference-framework resets
 	DualBoundFlips  int // long-step dual ratio-test bound flips (BFRT)
 
 	// Presolve statistics (presolve.go; populated when the solve was routed
@@ -559,15 +388,6 @@ type Options struct {
 	// SnapshotBasis records the final basis of an optimal solve in
 	// Result.Basis for use as a later WarmStart.
 	SnapshotBasis bool
-	// Engine selects the basis linear-algebra kernel; the zero value is
-	// EngineSparse. EngineDense is the slower reference implementation kept
-	// for differential testing.
-	Engine Engine
-	// Pricing selects the entering-variable pricing rule; the zero value
-	// (PricingAuto) is devex with candidate-list partial pricing and the
-	// bound-flipping dual ratio test. PricingDantzig is the legacy reference
-	// kept for differential testing.
-	Pricing Pricing
 	// Presolve gates the LP presolve layer; the zero value (PresolveAuto)
 	// presolves cold solves transparently, PresolveOff solves the model as
 	// stated (the differential reference).
@@ -579,10 +399,6 @@ type Options struct {
 	// pass. Warm-started solves ignore it (the warm path is already a dual
 	// reoptimization).
 	Algorithm Algorithm
-	// Update selects the sparse engine's basis-update scheme; the zero value
-	// (UpdateAuto) is Forrest-Tomlin. UpdatePFI is the product-form eta file
-	// kept as the differential reference. EngineDense ignores it.
-	Update Update
 	// WantDuals populates Result.Duals on optimal solves (one extra BTRAN).
 	WantDuals bool
 }
@@ -605,9 +421,7 @@ func (o Options) withDefaults(m, n int) Options {
 // warm path cannot finish cleanly.
 func (p *Problem) Solve(opt Options) Result {
 	if opt.WarmStart != nil {
-		// The cached engine is reusable only if it was built by the same
-		// linear-algebra engine the caller is asking for now.
-		if s := p.engine; s != nil && s.mutGen == p.mutGen && s.opt.Engine == opt.Engine {
+		if s := p.engine; s != nil && s.mutGen == p.mutGen {
 			if res, done := s.reSolve(opt); done {
 				return res
 			}

@@ -1,11 +1,8 @@
 package lp
 
-// pricing.go is the pluggable pricing layer of the simplex engine
-// (Options.Pricing). The legacy Dantzig rule — duals recomputed from scratch
-// every iteration, full most-negative-reduced-cost sweep — is kept verbatim
-// in simplex.go as the differential reference. The rules here share three
-// mechanisms that between them remove the per-iteration BTRAN of the basic
-// cost vector, the engine's dominant work item on the routing LPs:
+// pricing.go is the devex pricing layer of the primal simplex. Three
+// mechanisms between them remove the per-iteration BTRAN of the basic cost
+// vector, the engine's dominant work item on the routing LPs:
 //
 //   - Incremental reduced costs: d_j = c_j - y·a_j is maintained across
 //     pivots with the textbook update d'_j = d_j - (d_q/alpha_rq)·alpha_rj,
@@ -15,13 +12,10 @@ package lp
 //     FTRAN result before every pivot; drift forces a resync (one BTRAN) and
 //     a re-price, and an "optimal" verdict is only ever issued on freshly
 //     recomputed duals, so the maintenance is a pure work optimization.
-//   - Weighted pricing: devex reference weights (PricingDevex, the
-//     PricingAuto default) or projected steepest-edge gammas
-//     (PricingSteepest) scale the entering score to |d_j|^2/w_j, cutting the
-//     iteration count on degenerate warm-started node LPs. Steepest-edge
-//     pays one extra BTRAN per pivot for exact updates and falls back to
-//     devex — counted as a reference reset — when its maintained gamma for
-//     the entering column disagrees with the exact one.
+//   - Weighted pricing: devex reference weights scale the entering score to
+//     |d_j|^2/w_j, cutting the iteration count on degenerate warm-started
+//     node LPs. A weight overflowing devexWeightMax starts a fresh reference
+//     framework (counted in Stats.ReferenceResets).
 //   - Candidate-list partial pricing: each iteration first prices a small
 //     retained list of attractive columns; only when the list yields no
 //     eligible column does a full sweep over the maintained reduced costs
@@ -30,7 +24,7 @@ package lp
 //
 // All of this is selection heuristics: any eligible entering column keeps
 // the simplex exact, Bland's anti-cycling rule still takes over on stalls
-// (routing through the legacy full sweep), and optimality/infeasibility
+// (routing through the full sweep priceDantzig), and optimality/infeasibility
 // verdicts never rest on maintained state.
 
 const (
@@ -43,12 +37,6 @@ const (
 	// priceDriftTol is the relative disagreement between a maintained
 	// reduced cost and its exact recomputation that forces a resync.
 	priceDriftTol = 1e-7
-	// steepestDriftFactor is the maintained-vs-exact gamma ratio that counts
-	// as a steepest-edge breakdown (a reference reset).
-	steepestDriftFactor = 16.0
-	// steepestFallbackAfter is how many breakdowns a solve tolerates before
-	// abandoning steepest-edge updates for devex ones.
-	steepestFallbackAfter = 2
 )
 
 // colAccum is a stamped dense accumulator over columns: constant-time
@@ -103,22 +91,17 @@ func (a *colAccum) at(j int32) float64 {
 // reoptimizations: reduced costs depend only on the cost vector and the
 // basis, both of which a bound-change warm start preserves.
 type pricer struct {
-	rule     Pricing // resolved concrete rule (never PricingAuto)
-	fellBack bool    // steepest-edge weights broke down; devex updates from here on
-	resets   int     // reference resets this engine (drives the fallback)
-
 	// Maintained reduced costs, valid while costPtr identifies the cost
 	// vector they were computed against (phase transitions switch vectors).
 	d       []float64
 	valid   bool
 	costPtr *float64
 
-	// Pricing weights per column: devex reference weights or steepest-edge
-	// gammas, initialized to 1 (the devex reference framework).
+	// Devex reference weights per column, initialized to 1 (the reference
+	// framework).
 	weight []float64
 
 	alphaAcc colAccum // pivot-row alphas alpha_rj = rho·a_j
-	tdotAcc  colAccum // steepest-edge tau·a_j accumulator
 
 	cand      []int32   // candidate list (column indices)
 	candScore []float64 // scores at insertion time (replacement policy only)
@@ -135,7 +118,6 @@ func (pr *pricer) grow(ncols int) {
 		pr.weight[j] = 1
 	}
 	pr.alphaAcc.grow(ncols)
-	pr.tdotAcc.grow(ncols)
 	if cap(pr.cand) < candListCap {
 		pr.cand = make([]int32, 0, candListCap)
 		pr.candScore = make([]float64, 0, candListCap)
@@ -149,28 +131,7 @@ func (s *simplex) resetWeights() {
 	for j := range pr.weight {
 		pr.weight[j] = 1
 	}
-	pr.resets++
 	s.stats.ReferenceResets++
-	if pr.rule == PricingSteepest && pr.resets > steepestFallbackAfter {
-		pr.fellBack = true
-	}
-}
-
-// setPricing installs the solve's pricing rule on the engine, invalidating
-// maintained state when the rule changed between solves.
-func (s *simplex) setPricing(rule Pricing) {
-	r := rule.resolve()
-	if s.pr.rule != r {
-		s.pr.rule = r
-		s.pr.valid = false
-		s.pr.fellBack = false
-		s.pr.resets = 0
-		for j := range s.pr.weight {
-			s.pr.weight[j] = 1
-		}
-		s.pr.cand = s.pr.cand[:0]
-		s.pr.candScore = s.pr.candScore[:0]
-	}
 }
 
 // eligibleDir returns the movement direction of a profitable entering
@@ -225,39 +186,24 @@ func (s *simplex) resyncPricing(cost []float64) {
 
 // rowTimesA accumulates vec·A over all engine columns (structural, slack,
 // artificial) into acc, driven by the nonzeros of vec — a row vector in
-// basis-row space (the pivot row rho, or the steepest-edge tau). Row-driven
-// access means only columns actually intersecting vec's pattern are touched,
-// which is what makes incremental pricing cheaper than a full sweep.
+// basis-row space (the pivot row rho). Row-driven access means only columns
+// actually intersecting vec's pattern are touched, which is what makes
+// incremental pricing cheaper than a full sweep.
 func (s *simplex) rowTimesA(vec *spVec, acc *colAccum) {
 	acc.grow(s.ncols)
 	acc.begin()
 	val := vec.val
 	n32 := int32(s.n)
-	if s.lu != nil {
-		for _, i := range vec.ind {
-			v := val[i]
-			if v == 0 {
-				continue
-			}
-			r := &s.p.rows[i]
-			for k, j := range r.idx {
-				acc.add(j, v*r.val[k])
-			}
-			acc.add(n32+i, v) // slack column of row i
+	for _, i := range vec.ind {
+		v := val[i]
+		if v == 0 {
+			continue
 		}
-	} else {
-		// The dense engine tracks no nonzero list; sweep all rows.
-		for i := 0; i < s.m; i++ {
-			v := val[i]
-			if v == 0 {
-				continue
-			}
-			r := &s.p.rows[i]
-			for k, j := range r.idx {
-				acc.add(j, v*r.val[k])
-			}
-			acc.add(n32+int32(i), v)
+		r := &s.p.rows[i]
+		for k, j := range r.idx {
+			acc.add(j, v*r.val[k])
 		}
+		acc.add(n32+i, v) // slack column of row i
 	}
 	// Artificial columns are ±e_row; entries of val outside the tracked
 	// nonzeros are guaranteed zero (see computeDuals), so this is exact.
@@ -373,52 +319,27 @@ func (s *simplex) priceSweep(tol float64) (int, float64) {
 
 // pricingUpdate folds a basis exchange — entering column enter with pivot
 // column w/wv, leaving row r whose basic variable is out — into the
-// maintained reduced costs and pricing weights. It must run against the OLD
+// maintained reduced costs and devex weights. It must run against the OLD
 // basis representation (before updateBasisRep) and before the basis/state
-// arrays are mutated: the pivot row rho and the steepest-edge BTRAN are
-// taken under the pre-exchange basis. dq is the exact reduced cost of the
-// entering column; dual marks exchanges performed by the dual-simplex
-// restore, which reuses its already-computed pivot row and skips the extra
-// steepest-edge solve (weights degrade to devex-style updates there).
+// arrays are mutated: the pivot row rho is taken under the pre-exchange
+// basis. dq is the exact reduced cost of the entering column.
 //
 // rho non-nil means the caller (the dual path) already materialized the
 // pivot row AND accumulated its alphas into alphaAcc; nil makes this
 // function compute both (one hyper-sparse BTRAN of e_r).
-func (s *simplex) pricingUpdate(cost []float64, enter, r, out int, piv, dq float64, rho *spVec, dual bool) {
+func (s *simplex) pricingUpdate(cost []float64, enter, r, out int, piv, dq float64, rho *spVec) {
 	pr := &s.pr
 	if !pr.valid || pr.costPtr != &cost[0] {
 		return // maintained state is stale; the next price resyncs anyway
 	}
 	if rho == nil {
-		s.binvRow(r)
+		s.invRow(r)
 		s.rowTimesA(&s.rhov, &pr.alphaAcc)
 	}
 	ratio := dq / piv
-
-	// Steepest-edge exact update: gq is the exact gamma of the entering
-	// column (1 + |w|^2, free from the FTRAN result), tau = B^-T w.
-	steep := pr.rule == PricingSteepest && !pr.fellBack && !dual
-	var gq float64
-	if steep {
+	gq := pr.weight[enter]
+	if gq < 1 {
 		gq = 1
-		for _, i := range s.wv.ind {
-			gq += s.w[i] * s.w[i]
-		}
-		if g := pr.weight[enter]; g > steepestDriftFactor*gq || gq > steepestDriftFactor*g {
-			// The maintained gamma no longer resembles the exact one: the
-			// reference information is gone. Reset (and eventually fall back
-			// to devex — see resetWeights).
-			s.resetWeights()
-			steep = pr.rule == PricingSteepest && !pr.fellBack
-		}
-	}
-	if steep {
-		s.steepestTau()
-		s.rowTimesA(&s.tauv, &pr.tdotAcc)
-	}
-	gqDev := pr.weight[enter]
-	if gqDev < 1 {
-		gqDev = 1
 	}
 
 	overflow := false
@@ -437,82 +358,24 @@ func (s *simplex) pricingUpdate(cost []float64, enter, r, out int, piv, dq float
 		}
 		pr.d[j] -= ratio * a
 		eta := a / piv
-		if steep {
-			g := pr.weight[j] - 2*eta*pr.tdotAcc.at(j32) + eta*eta*gq
-			if fl := 1 + eta*eta; g < fl {
-				g = fl
-			}
+		if g := eta * eta * gq; g > pr.weight[j] {
 			pr.weight[j] = g
-		} else {
-			if g := eta * eta * gqDev; g > pr.weight[j] {
-				pr.weight[j] = g
-				if g > devexWeightMax {
-					overflow = true
-				}
+			if g > devexWeightMax {
+				overflow = true
 			}
 		}
 	}
 	pr.d[enter] = 0
-	// The leaving variable's weight, from the exact transformed column of
-	// out under the new basis: (e_r - w/w_r scaled) — see Forrest-Goldfarb.
-	if steep {
-		g := 1 + (gq-piv*piv)/(piv*piv)
-		if fl := 1 + 1/(piv*piv); g < fl {
-			g = fl
-		}
-		pr.weight[out] = g
-	} else {
-		g := gqDev / (piv * piv)
-		if g < 1 {
-			g = 1
-		}
-		pr.weight[out] = g
-		if g > devexWeightMax {
-			overflow = true
-		}
+	// The leaving variable's reference weight.
+	g := gq / (piv * piv)
+	if g < 1 {
+		g = 1
+	}
+	pr.weight[out] = g
+	if g > devexWeightMax {
+		overflow = true
 	}
 	if overflow {
 		s.resetWeights()
-	}
-}
-
-// steepestTau computes tau = B^-T w into s.tauv (sparse engine: a BTRAN of
-// the pivot column; dense engine: an explicit transpose multiply).
-func (s *simplex) steepestTau() {
-	if s.lu != nil {
-		prev := s.clockSub(PhaseBTRAN)
-		s.av.reset()
-		for _, i := range s.wv.ind {
-			if v := s.w[i]; v != 0 {
-				s.av.set(i, v)
-			}
-		}
-		s.lu.btran(&s.av, &s.tauv)
-		s.stats.BTRANNnz += len(s.tauv.ind)
-		s.clockBack(prev)
-		return
-	}
-	m := s.m
-	s.tauv.grow(m)
-	tau := s.tauv.val
-	for k := 0; k < m; k++ {
-		tau[k] = 0
-	}
-	for _, i32 := range s.wv.ind {
-		i := int(i32)
-		v := s.w[i]
-		if v == 0 {
-			continue
-		}
-		row := s.binv[i*m : i*m+m]
-		for k := 0; k < m; k++ {
-			tau[k] += v * row[k]
-		}
-	}
-	s.tauv.ind = s.tauv.ind[:0]
-	for k := 0; k < m; k++ {
-		if tau[k] != 0 {
-			s.tauv.ind = append(s.tauv.ind, int32(k))
-		}
 	}
 }

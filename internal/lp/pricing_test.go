@@ -10,21 +10,20 @@ import (
 	"testing"
 )
 
-// pricing_test.go covers the pluggable pricing layer and its interaction
-// with presolve: a differential fuzz over the full pricing-rule × presolve
-// matrix against the dense Dantzig reference (with a JSON reproducer dump on
-// any mismatch), a steady-state allocation pin for the incremental pricing
-// path, and benchmarks for the pricing rules, the bound-flipping dual ratio
-// test and the presolve pass itself.
+// pricing_test.go covers the engine's configuration matrix against the
+// oracle (oracle_test.go): a differential fuzz over presolve × algorithm,
+// cold and along warm-started bound-change dives (with a JSON reproducer
+// dump on any mismatch), a bound-flipping dual restore check, a steady-state
+// allocation pin for the incremental pricing path, and benchmarks for
+// pricing, the bound-flipping dual ratio test and the presolve pass itself.
 
 // lpRepro is the JSON shape of a dumped fuzz reproducer: the full problem
-// plus the configuration that disagreed with the reference. Bounds are
-// strings so infinities survive encoding/json.
+// (with the bounds of the failing solve) plus the configuration that
+// disagreed with the oracle. Bounds are strings so infinities survive
+// encoding/json.
 type lpRepro struct {
-	Pricing   string     `json:"pricing"`
 	Presolve  string     `json:"presolve"`
 	Algorithm string     `json:"algorithm,omitempty"`
-	Update    string     `json:"update,omitempty"`
 	Detail    string     `json:"detail"`
 	Vars      []reproVar `json:"vars"`
 	Rows      []reproRow `json:"rows"`
@@ -49,8 +48,7 @@ func ffield(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // RNG state.
 func dumpReproducer(t *testing.T, p *Problem, o Options, detail string) {
 	t.Helper()
-	repro := lpRepro{Pricing: o.Pricing.String(), Presolve: o.Presolve.String(),
-		Algorithm: o.Algorithm.String(), Update: o.Update.String(), Detail: detail}
+	repro := lpRepro{Presolve: o.Presolve.String(), Algorithm: o.Algorithm.String(), Detail: detail}
 	for j := 0; j < p.NumVars(); j++ {
 		lo, hi := p.VarBounds(j)
 		repro.Vars = append(repro.Vars, reproVar{Lo: ffield(lo), Hi: ffield(hi), Cost: p.Cost(j)})
@@ -109,24 +107,18 @@ func feasViolation(p *Problem, x []float64) string {
 	return ""
 }
 
-// TestPricingPresolveDifferential fuzzes random LPs through the full
-// pricing rule × presolve mode × algorithm (primal/dual) × basis-update
-// scheme (FT/PFI) matrix on the sparse engine and requires agreement with
-// the dense Dantzig no-presolve reference on status, objective and primal
-// feasibility. Any mismatch dumps a standalone JSON reproducer. This is the
-// answer-preservation gate for the whole configurable LP engine: pricing,
-// the update scheme and the dual algorithm only change the pivot sequence,
-// never the optimum.
+// TestPricingPresolveDifferential fuzzes random LPs through the presolve
+// mode × algorithm (primal/dual) matrix and requires agreement with the
+// oracle on status, objective and primal feasibility — for the cold solve,
+// and at every node of a short warm-started dive that branches on the
+// engine's own solution the way the MILP search does. Any mismatch dumps a
+// standalone JSON reproducer. Presolve and the algorithm only change the
+// path to the optimum, never the optimum.
 func TestPricingPresolveDifferential(t *testing.T) {
 	var configs []Options
-	for _, pr := range []Pricing{PricingDantzig, PricingDevex, PricingSteepest} {
-		for _, ps := range []PresolveMode{PresolveOff, PresolveAuto} {
-			for _, alg := range []Algorithm{AlgorithmPrimal, AlgorithmDual} {
-				for _, up := range []Update{UpdateFT, UpdatePFI} {
-					configs = append(configs, Options{Engine: EngineSparse,
-						Pricing: pr, Presolve: ps, Algorithm: alg, Update: up})
-				}
-			}
+	for _, ps := range []PresolveMode{PresolveAuto, PresolveOff} {
+		for _, alg := range []Algorithm{AlgorithmPrimal, AlgorithmDual} {
+			configs = append(configs, Options{Presolve: ps, Algorithm: alg})
 		}
 	}
 	rng := rand.New(rand.NewSource(20150608))
@@ -135,31 +127,55 @@ func TestPricingPresolveDifferential(t *testing.T) {
 		trials = 60
 	}
 	counts := map[Status]int{}
+	warm := 0
 	for trial := 0; trial < trials; trial++ {
 		p := randomLP(rng)
-		ref := cloneProblem(p).Solve(Options{
-			Engine: EngineDense, Pricing: PricingDantzig, Presolve: PresolveOff})
+		ref := oracleSolve(p)
 		counts[ref.Status]++
 		for _, cfg := range configs {
+			check := func(q *Problem, r Result, ref oracleResult, where string) {
+				fail := func(format string, args ...interface{}) {
+					detail := where + ": " + fmt.Sprintf(format, args...)
+					dumpReproducer(t, q, cfg, detail)
+					t.Fatalf("trial %d [%v/%v] %s", trial, cfg.Presolve, cfg.Algorithm, detail)
+				}
+				if r.Status != ref.Status {
+					fail("status %v, oracle %v", r.Status, ref.Status)
+				}
+				if r.Status != Optimal {
+					return
+				}
+				if math.Abs(r.Obj-ref.Obj) > 1e-6*(1+math.Abs(ref.Obj)) {
+					fail("obj %.12g, oracle %.12g", r.Obj, ref.Obj)
+				}
+				if v := feasViolation(q, r.X); v != "" {
+					fail("infeasible primal: %s", v)
+				}
+			}
+			check(p, cloneProblem(p).Solve(cfg), ref, "cold")
+
+			// Warm dive: snapshot root, then alternate down/up branches on
+			// the engine's current value of one variable per node.
 			q := cloneProblem(p)
-			r := q.Solve(cfg)
-			fail := func(format string, args ...interface{}) {
-				detail := fmt.Sprintf(format, args...)
-				dumpReproducer(t, p, cfg, detail)
-				t.Fatalf("trial %d [%v/%v/%v/%v]: %s", trial,
-					cfg.Pricing, cfg.Presolve, cfg.Algorithm, cfg.Update, detail)
-			}
-			if r.Status != ref.Status {
-				fail("status %v, reference %v", r.Status, ref.Status)
-			}
-			if r.Status != Optimal {
-				continue
-			}
-			if math.Abs(r.Obj-ref.Obj) > 1e-6*(1+math.Abs(ref.Obj)) {
-				fail("obj %.12g, reference %.12g", r.Obj, ref.Obj)
-			}
-			if v := feasViolation(p, r.X); v != "" {
-				fail("infeasible primal: %s", v)
+			o := cfg
+			o.SnapshotBasis = true
+			r := q.Solve(o)
+			check(q, r, ref, "dive root")
+			for step := 0; step < 4 && r.Status == Optimal && r.Basis != nil; step++ {
+				j := (trial + 3*step) % q.NumVars()
+				lo, hi := q.VarBounds(j)
+				if v := r.X[j]; step%2 == 0 {
+					hi = math.Max(lo, math.Ceil(v)-1)
+				} else {
+					lo = math.Min(hi, math.Floor(v)+1)
+				}
+				q.SetVarBounds(j, lo, hi)
+				o.WarmStart = r.Basis
+				r = q.Solve(o)
+				if r.Stats.WarmStarted {
+					warm++
+				}
+				check(q, r, oracleSolve(q), fmt.Sprintf("dive node %d", step))
 			}
 		}
 	}
@@ -168,88 +184,89 @@ func TestPricingPresolveDifferential(t *testing.T) {
 			t.Errorf("fuzz corpus never produced status %v — generator drifted", st)
 		}
 	}
+	if warm == 0 {
+		t.Error("no dive node took the warm path")
+	}
 }
 
-// TestPricingWarmDive runs the warm-started branch-and-bound-style dive of
-// TestEngineDifferentialWarm under every pricing rule and requires identical
-// statuses and objectives — the dual restore path (including BFRT) must be
-// answer-preserving too.
+// TestPricingWarmDive tightens sliding blocks of boxed arcs on a
+// transportation LP and reoptimizes warm from the previous basis — the
+// regime where the bound-flipping dual ratio test steps through several
+// breakpoints per pivot — requiring the oracle's status and objective at
+// every node, at least one long-step flip across the dive, and both
+// optimal and (warm-certified) infeasible nodes.
 func TestPricingWarmDive(t *testing.T) {
-	const n = 6
-	run := func(pr Pricing) ([]Status, []float64) {
-		p := assignmentLP(n)
-		res := p.Solve(Options{SnapshotBasis: true, Pricing: pr})
-		if res.Status != Optimal {
-			t.Fatalf("pricing %v: root status %v", pr, res.Status)
+	p := pricingBenchLP(8)
+	res := p.Solve(Options{SnapshotBasis: true})
+	if res.Status != Optimal {
+		t.Fatalf("root status %v", res.Status)
+	}
+	basis := res.Basis
+	const block = 6
+	flips := 0
+	seen := map[Status]int{}
+	for step := 0; step < 24; step++ {
+		at := (step * 7) % (p.NumVars() - block)
+		for j := at; j < at+block; j++ {
+			p.SetVarBounds(j, 1, 1)
 		}
-		basis := res.Basis
-		var sts []Status
-		var objs []float64
-		for step := 0; step < 3*n; step++ {
-			j := (step * 7) % (n * n)
-			v := float64(step % 2)
-			p.SetVarBounds(j, v, v)
-			r := p.Solve(Options{WarmStart: basis, SnapshotBasis: true, Pricing: pr})
-			sts = append(sts, r.Status)
-			objs = append(objs, r.Obj)
-			if r.Status != Optimal {
-				break
+		r := p.Solve(Options{WarmStart: basis, SnapshotBasis: true})
+		ref := oracleSolve(p)
+		if r.Status != ref.Status {
+			t.Fatalf("node %d: status engine=%v oracle=%v", step, r.Status, ref.Status)
+		}
+		if r.Status == Optimal {
+			if math.Abs(r.Obj-ref.Obj) > 1e-6*(1+math.Abs(ref.Obj)) {
+				t.Fatalf("node %d: obj engine=%g oracle=%g", step, r.Obj, ref.Obj)
 			}
 			if r.Basis != nil {
 				basis = r.Basis
 			}
 		}
-		return sts, objs
+		flips += r.Stats.DualBoundFlips
+		seen[r.Status]++
+		for j := at; j < at+block; j++ {
+			p.SetVarBounds(j, 0, 2)
+		}
 	}
-	refSt, refObj := run(PricingDantzig)
-	for _, pr := range []Pricing{PricingDevex, PricingSteepest} {
-		sts, objs := run(pr)
-		if len(sts) != len(refSt) {
-			t.Fatalf("pricing %v: dive length %d, dantzig %d", pr, len(sts), len(refSt))
-		}
-		for k := range sts {
-			if sts[k] != refSt[k] {
-				t.Fatalf("pricing %v node %d: status %v, dantzig %v", pr, k, sts[k], refSt[k])
-			}
-			if sts[k] == Optimal && math.Abs(objs[k]-refObj[k]) > 1e-6 {
-				t.Fatalf("pricing %v node %d: obj %g, dantzig %g", pr, k, objs[k], refObj[k])
-			}
-		}
+	if flips == 0 {
+		t.Error("dive never exercised the bound-flipping ratio test")
+	}
+	if seen[Optimal] == 0 || seen[Infeasible] == 0 {
+		t.Errorf("dive statuses %v, want both optimal and infeasible nodes", seen)
 	}
 }
 
-// TestPricingSteadyStateAllocs pins the warm-reoptimization allocation count
-// under each pricing rule: the incremental pricing update, candidate list
-// and devex/steepest weight recurrences must all run on pooled buffers, so
-// steady-state node solves stay allocation-free per iteration.
+// TestPricingSteadyStateAllocs pins the warm-reoptimization allocation
+// count: the incremental pricing update, candidate list and devex weight
+// recurrences must all run on pooled buffers, so steady-state node solves
+// stay allocation-free per iteration.
 func TestPricingSteadyStateAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
-	for _, pr := range []Pricing{PricingDantzig, PricingDevex, PricingSteepest} {
-		p := assignmentLP(6)
-		res := p.Solve(Options{SnapshotBasis: true, Pricing: pr})
-		if res.Status != Optimal {
-			t.Fatalf("pricing %v: root status %v", pr, res.Status)
+	p := assignmentLP(6)
+	res := p.Solve(Options{SnapshotBasis: true})
+	if res.Status != Optimal {
+		t.Fatalf("root status %v", res.Status)
+	}
+	basis := res.Basis
+	step := 0
+	avg := testing.AllocsPerRun(50, func() {
+		j := (step * 7) % p.NumVars()
+		v := float64(step % 2)
+		p.SetVarBounds(j, v, v)
+		r := p.Solve(Options{WarmStart: basis, SnapshotBasis: true})
+		if r.Status == Optimal && r.Basis != nil {
+			basis = r.Basis
 		}
-		basis := res.Basis
-		step := 0
-		avg := testing.AllocsPerRun(50, func() {
-			j := (step * 7) % p.NumVars()
-			v := float64(step % 2)
-			p.SetVarBounds(j, v, v)
-			r := p.Solve(Options{WarmStart: basis, SnapshotBasis: true, Pricing: pr})
-			if r.Status == Optimal && r.Basis != nil {
-				basis = r.Basis
-			}
-			step++
-		})
-		// The fixed per-solve overhead (basis snapshot, result assembly) is
-		// ~a dozen allocations; anything scaling with iterations would land
-		// far above this pin.
-		if avg > 20 {
-			t.Errorf("pricing %v: %.1f allocs per warm solve, want <= 20", pr, avg)
-		}
+		step++
+	})
+	// The fixed per-solve overhead (basis snapshot, result assembly) is ~a
+	// dozen allocations; anything scaling with iterations would land far
+	// above this pin.
+	if avg > 20 {
+		t.Errorf("%.1f allocs per warm solve, want <= 20", avg)
 	}
 }
 
@@ -281,25 +298,21 @@ func pricingBenchLP(n int) *Problem {
 	return p
 }
 
-// BenchmarkPricing times a cold solve of the same LP under each pricing
-// rule (presolve off, so the comparison isolates the pricing loop), and
-// reports the iteration count the rule needed.
+// BenchmarkPricing times a cold primal solve of an LP big enough that
+// pricing dominates (presolve off, so it isolates the pricing loop), and
+// reports the iteration count.
 func BenchmarkPricing(b *testing.B) {
-	for _, pr := range []Pricing{PricingDantzig, PricingDevex, PricingSteepest} {
-		b.Run(pr.String(), func(b *testing.B) {
-			iters := 0
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p := pricingBenchLP(16)
-				r := p.Solve(Options{Pricing: pr, Presolve: PresolveOff})
-				if r.Status != Optimal {
-					b.Fatalf("status %v", r.Status)
-				}
-				iters = r.Iters
-			}
-			b.ReportMetric(float64(iters), "simplex-iters")
-		})
+	iters := 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p := pricingBenchLP(16)
+		r := p.Solve(Options{Presolve: PresolveOff})
+		if r.Status != Optimal {
+			b.Fatalf("status %v", r.Status)
+		}
+		iters = r.Iters
 	}
+	b.ReportMetric(float64(iters), "simplex-iters")
 }
 
 // BenchmarkDualBoundFlip times the warm-started dual restore on a heavily

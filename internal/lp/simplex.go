@@ -20,13 +20,10 @@ const (
 // The column space is [structural | slacks | artificials]; slacks encode the
 // constraint senses and artificials make the initial basis feasible.
 //
-// The linear algebra behind the iterations is pluggable (Options.Engine):
-// the default sparse engine represents the basis as an LU factorization plus
-// a product-form eta file (factor.go/ftran.go); the dense engine maintains
-// an explicit m x m basis inverse and is kept as the differential-testing
-// reference. Both produce the pivot column in w/wv (dense values plus a
-// deduplicated nonzero index list) so the ratio test and value updates
-// iterate only the touched rows.
+// The basis is represented as a sparse LU factorization kept current by
+// Forrest-Tomlin updates (factor.go, ft.go, ftran.go). The pivot column lands
+// in w/wv (dense values plus a deduplicated nonzero index list) so the ratio
+// test and value updates iterate only the touched rows.
 type simplex struct {
 	p   *Problem
 	opt Options
@@ -44,16 +41,15 @@ type simplex struct {
 	b     []float64  // rhs
 	nArt  int        // number of artificial columns appended
 
-	binv []float64 // dense m x m row-major basis inverse (EngineDense only)
-	lu   *luFactor // sparse LU + eta file (EngineSparse only)
+	lu *luFactor // sparse LU + Forrest-Tomlin update state
 
 	y    []float64 // dual vector (aliases yv.val)
 	w    []float64 // pivot column (aliases wv.val)
-	yv   spVec     // dual workspace; nonzero list used by the sparse engine
+	yv   spVec     // dual workspace
 	wv   spVec     // pivot-column workspace; wv.ind is the touched-row list
 	av   spVec     // FTRAN/BTRAN right-hand-side workspace
 	rhov spVec     // B^{-1} row workspace (dual ratio test)
-	tauv spVec     // steepest-edge tau = B^-T w workspace (pricing.go)
+	tauv spVec     // dual steepest-edge tau = B^{-1} rho workspace (dual.go)
 	fv   spVec     // bound-flip combined-column FTRAN workspace (dual.go)
 
 	pr pricer    // maintained pricing state (pricing.go)
@@ -78,8 +74,8 @@ type simplex struct {
 
 	// Primary dual-simplex mode (algorithm.go). dualCap overrides the warm
 	// restore's short pivot budget (a primary dual run needs a full-length
-	// one), and dualDSE forces exact dual steepest-edge row weights in
-	// dualWeightUpdate regardless of the column pricing rule.
+	// one), and dualDSE selects exact dual steepest-edge row weights in
+	// dualWeightUpdate instead of the devex-style approximation.
 	dualCap int
 	dualDSE bool
 }
@@ -108,7 +104,6 @@ func newSimplex(p *Problem, opt Options) *simplex {
 	if s.opt.CollectPhases {
 		s.clock = obs.NewPhaseClock()
 	}
-	s.setPricing(opt.Pricing)
 	s.clock.Enter(PhaseBuild)
 	s.build()
 	return s
@@ -224,22 +219,9 @@ func (s *simplex) coldBasis() {
 	}
 
 	s.growWorkspaces()
-	if s.opt.Engine == EngineDense {
-		// The initial basis matrix is diagonal: slacks are +1, artificials
-		// may be -1; the inverse is the same diagonal.
-		s.binv = make([]float64, m*m)
-		for i := 0; i < m; i++ {
-			s.binv[i*m+i] = 1
-			j := s.basis[i]
-			if len(s.colVal[j]) == 1 && s.colVal[j][0] == -1 {
-				s.binv[i*m+i] = -1
-			}
-		}
-		return
-	}
-	s.lu = &luFactor{ftMode: s.opt.Update.resolve() == UpdateFT}
-	// The diagonal initial basis factorizes trivially (all singletons); a
-	// failure here is impossible, but fall back to marking every stat anyway.
+	s.lu = &luFactor{}
+	// The diagonal initial basis factorizes trivially (all singletons), so
+	// this factorization cannot fail.
 	s.lu.factorize(m, s.basis, s.colIdx, s.colVal)
 	s.noteFactorization()
 }
@@ -260,21 +242,16 @@ func (s *simplex) growWorkspaces() {
 	}
 }
 
-// binvRow materializes row r of B^{-1} (the tableau row of basis position r,
+// invRow materializes row r of B^{-1} (the tableau row of basis position r,
 // used by the dual ratio test) into the pooled rhov workspace and returns its
-// dense value array. Sparse engine: rho = BTRAN(e_r), touching only the
-// nonzero pattern; dense engine: a row copy.
-func (s *simplex) binvRow(r int) []float64 {
-	if s.lu != nil {
-		prev := s.clockSub(PhaseBTRAN)
-		s.av.reset()
-		s.av.set(int32(r), 1)
-		s.lu.btran(&s.av, &s.rhov)
-		s.stats.BTRANNnz += len(s.rhov.ind)
-		s.clockBack(prev)
-		return s.rhov.val
-	}
-	copy(s.rhov.val[:s.m], s.binv[r*s.m:r*s.m+s.m])
+// dense value array: rho = BTRAN(e_r), touching only the nonzero pattern.
+func (s *simplex) invRow(r int) []float64 {
+	prev := s.clockSub(PhaseBTRAN)
+	s.av.reset()
+	s.av.set(int32(r), 1)
+	s.lu.btran(&s.av, &s.rhov)
+	s.stats.BTRANNnz += len(s.rhov.ind)
+	s.clockBack(prev)
 	return s.rhov.val
 }
 
@@ -327,67 +304,31 @@ func (s *simplex) clockBack(prev string) {
 
 // computeDuals fills s.y with the duals of the given cost vector:
 // y = cB^T B^{-1}, a BTRAN of the basic-cost vector. Entries of y outside
-// the sparse engine's tracked nonzeros are guaranteed zero.
+// the tracked nonzeros of s.yv are guaranteed zero.
 func (s *simplex) computeDuals(cost []float64) {
-	m := s.m
-	if s.lu != nil {
-		prev := s.clockSub(PhaseBTRAN)
-		s.av.reset()
-		for i := 0; i < m; i++ {
-			if cb := cost[s.basis[i]]; cb != 0 {
-				s.av.set(int32(i), cb)
-			}
-		}
-		s.lu.btran(&s.av, &s.yv)
-		s.stats.BTRANNnz += len(s.yv.ind)
-		s.clockBack(prev)
-		return
-	}
-	for i := 0; i < m; i++ {
-		s.y[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		cb := cost[s.basis[i]]
-		if cb == 0 {
-			continue
-		}
-		row := s.binv[i*m : i*m+m]
-		for k := 0; k < m; k++ {
-			s.y[k] += cb * row[k]
+	prev := s.clockSub(PhaseBTRAN)
+	s.av.reset()
+	for i := 0; i < s.m; i++ {
+		if cb := cost[s.basis[i]]; cb != 0 {
+			s.av.set(int32(i), cb)
 		}
 	}
+	s.lu.btran(&s.av, &s.yv)
+	s.stats.BTRANNnz += len(s.yv.ind)
+	s.clockBack(prev)
 }
 
 // computePivotColumn fills s.w (and the touched-row list s.wv.ind) with the
 // transformed entering column w = B^{-1} A_enter — an FTRAN.
 func (s *simplex) computePivotColumn(enter int) {
-	m := s.m
-	if s.lu != nil {
-		prev := s.clockSub(PhaseFTRAN)
-		s.av.reset()
-		for k, r := range s.colIdx[enter] {
-			s.av.set(r, s.colVal[enter][k])
-		}
-		s.lu.ftran(&s.av, &s.wv)
-		s.stats.FTRANNnz += len(s.wv.ind)
-		s.clockBack(prev)
-		return
-	}
-	for i := 0; i < m; i++ {
-		s.w[i] = 0
-	}
+	prev := s.clockSub(PhaseFTRAN)
+	s.av.reset()
 	for k, r := range s.colIdx[enter] {
-		v := s.colVal[enter][k]
-		for i := 0; i < m; i++ {
-			s.w[i] += s.binv[i*m+int(r)] * v
-		}
+		s.av.set(r, s.colVal[enter][k])
 	}
-	s.wv.ind = s.wv.ind[:0]
-	for i := 0; i < m; i++ {
-		if s.w[i] != 0 {
-			s.wv.ind = append(s.wv.ind, int32(i))
-		}
-	}
+	s.lu.ftran(&s.av, &s.wv)
+	s.stats.FTRANNnz += len(s.wv.ind)
+	s.clockBack(prev)
 }
 
 // updateBasisRep folds the just-performed basis exchange (entering column's
@@ -395,48 +336,24 @@ func (s *simplex) computePivotColumn(enter int) {
 // Returns false when the representation could not be repaired (singular
 // refactorization) — the caller must give up on the solve.
 func (s *simplex) updateBasisRep(leave int) bool {
-	if s.lu != nil {
-		if !s.lu.update(int32(leave), &s.wv) {
-			// Update rejected on spike-pivot quality: rebuild from the
-			// (already exchanged) basis.
-			s.stats.RefactorUpdateRejected++
-			return s.refactorize()
-		}
-		reason := s.lu.refactorDue()
-		if reason == refactorNone {
-			s.stats.EtaPivots++
-			return true
-		}
-		// Update absorbed but the update file outgrew its budget.
-		if reason == refactorEtaLen {
-			s.stats.RefactorEtaLen++
-		} else {
-			s.stats.RefactorFill++
-		}
+	if !s.lu.update(int32(leave), &s.wv) {
+		// Update rejected on spike-pivot quality: rebuild from the (already
+		// exchanged) basis.
+		s.stats.RefactorUpdateRejected++
 		return s.refactorize()
 	}
-	m := s.m
-	piv := s.w[leave]
-	prow := s.binv[leave*m : leave*m+m]
-	inv := 1 / piv
-	for k := 0; k < m; k++ {
-		prow[k] *= inv
+	reason := s.lu.refactorDue()
+	if reason == refactorNone {
+		s.stats.EtaPivots++
+		return true
 	}
-	for _, i32 := range s.wv.ind {
-		i := int(i32)
-		if i == leave {
-			continue
-		}
-		f := s.w[i]
-		if f == 0 {
-			continue
-		}
-		irow := s.binv[i*m : i*m+m]
-		for k := 0; k < m; k++ {
-			irow[k] -= f * prow[k]
-		}
+	// Update absorbed but the update file outgrew its budget.
+	if reason == refactorEtaLen {
+		s.stats.RefactorEtaLen++
+	} else {
+		s.stats.RefactorFill++
 	}
-	return true
+	return s.refactorize()
 }
 
 // result assembles a Result carrying the accumulated statistics.
@@ -578,14 +495,14 @@ func (s *simplex) snapshot() *Basis {
 	return bs
 }
 
-// priceDantzig is the legacy pricing iteration — duals recomputed from
-// scratch, full most-negative-reduced-cost sweep — kept verbatim as the
-// differential reference for the incremental rules in pricing.go. Bland's
-// anti-cycling mode also routes here (lowest-index eligible column).
+// priceDantzig is the full-sweep pricing iteration — duals recomputed from
+// scratch, most-negative-reduced-cost sweep — that Bland's anti-cycling mode
+// routes through (lowest-index eligible column, which needs exact duals
+// rather than the maintained reduced costs of pricing.go).
 func (s *simplex) priceDantzig(cost []float64) (int, float64) {
 	tol := s.opt.Tol
 
-	// Duals: y = cB^T * Binv (a BTRAN).
+	// Duals: y = cB^T B^{-1} (a BTRAN).
 	s.computeDuals(cost)
 
 	enter := -1
@@ -645,13 +562,13 @@ func (s *simplex) iterate(cost []float64) Status {
 		s.iters++
 		s.clock.Enter(PhasePricing)
 
-		// Pricing: the legacy Dantzig sweep (also the Bland anti-cycling
-		// path, which needs exact lowest-index semantics), or the maintained
-		// incremental rules from pricing.go.
-		legacy := s.pr.rule == PricingDantzig || s.bland
+		// Pricing: devex over the maintained reduced costs (pricing.go), or
+		// the full sweep while Bland's anti-cycling rule is active (it needs
+		// exact lowest-index semantics).
+		fullSweep := s.bland
 		var enter int
 		var enterDir float64
-		if legacy {
+		if fullSweep {
 			s.pr.valid = false
 			enter, enterDir = s.priceDantzig(cost)
 		} else {
@@ -662,11 +579,11 @@ func (s *simplex) iterate(cost []float64) Status {
 		}
 		s.clock.Enter(PhaseRatioTest)
 
-		// Pivot column w = Binv * A_enter (an FTRAN); wv.ind lists the
+		// Pivot column w = B^{-1} A_enter (an FTRAN); wv.ind lists the
 		// touched rows, so the ratio test skips every zero row.
 		s.computePivotColumn(enter)
 
-		if !legacy {
+		if !fullSweep {
 			// Verify the maintained reduced cost of the entering column
 			// against its exact value, which is free given the FTRAN result:
 			// d_q = c_q - cB·w. Drift beyond tolerance means the maintained
@@ -781,11 +698,11 @@ func (s *simplex) iterate(cost []float64) Status {
 		// Basis exchange.
 		s.stats.Pivots++
 		out := s.basis[leave]
-		if !legacy {
+		if !fullSweep {
 			// Fold the exchange into the maintained reduced costs and
 			// pricing weights while the old basis representation (and the
 			// pre-exchange basis/state arrays) are still in place.
-			s.pricingUpdate(cost, enter, leave, out, piv, s.pr.d[enter], nil, false)
+			s.pricingUpdate(cost, enter, leave, out, piv, s.pr.d[enter], nil)
 		}
 		if leaveToUpper {
 			s.state[out] = stAtUpper
@@ -810,7 +727,6 @@ func (s *simplex) iterate(cost []float64) Status {
 // refresh recomputes basic values from the basis representation to curb
 // drift: xB = B^{-1} (b - N x_N), a dense FTRAN.
 func (s *simplex) refresh() {
-	m := s.m
 	resid := s.residScratch()
 	for j := 0; j < s.ncols; j++ {
 		if s.state[j] == stBasic {
@@ -824,86 +740,19 @@ func (s *simplex) refresh() {
 			resid[i] -= s.colVal[j][k] * v
 		}
 	}
-	if s.lu != nil {
-		s.lu.ftranDense(resid, s.xB)
-		return
-	}
-	for i := 0; i < m; i++ {
-		sum := 0.0
-		row := s.binv[i*m : i*m+m]
-		for k := 0; k < m; k++ {
-			sum += row[k] * resid[k]
-		}
-		s.xB[i] = sum
-	}
+	s.lu.ftranDense(resid, s.xB)
 }
 
-// refactorize rebuilds the basis representation from the current basis —
-// sparse LU with Markowitz pivoting for the sparse engine, Gauss-Jordan
-// elimination of the dense inverse otherwise. Returns false if the basis is
-// singular. The basic values are refreshed from the new representation.
+// refactorize rebuilds the sparse LU factorization (Markowitz pivoting) from
+// the current basis. Returns false if the basis is singular. The basic values
+// are refreshed from the new factorization.
 func (s *simplex) refactorize() bool {
 	s.stats.Refactorizations++
 	s.clock.Enter(PhaseRefactorize)
-	if s.lu != nil {
-		if !s.lu.factorize(s.m, s.basis, s.colIdx, s.colVal) {
-			return false
-		}
-		s.noteFactorization()
-		s.refresh()
-		return true
+	if !s.lu.factorize(s.m, s.basis, s.colIdx, s.colVal) {
+		return false
 	}
-	m := s.m
-	// Assemble dense basis matrix.
-	bm := make([]float64, m*m)
-	for col, j := range s.basis {
-		for k, i := range s.colIdx[j] {
-			bm[int(i)*m+col] = s.colVal[j][k]
-		}
-	}
-	inv := make([]float64, m*m)
-	for i := 0; i < m; i++ {
-		inv[i*m+i] = 1
-	}
-	// Gauss-Jordan with partial pivoting.
-	for c := 0; c < m; c++ {
-		p := c
-		for r := c + 1; r < m; r++ {
-			if math.Abs(bm[r*m+c]) > math.Abs(bm[p*m+c]) {
-				p = r
-			}
-		}
-		if math.Abs(bm[p*m+c]) < 1e-12 {
-			return false
-		}
-		if p != c {
-			for k := 0; k < m; k++ {
-				bm[p*m+k], bm[c*m+k] = bm[c*m+k], bm[p*m+k]
-				inv[p*m+k], inv[c*m+k] = inv[c*m+k], inv[p*m+k]
-			}
-		}
-		d := 1 / bm[c*m+c]
-		for k := 0; k < m; k++ {
-			bm[c*m+k] *= d
-			inv[c*m+k] *= d
-		}
-		for r := 0; r < m; r++ {
-			if r == c {
-				continue
-			}
-			f := bm[r*m+c]
-			if f == 0 {
-				continue
-			}
-			for k := 0; k < m; k++ {
-				bm[r*m+k] -= f * bm[c*m+k]
-				inv[r*m+k] -= f * inv[c*m+k]
-			}
-		}
-	}
-	// inv now holds B^{-1} in "row of inverse per original row" order, but we
-	// performed row swaps on both matrices in lockstep so inv == B^{-1}.
-	copy(s.binv, inv)
+	s.noteFactorization()
 	s.refresh()
 	return true
 }

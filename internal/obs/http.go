@@ -171,16 +171,15 @@ type Status struct {
 	lp       *LPStatus
 }
 
-// LPStatus is the LP-engine telemetry block on /statusz: the configured
-// engine/pricing/presolve triple and the cumulative pricing and presolve
-// counters across all completed solves of the sweep.
+// LPStatus is the LP-engine telemetry block on /statusz: the cumulative
+// pricing, presolve and refactorization counters across all completed
+// solves of the sweep.
 type LPStatus struct {
-	Config         string `json:"config"`
-	CandidateHits  int64  `json:"candidate_hits"`
-	RefResets      int64  `json:"ref_resets"`
-	DualBoundFlips int64  `json:"dual_bound_flips"`
-	PresolveRows   int64  `json:"presolve_rows"`
-	PresolveCols   int64  `json:"presolve_cols"`
+	CandidateHits  int64 `json:"candidate_hits"`
+	RefResets      int64 `json:"ref_resets"`
+	DualBoundFlips int64 `json:"dual_bound_flips"`
+	PresolveRows   int64 `json:"presolve_rows"`
+	PresolveCols   int64 `json:"presolve_cols"`
 
 	// Refactorization-trigger split across all node LPs (zero before the
 	// Forrest–Tomlin update layer ran a solve).
@@ -260,9 +259,9 @@ func (s *Status) SetSampler(sp *Sampler) {
 	s.sampler = sp
 }
 
-// SetLPConfig names the LP engine configuration of the sweep (e.g.
-// "sparse/devex/presolve=auto") and makes the /statusz LP block appear.
-func (s *Status) SetLPConfig(cfg string) {
+// EnableLP makes the /statusz LP block appear; call it when the sweep runs
+// LP-based solves.
+func (s *Status) EnableLP() {
 	if s == nil {
 		return
 	}
@@ -271,11 +270,10 @@ func (s *Status) SetLPConfig(cfg string) {
 	if s.lp == nil {
 		s.lp = &LPStatus{}
 	}
-	s.lp.Config = cfg
 }
 
 // AddLPStats folds one solve's LP pricing/presolve/refactorization counters
-// into the /statusz LP block (no-op until SetLPConfig created the block).
+// into the /statusz LP block (no-op until EnableLP created the block).
 func (s *Status) AddLPStats(d LPStatDelta) {
 	if s == nil {
 		return
@@ -346,8 +344,8 @@ type StatusSnapshot struct {
 	Calibration *CalibStatus `json:"calibration,omitempty"`
 	// Sampler reports the sampling profiler's state; nil when off.
 	Sampler *SamplerStatus `json:"sampler,omitempty"`
-	// LP is the LP-engine telemetry recorded via SetLPConfig/AddLPStats;
-	// nil when the sweep never configured it (pure combinatorial runs).
+	// LP is the LP-engine telemetry recorded via EnableLP/AddLPStats; nil
+	// when the sweep never enabled it (pure combinatorial runs).
 	LP *LPStatus `json:"lp,omitempty"`
 }
 

@@ -92,17 +92,16 @@ type BenchCase struct {
 	Profile *BenchProfile `json:"profile,omitempty"`
 
 	// LP is the LP engine's pricing/presolve telemetry (ilp cases only;
-	// optional — documents recorded before the pluggable pricing layer, and
-	// Dantzig/no-presolve runs with all-zero counters, omit it). These
-	// counters are informational, NOT part of the pinned work vector: the
-	// candidate-hit split depends on the pricing rule under comparison.
+	// optional — documents recorded before the pricing layer existed, and
+	// runs with all-zero counters, omit it). These counters are
+	// informational, NOT part of the pinned work vector.
 	LP *BenchLPStats `json:"lp,omitempty"`
 }
 
 // BenchLPStats is the per-case LP pricing/presolve counter block.
 type BenchLPStats struct {
 	CandidateHits  int `json:"candidate_hits,omitempty"`   // pricing rounds served from the candidate list
-	RefResets      int `json:"ref_resets,omitempty"`       // devex/steepest reference-framework resets
+	RefResets      int `json:"ref_resets,omitempty"`       // devex reference-framework resets
 	DualBoundFlips int `json:"dual_bound_flips,omitempty"` // bound-flip ratio-test flips
 	PresolveRows   int `json:"presolve_rows,omitempty"`    // rows removed by structural presolve
 	PresolveCols   int `json:"presolve_cols,omitempty"`    // columns removed by structural presolve
@@ -114,7 +113,7 @@ type BenchLPStats struct {
 	RefactorEtaLen         int `json:"refactor_eta_len,omitempty"`         // update-count budget reached
 	RefactorFill           int `json:"refactor_fill,omitempty"`            // update-storage fill budget exceeded
 	RefactorPivotQuality   int `json:"refactor_pivot_quality,omitempty"`   // tiny pivot mid-iteration
-	RefactorUpdateRejected int `json:"refactor_update_rejected,omitempty"` // FT/PFI update rejected on spike pivot
+	RefactorUpdateRejected int `json:"refactor_update_rejected,omitempty"` // FT update rejected on spike pivot
 }
 
 // BenchProfile is a per-case top-N summary from obs.Sampler.
