@@ -9,8 +9,9 @@
 # from solver goroutines and hosts the sampling profiler's ticker goroutine;
 # calib's probes must stay race-clean because they run inside instrumented
 # bench sessions; xchg is the lock-free portfolio exchange both race engines
-# hammer concurrently), the full test suite in short mode, and a parallel
-# end-to-end smoke run of both CLIs at -j 4.
+# hammer concurrently), the full test suite in short mode, a parallel
+# end-to-end smoke run of both CLIs at -j 4, and a traced -par 2 solve whose
+# phase breakdown traceview checks against the solve span's duration.
 set -eu
 
 cd "$(dirname "$0")"
@@ -47,12 +48,19 @@ echo "== smoke: optroute -rule all -j 4 (traced, flight-recorded)"
 go run ./cmd/optroute -synth 5x6x3 -nets 3 -seed 7 -rule all -j 4 -timeout 20s \
 	-trace "$smoke_tmp/optroute.jsonl" -flight >/dev/null
 
+echo "== smoke: optroute -par 2 (traced, round-parallel CDC-BnB)"
+go run ./cmd/optroute -synth 6x7x4 -nets 3 -seed 3 -rule RULE8 -par 2 -timeout 60s \
+	-trace "$smoke_tmp/optroute_par.jsonl" >/dev/null
+
 echo "== smoke: beoleval -fig10 -j 4 (traced)"
 go run ./cmd/beoleval -tech N28-12T -fig10 -j 4 -timeout 5s \
 	-trace "$smoke_tmp/beoleval.jsonl" >/dev/null
 
 echo "== traceview: smoke traces well-formed"
 go run ./cmd/traceview -validate "$smoke_tmp/optroute.jsonl"
+# -validate also flags any span whose phases_ms misses its duration by more
+# than 10% + 2ms, so this checks the parallel search's phase attribution.
+go run ./cmd/traceview -validate "$smoke_tmp/optroute_par.jsonl"
 go run ./cmd/traceview -validate "$smoke_tmp/beoleval.jsonl"
 go run ./cmd/traceview -top 5 "$smoke_tmp/optroute.jsonl" >/dev/null
 

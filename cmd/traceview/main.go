@@ -16,8 +16,9 @@
 // Multiple files concatenate before reconstruction, so a rotated trace
 // (trace.jsonl plus its .1/.2 archives) can be analysed whole. With no file
 // arguments the trace is read from stdin. -validate only checks
-// well-formedness (every parent resolves, spans nest inside their parents)
-// and exits non-zero on problems — ci.sh pipes smoke traces through it
+// well-formedness (every parent resolves, spans nest inside their parents,
+// a span's phases_ms sums to its duration within 10% + 2ms) and exits
+// non-zero on problems — ci.sh pipes smoke traces through it
 // (profile JSONL streams are validated too when given via -profile).
 // -csv exports one row per recorded node event ("-" = stdout), a feature
 // table for offline analysis.

@@ -5,11 +5,13 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"optrouter/internal/drc"
 	"optrouter/internal/obs"
 	"optrouter/internal/rgraph"
+	"optrouter/internal/sched"
 	"optrouter/internal/xchg"
 )
 
@@ -26,8 +28,9 @@ type BnBOptions struct {
 	// NoHeuristicSeed disables the initial heuristic incumbent (used by
 	// tests that want the pure search).
 	NoHeuristicSeed bool
-	// Progress, if non-nil, is invoked every ProgressEvery explored nodes
-	// and on every incumbent update with a live view of the search.
+	// Progress, if non-nil, is invoked whenever the explored-node count
+	// crosses a multiple of ProgressEvery and on every incumbent update with
+	// a live view of the search.
 	Progress func(BnBProgress)
 	// ProgressEvery is the node interval between Progress calls (default 256).
 	ProgressEvery int
@@ -38,25 +41,24 @@ type BnBOptions struct {
 	// (see obs.FlightOptions). Disabled by default; it needs a Tracer to have
 	// anywhere to record to.
 	Flight obs.FlightOptions
-	// Arena, if non-nil, supplies the Steiner kernel's reusable storage.
-	// Sharing one arena across sequential solves on related graphs (the
-	// eleven rule configurations of a clip in a sweep) amortizes the solver's
-	// working set; nil allocates a private arena. Arenas are not safe for
-	// concurrent use, so the parallel tree search (Par > 0) ignores this and
-	// allocates one private arena per worker.
+	// Arena, if non-nil, supplies the Steiner kernel's reusable storage to
+	// the heuristic seed and to search worker 0, the only worker when Par is
+	// 0 or 1. Sharing one arena across sequential solves on related graphs
+	// (the eleven rule configurations of a clip in a sweep) amortizes the
+	// solver's working set; nil allocates a private arena. Arenas are not
+	// safe for concurrent use, so every other worker of a parallel search
+	// allocates a private one.
 	Arena *SteinerArena
 
-	// Par > 0 routes the solve through the deterministic round-parallel tree
-	// search with Par workers (see parbnb.go): open nodes are distributed
-	// over an internal/sched pool in fixed-width rounds whose results fold
-	// back serially, so the answer — objective, proof status and the routes
-	// themselves — is identical for every Par value, including Par=1.
-	// 0 keeps the classic serial best-first engine.
+	// Par is the search's worker count. The search is one best-first loop:
+	// each round pops open nodes off the priority queue, expands them, and
+	// folds the outcomes back serially in pop order. Par = 0 runs rounds of
+	// width 1 on the calling goroutine — the classic serial best-first
+	// order. Par >= 1 runs rounds of a fixed width (independent of Par) over
+	// Par internal/sched workers, so the answer — objective, proof status,
+	// the routes themselves and the deterministic search counters — is
+	// identical for every Par >= 1, including Par = 1.
 	Par int
-	// Seed salts the parallel engine's deterministic node tie-break key.
-	// Two solves with the same Seed explore identically for any Par; changing
-	// the Seed permutes tie-broken siblings (a diversification knob).
-	Seed int64
 	// Exchange, if non-nil, connects the solve to a portfolio race (see
 	// SolvePortfolio): foreign incumbents tighten the pruning cutoff, local
 	// incumbents and bounds are published, and the solve terminates early
@@ -87,7 +89,9 @@ type BnBProgress struct {
 
 // CDC-BnB phase names used in SolveStats.Phases. Together they partition a
 // solve's wall time: the attribution clock is always open on exactly one of
-// them from the start of SolveBnB until it returns.
+// them from the start of SolveBnB until it returns. Node expansions run on
+// per-worker clocks; when a round's workers return, the round's wall time is
+// split over the phases they recorded (see obs.PhaseClock.Apportion).
 const (
 	PhaseSetup      = "setup"      // per-net Steiner context construction
 	PhaseSeed       = "seed"       // initial heuristic incumbent
@@ -98,6 +102,12 @@ const (
 	PhaseBranch     = "branch"     // strong-branching lookahead + child push
 	PhaseSearch     = "search"     // node pop, pruning, bookkeeping
 )
+
+// parRoundWidth is the round width of a parallel search (Par >= 1). It must
+// not depend on Par: the determinism guarantee rests on identical round
+// boundaries for every worker count. 32 keeps 8 workers busy while bounding
+// how far a round speculates past a new incumbent.
+const parRoundWidth = 32
 
 // banKey identifies one (net, arc) forbiddance.
 type banKey struct {
@@ -130,15 +140,64 @@ func banFingerprint(k int, bans map[banKey]bool) (uint64, int) {
 	return h, cnt
 }
 
-// bnbNode is a search node: its bans are the chain to the root.
+// bnbNode is an open search node: its bans are the chain to the root.
 type bnbNode struct {
 	parent *bnbNode
 	bans   []banKey // bans added at this node
 	lb     int64    // lower bound computed at creation (parent-estimate)
 	depth  int
+	tie    uint64 // tieKey of the node's insertion sequence number
 }
 
-// cachedRoute is one per-net route memo entry of SolveBnB's route cache.
+// tieKey maps a node's fold-order insertion sequence number to its final
+// priority key. splitmix64 is a bijection, so keys are unique and the queue
+// order is total. The scramble takes equal-bound, equal-depth nodes in a
+// fixed pseudo-random order: first-in-first-out sequence order explores up
+// to 25% more nodes on the cmd/benchrun corpus.
+func tieKey(seq int64) uint64 { return splitmix64(0x2d0f28c7e7e786b2 + uint64(seq)) }
+
+func (n *bnbNode) allBans(buf map[banKey]bool) map[banKey]bool {
+	if buf == nil {
+		buf = map[banKey]bool{}
+	} else {
+		clear(buf)
+	}
+	for cur := n; cur != nil; cur = cur.parent {
+		for _, b := range cur.bans {
+			buf[b] = true
+		}
+	}
+	return buf
+}
+
+// nodePQ is a min-heap with a total order: lower bound, then deeper first
+// (to reach leaves), then the tie key. The total order makes every popped
+// round a pure function of the fold history.
+type nodePQ []*bnbNode
+
+func (p nodePQ) Len() int { return len(p) }
+func (p nodePQ) Less(i, j int) bool {
+	if p[i].lb != p[j].lb {
+		return p[i].lb < p[j].lb
+	}
+	if p[i].depth != p[j].depth {
+		return p[i].depth > p[j].depth
+	}
+	return p[i].tie < p[j].tie
+}
+func (p nodePQ) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
+func (p *nodePQ) Push(x interface{}) { *p = append(*p, x.(*bnbNode)) }
+func (p *nodePQ) Pop() interface{} {
+	old := *p
+	n := len(old)
+	it := old[n-1]
+	*p = old[:n-1]
+	return it
+}
+
+// cachedRoute is one per-net route memo entry. Entries are immutable after
+// insertion, so a reader holds a stable route while other workers append to
+// the same bucket.
 type cachedRoute struct {
 	ids  []int32 // the net's banned arc ids (set-equality verification)
 	arcs []int32
@@ -146,14 +205,34 @@ type cachedRoute struct {
 	ok   bool
 }
 
+// routeCache is the per-net route memo shared by a solve's workers: most
+// branches ban arcs for a single net, so sibling nodes share nearly all
+// per-net Steiner solutions. Entries are keyed by an order-independent
+// fingerprint of the net's ban set — probing allocates nothing — in one
+// mutex-guarded shard per net, so different nets never contend. The cache
+// can change only when a route is computed, never what it is.
+type routeCache []routeShard
+
+type routeShard struct {
+	mu sync.Mutex
+	m  map[uint64][]*cachedRoute
+}
+
+func newRouteCache(nNets int) routeCache {
+	c := make(routeCache, nNets)
+	for k := range c {
+		c[k].m = map[uint64][]*cachedRoute{}
+	}
+	return c
+}
+
 // lookupRoute scans the same-fingerprint cache entries for one whose ban-id
 // set equals net k's subset of bans (known to have size cnt). Entries are
 // verified by size and membership rather than trusted on hash equality, so a
 // fingerprint collision degrades to a cache miss, never a wrong route (see
 // TestRouteCacheCollisionSafety).
-func lookupRoute(entries []cachedRoute, k, cnt int, bans map[banKey]bool) *cachedRoute {
-	for i := range entries {
-		e := &entries[i]
+func lookupRoute(entries []*cachedRoute, k, cnt int, bans map[banKey]bool) *cachedRoute {
+	for _, e := range entries {
 		if len(e.ids) != cnt {
 			continue
 		}
@@ -171,40 +250,337 @@ func lookupRoute(entries []cachedRoute, k, cnt int, bans map[banKey]bool) *cache
 	return nil
 }
 
-func (n *bnbNode) allBans(buf map[banKey]bool) map[banKey]bool {
-	if buf == nil {
-		buf = map[banKey]bool{}
-	} else {
-		for k := range buf {
-			delete(buf, k)
-		}
-	}
-	for cur := n; cur != nil; cur = cur.parent {
-		for _, b := range cur.bans {
-			buf[b] = true
-		}
-	}
-	return buf
+func (c routeCache) lookup(k int, h uint64, cnt int, bans map[banKey]bool) *cachedRoute {
+	s := &c[k]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return lookupRoute(s.m[h], k, cnt, bans)
 }
 
-// nodePQ is a min-heap on lower bound (ties: deeper first to reach leaves).
-type nodePQ []*bnbNode
-
-func (p nodePQ) Len() int { return len(p) }
-func (p nodePQ) Less(i, j int) bool {
-	if p[i].lb != p[j].lb {
-		return p[i].lb < p[j].lb
+// insert publishes a computed route, deduplicating against a racing worker
+// that computed the same ban set concurrently: the first insertion wins and
+// everyone shares its entry (the routes are identical either way, since the
+// Steiner kernel is deterministic).
+func (c routeCache) insert(k int, h uint64, cnt int, bans map[banKey]bool, ent *cachedRoute) *cachedRoute {
+	s := &c[k]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev := lookupRoute(s.m[h], k, cnt, bans); prev != nil {
+		return prev
 	}
-	return p[i].depth > p[j].depth
+	s.m[h] = append(s.m[h], ent)
+	return ent
 }
-func (p nodePQ) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *nodePQ) Push(x interface{}) { *p = append(*p, x.(*bnbNode)) }
-func (p *nodePQ) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+
+// bnbWorker is one worker's private node-expansion state. A sched worker id
+// runs one job at a time and rounds are barriers, so no field needs a lock.
+type bnbWorker struct {
+	id       int
+	g        *rgraph.Graph
+	cache    routeCache
+	fl       *obs.Flight
+	ctxs     []*steinerCtx
+	baseBans [][]bool
+	lag      *lagrangian
+	trial    []banKey // rollback journal of tryBans
+	banBuf   map[banKey]bool
+	clock    *obs.PhaseClock
+
+	// Counters folded into SolveStats after the search. The per-worker split
+	// is scheduling-dependent; the sums are deterministic, except cacheHits,
+	// which depends on how workers interleave route computations.
+	nodes     int
+	cacheHits int
+	drcChecks int
+	drcTime   time.Duration
+	lagRounds int
+	dives     int
+}
+
+func newBnBWorker(id int, g *rgraph.Graph, own ownership, cache routeCache, fl *obs.Flight, arena *SteinerArena) *bnbWorker {
+	nNets := len(g.Clip.Nets)
+	w := &bnbWorker{
+		id: id, g: g, cache: cache, fl: fl,
+		ctxs:     make([]*steinerCtx, nNets),
+		baseBans: make([][]bool, nNets),
+		lag:      newLagrangian(g),
+		banBuf:   map[banKey]bool{},
+		clock:    obs.NewPhaseClock(),
+	}
+	for k := 0; k < nNets; k++ {
+		w.ctxs[k] = newSteinerCtx(g, own, k, arena)
+		w.baseBans[k] = append([]bool(nil), w.ctxs[k].banned...)
+	}
+	return w
+}
+
+// evaluate solves all per-net Steiner problems under the node's bans,
+// sharing routes through the route cache.
+func (w *bnbWorker) evaluate(bans map[banKey]bool) (routes [][]int32, lb int64, feasible bool) {
+	prev := w.clock.Swap(PhaseSteiner)
+	defer w.clock.Enter(prev)
+	routes = make([][]int32, len(w.ctxs))
+	for k, ctx := range w.ctxs {
+		h, cnt := banFingerprint(k, bans)
+		cr := w.cache.lookup(k, h, cnt, bans)
+		if cr != nil {
+			w.cacheHits++
+		} else {
+			copy(ctx.banned, w.baseBans[k])
+			ids := make([]int32, 0, cnt)
+			for b := range bans {
+				if int(b.net) == k {
+					ctx.banned[b.arc] = true
+					ids = append(ids, b.arc)
+				}
+			}
+			arcs, cost, ok := steinerTree(ctx)
+			ent := &cachedRoute{ids: ids, cost: cost, ok: ok}
+			if ok {
+				// The solver's arc buffer is arena-owned; the cache outlives
+				// the next solve, so it keeps a copy.
+				ent.arcs = append([]int32(nil), arcs...)
+			}
+			cr = w.cache.insert(k, h, cnt, bans, ent)
+		}
+		if !cr.ok {
+			return nil, 0, false
+		}
+		routes[k] = cr.arcs
+		lb += cr.cost
+	}
+	return routes, lb, true
+}
+
+// checkDRC wraps the rule checker with count/time accounting, attributing
+// the check to the DRC phase whichever phase drove it.
+func (w *bnbWorker) checkDRC(routes [][]int32) []drc.Violation {
+	prev := w.clock.Swap(PhaseDRC)
+	t0 := time.Now()
+	viols := drc.Check(w.g, routes)
+	w.drcChecks++
+	w.drcTime += time.Since(t0)
+	w.clock.Enter(prev)
+	return viols
+}
+
+// tryBans speculatively applies child bans to the live ban map, evaluates,
+// and rolls back through the trial journal instead of copying the map.
+func (w *bnbWorker) tryBans(bans map[banKey]bool, childBans []banKey) (int64, bool) {
+	w.trial = w.trial[:0]
+	for _, b := range childBans {
+		if !bans[b] {
+			bans[b] = true
+			w.trial = append(w.trial, b)
+		}
+	}
+	_, c, ok := w.evaluate(bans)
+	for _, b := range w.trial {
+		delete(bans, b)
+	}
+	return c, ok
+}
+
+// diveRepair greedily resolves violations from a node's routes by applying,
+// at each conflict, the child ban whose re-route is cheapest. It is a primal
+// heuristic only — bans explored here are not removed from the tree — but it
+// supplies early incumbents that best-first search needs for pruning,
+// especially under SADP rules where the standalone heuristic router often
+// fails. It returns (-1, nil) when it finds nothing below cutoff.
+func (w *bnbWorker) diveRepair(bans map[banKey]bool, cutoff int64) (int64, [][]int32) {
+	local := make(map[banKey]bool, len(bans))
+	for k, v := range bans {
+		local[k] = v
+	}
+	for step := 0; step < 24; step++ {
+		routes, cost, feasible := w.evaluate(local)
+		if !feasible || cost >= cutoff {
+			return -1, nil // infeasible or already dominated
+		}
+		viols := w.checkDRC(routes)
+		if len(viols) == 0 {
+			return cost, routes
+		}
+		v := pickViolation(viols)
+		bestCost := int64(-1)
+		var bestBans []banKey
+		for _, childBans := range branchBans(w.g, v, routes) {
+			if len(childBans) == 0 {
+				continue
+			}
+			c, ok := w.tryBans(local, childBans)
+			if !ok {
+				continue
+			}
+			if bestCost < 0 || c < bestCost {
+				bestCost = c
+				bestBans = childBans
+			}
+		}
+		if bestBans == nil {
+			return -1, nil
+		}
+		for _, b := range bestBans {
+			local[b] = true
+		}
+	}
+	return -1, nil
+}
+
+// applyBans loads a node's forbiddances into every net context (the
+// Lagrangian bound cannot go through the route cache).
+func (w *bnbWorker) applyBans(bans map[banKey]bool) {
+	for k, ctx := range w.ctxs {
+		copy(ctx.banned, w.baseBans[k])
+	}
+	for b := range bans {
+		w.ctxs[b.net].banned[b.arc] = true
+	}
+}
+
+// nodeTask is one node dispatched in a round. Every decision that depends
+// on search state is fixed from round-start state before dispatch, so an
+// expansion depends neither on which worker runs it nor on the other nodes
+// of its round.
+type nodeTask struct {
+	nd   *bnbNode
+	num  int   // 1-based node number
+	cut  int64 // pruning cutoff at round start
+	bnd  int64 // global lower bound at round start (-1 before the root)
+	inc  int64 // incumbent at round start (-1 = none)
+	lag  bool  // the Lagrangian stall gate is open
+	dive bool  // run the primal dive
+}
+
+// childNode is one feasible, non-dominated child produced by strong branching.
+type childNode struct {
+	bans []banKey
+	lb   int64
+}
+
+// expansion is the outcome of expanding one node. Everything the fold needs
+// is here; workers never touch shared search state.
+type expansion struct {
+	act        string // infeasible | dominated | solved | lagrangian | fathom | branch
+	lb         int64
+	routes     [][]int32 // solved: the jointly legal per-net optima
+	children   []childNode
+	diveCost   int64     // dive incumbent candidate (-1 = none)
+	diveRoutes [][]int32 // its routes
+}
+
+// nodeEvent feeds the flight recorder one structured record per search
+// node: the action taken, the node's position (n, d), its lower bound, the
+// expanding worker, and the global bound/incumbent state the node was
+// dispatched under. Every attr is integral, so records marshal
+// unconditionally. With recording off fl is nil and the call is one
+// comparison.
+func nodeEvent(fl *obs.Flight, act string, n, d int, lb int64, worker int, bnd, inc int64, extra ...obs.Attr) {
+	if fl == nil {
+		return
+	}
+	attrs := make([]obs.Attr, 0, 7+len(extra))
+	attrs = append(attrs,
+		obs.A("act", act), obs.A("n", n), obs.A("d", d), obs.A("lb", lb), obs.A("w", worker))
+	if bnd >= 0 {
+		attrs = append(attrs, obs.A("bnd", bnd))
+	}
+	if inc >= 0 {
+		attrs = append(attrs, obs.A("inc", inc))
+	}
+	fl.Event("node", append(attrs, extra...)...)
+}
+
+// expand is the one node-expansion routine of the CDC-BnB: evaluate the
+// node's per-net Steiner optima, prune, check the design rules, and —
+// when the routes conflict — try the Lagrangian bound and the primal dive,
+// then strong-branch. It runs on the worker's own clock.
+func (w *bnbWorker) expand(t nodeTask) expansion {
+	w.clock.Enter(PhaseSearch)
+	defer w.clock.Stop()
+	w.nodes++
+	nd := t.nd
+	out := expansion{lb: nd.lb, diveCost: -1}
+	emit := func(act string, lb int64, extra ...obs.Attr) expansion {
+		out.act = act
+		nodeEvent(w.fl, act, t.num, nd.depth, lb, w.id, t.bnd, t.inc, extra...)
+		return out
+	}
+
+	w.banBuf = nd.allBans(w.banBuf)
+	bans := w.banBuf
+	routes, lb, feasible := w.evaluate(bans)
+	if !feasible {
+		return emit("infeasible", nd.lb)
+	}
+	out.lb = lb
+	if lb >= t.cut {
+		return emit("dominated", lb)
+	}
+	viols := w.checkDRC(routes)
+	if len(viols) == 0 {
+		// The per-net optima are jointly legal: node solved exactly.
+		out.routes = routes
+		return emit("solved", lb)
+	}
+
+	// Lagrangian strengthening: dualized capacity penalties often close the
+	// gap between the independent bound and the incumbent, pruning without
+	// branching. It costs one uncached Steiner pass per net per round, so it
+	// only runs once the plain search stalls.
+	if t.lag {
+		w.clock.Enter(PhaseLagrangian)
+		w.applyBans(bans)
+		w.lagRounds++
+		lagLB := w.lag.bound(w.ctxs, 1, routes)
+		w.clock.Enter(PhaseSearch)
+		if lagLB == -2 || lagLB >= t.cut {
+			return emit("lagrangian", lb, obs.A("lag_lb", lagLB))
+		}
+	}
+
+	if t.dive {
+		w.clock.Enter(PhaseDive)
+		w.dives++
+		out.diveCost, out.diveRoutes = w.diveRepair(bans, t.cut)
+		w.clock.Enter(PhaseSearch)
+	}
+
+	// Strong branching: among the highest-ranked violations, pick the one
+	// whose worst (minimum-bound) feasible child is largest — it tightens the
+	// subtree the most. Child evaluations are cached, so the lookahead is
+	// amortized when a child is later popped.
+	w.clock.Enter(PhaseBranch)
+	bestScore := int64(-1)
+	var kind string // violation kind branched on (flight-recorder attr)
+	for _, v := range candidateViolations(viols, 3) {
+		sets := branchBans(w.g, v, routes)
+		kids := make([]childNode, 0, len(sets))
+		minLB := int64(1) << 60
+		for _, childBans := range sets {
+			if clb, ok := w.tryBans(bans, childBans); ok && clb < t.cut {
+				kids = append(kids, childNode{bans: childBans, lb: clb})
+				minLB = min(minLB, clb)
+			}
+		}
+		if len(kids) == 0 {
+			// Every child of this violation is infeasible or dominated: the
+			// node itself is settled.
+			out.children = nil
+			kind = v.Kind.String()
+			break
+		}
+		if minLB > bestScore {
+			bestScore = minLB
+			out.children = kids
+			kind = v.Kind.String()
+		}
+	}
+	w.clock.Enter(PhaseSearch)
+	if len(out.children) == 0 {
+		return emit("fathom", lb, obs.A("kind", kind))
+	}
+	return emit("branch", lb, obs.A("kind", kind), obs.A("kids", len(out.children)))
 }
 
 // SolveBnB computes a provably optimal routing with the conflict-driven
@@ -213,14 +589,24 @@ func (p *nodePQ) Pop() interface{} {
 // optima violates a design rule, children are generated by forbidding, for
 // one involved net, one arc of the realized conflict — a cover of all
 // feasible solutions, so optimality is preserved (see DESIGN.md).
+//
+// The search is one best-first loop of rounds. A round pops up to its width
+// of open nodes below the cutoff, fixes every state-dependent decision
+// (node numbers, the cutoff, dive and Lagrangian triggers) at dispatch,
+// expands the nodes — inline on the caller's goroutine when one worker
+// suffices, else on an internal/sched pool — and folds the outcomes back
+// serially in pop order. The width is 1 for Par = 0 and parRoundWidth for
+// Par >= 1; since neither depends on the worker count, and the queue order,
+// the expansion and the fold are all deterministic, the explored tree is
+// identical for every Par >= 1. Scheduling-dependent quantities (which
+// worker expanded which node, steals, cache hits, wall times) are outside
+// that guarantee. With a portfolio Exchange attached, foreign incumbents
+// tighten cutoffs at nondeterministic times, so cross-run determinism is
+// then also waived — exactness is not.
 func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
-	if opt.Par > 0 {
-		return solveParBnB(g, opt)
-	}
 	start := time.Now()
 	opt = opt.withDefaults()
 	ex := opt.Exchange
-	own := newOwnership(g)
 	nNets := len(g.Clip.Nets)
 	arena := opt.Arena
 	if arena == nil {
@@ -228,13 +614,15 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	}
 	arena.resetBans() // recycle ban vectors from a previous solve on this arena
 
-	var stats SolveStats
+	stats := SolveStats{Par: opt.Par}
 	gst := g.Stats()
 	span := opt.Tracer.Start("bnb.solve",
 		obs.A("clip", g.Clip.Name),
 		obs.A("nets", nNets),
 		obs.A("verts", gst.Verts),
-		obs.A("arcs", gst.Arcs))
+		obs.A("arcs", gst.Arcs),
+		obs.A("par", opt.Par))
+	fl := obs.NewFlight(span, opt.Flight)
 
 	// Wall-time attribution: the clock is open on exactly one phase from here
 	// until the solve returns, so stats.Phases partitions the elapsed time.
@@ -243,247 +631,100 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 
 	var best *Solution
 	var bestCost int64 = 1 << 60
+	nodes := 0
+	curBound := int64(-1) // global lower bound (lb of the last round's first node)
+	curDepth := 0         // depth of the last round's first node
+	pq := &nodePQ{}
+	incumbent := func() int64 {
+		if best == nil {
+			return -1
+		}
+		return bestCost
+	}
+	sample := func() {
+		if len(stats.BoundTrace) >= maxTraceSamples {
+			return
+		}
+		stats.BoundTrace = append(stats.BoundTrace, BoundSample{
+			ElapsedMS: msSince(start), Nodes: nodes, Depth: curDepth,
+			Open: pq.Len(), Bound: curBound, Incumbent: incumbent(),
+		})
+	}
+	reportProgress := func() {
+		if opt.Progress != nil {
+			opt.Progress(BnBProgress{
+				Nodes: nodes, Open: pq.Len(), Incumbent: incumbent(),
+				Bound: curBound, Elapsed: time.Since(start),
+			})
+		}
+	}
+	setIncumbent := func(sol *Solution, node int, source string) {
+		best, bestCost = sol, int64(sol.Cost)
+		if ex.OfferIncumbent(bestCost) {
+			stats.IncumbentExchanges++
+		}
+		stats.Incumbents++
+		sample()
+		attrs := []obs.Attr{obs.A("cost", sol.Cost)}
+		if node > 0 {
+			attrs = append(attrs, obs.A("node", node))
+		}
+		if source != "" {
+			attrs = append(attrs, obs.A("source", source))
+		}
+		span.Event("incumbent", attrs...)
+	}
+
+	searchable := true
 	if !opt.NoHeuristicSeed {
 		hspan := span.Child("heuristic.seed")
 		h := SolveHeuristic(g, HeuristicOptions{Arena: arena})
 		hspan.SetAttr("feasible", h.Feasible)
 		hspan.End()
 		if h.Feasible {
-			best = h
-			bestCost = int64(h.Cost)
-			if ex.OfferIncumbent(bestCost) {
-				stats.IncumbentExchanges++
-			}
-			stats.Incumbents++
-			stats.BoundTrace = append(stats.BoundTrace, BoundSample{
-				ElapsedMS: msSince(start), Bound: -1, Incumbent: bestCost,
-			})
-			span.Event("incumbent", obs.A("cost", h.Cost), obs.A("source", "heuristic-seed"))
+			setIncumbent(h, 0, "heuristic-seed")
 		} else if h.Proven {
-			h.Runtime = time.Since(start)
-			stats.Elapsed = h.Runtime
-			stats.Termination = "infeasible"
-			clock.Stop()
-			stats.Phases = clock.Breakdown()
-			stats.BoundTrace = append(stats.BoundTrace, BoundSample{
-				ElapsedMS: msSince(start), Bound: -1, Incumbent: -1,
-			})
-			h.Stats = stats
-			span.SetAttr("termination", "infeasible")
-			span.SetAttr("phases_ms", stats.Phases.MS())
-			span.End()
-			return h, nil // proven infeasible by the probe
+			searchable = false // proven infeasible by the probe
 		}
 	}
 
-	clock.Enter(PhaseSetup)
-	ctxs := make([]*steinerCtx, nNets)
-	baseBans := make([][]bool, nNets)
-	for k := 0; k < nNets; k++ {
-		ctxs[k] = newSteinerCtx(g, own, k, arena)
-		baseBans[k] = append([]bool(nil), ctxs[k].banned...)
+	width := 1
+	if opt.Par > 0 {
+		width = parRoundWidth
 	}
-
-	// Per-net route memoization: most branches ban arcs for a single net,
-	// so sibling nodes share nearly all per-net Steiner solutions. Entries
-	// are keyed by an order-independent fingerprint of the net's ban set —
-	// probing allocates nothing — with same-hash entries verified by
-	// lookupRoute, so a collision degrades to a miss, never a wrong route.
-	caches := make([]map[uint64][]cachedRoute, nNets)
-	for k := range caches {
-		caches[k] = map[uint64][]cachedRoute{}
-	}
-
-	// checkDRC wraps the rule checker with count/time accounting. Swap/Enter
-	// re-attributes the nested region to the DRC phase no matter which phase
-	// (search, dive, branch) drove the check.
-	checkDRC := func(routes [][]int32) []drc.Violation {
-		prev := clock.Swap(PhaseDRC)
-		t0 := time.Now()
-		viols := drc.Check(g, routes)
-		stats.DRCChecks++
-		stats.DRCTime += time.Since(t0)
-		clock.Enter(prev)
-		return viols
-	}
-
-	// evaluate solves all per-net Steiner problems under the node's bans.
-	evaluate := func(bans map[banKey]bool) (routes [][]int32, lb int64, feasible bool) {
-		prev := clock.Swap(PhaseSteiner)
-		defer func() { clock.Enter(prev) }()
-		routes = make([][]int32, nNets)
-		for k := 0; k < nNets; k++ {
-			h, cnt := banFingerprint(k, bans)
-			cr := lookupRoute(caches[k][h], k, cnt, bans)
-			if cr != nil {
-				stats.SteinerCacheHits++
-			} else {
-				copy(ctxs[k].banned, baseBans[k])
-				ids := make([]int32, 0, cnt)
-				for b := range bans {
-					if int(b.net) == k {
-						ctxs[k].banned[b.arc] = true
-						ids = append(ids, b.arc)
-					}
-				}
-				arcs, cost, ok := steinerTree(ctxs[k])
-				// The solver's arc buffer is arena-owned; the cache outlives
-				// the next solve, so it keeps a copy.
-				ent := cachedRoute{ids: ids, cost: cost, ok: ok}
-				if ok {
-					ent.arcs = append([]int32(nil), arcs...)
-				}
-				caches[k][h] = append(caches[k][h], ent)
-				cr = &caches[k][h][len(caches[k][h])-1]
+	// Worker 0 expands single-worker rounds inline on this goroutine, with
+	// the caller's arena; the other workers of a parallel search get private
+	// arenas.
+	var workers []*bnbWorker
+	var clocks []*obs.PhaseClock
+	if searchable {
+		clock.Enter(PhaseSetup)
+		own := newOwnership(g)
+		cache := newRouteCache(nNets)
+		for id := 0; id < max(opt.Par, 1); id++ {
+			a := arena
+			if id > 0 {
+				a = NewSteinerArena()
 			}
-			if !cr.ok {
-				return nil, 0, false
-			}
-			routes[k] = cr.arcs
-			lb += cr.cost
+			w := newBnBWorker(id, g, own, cache, fl, a)
+			workers = append(workers, w)
+			clocks = append(clocks, w.clock)
 		}
-		return routes, lb, true
+		heap.Push(pq, &bnbNode{tie: tieKey(0)})
 	}
-
-	// diveRepair greedily resolves violations from a node's routes by
-	// applying, at each conflict, the child ban whose re-route is cheapest.
-	// It is a primal heuristic only — bans explored here are not removed
-	// from the tree — but it supplies early incumbents that best-first
-	// search needs for pruning, especially under SADP rules where the
-	// standalone heuristic router often fails.
-	// trialAdded is the rollback journal for speculative ban applications:
-	// child evaluations mutate the live ban map in place and undo afterwards
-	// instead of copying the whole map per trial.
-	var trialAdded []banKey
-	tryBans := func(bans map[banKey]bool, childBans []banKey) (int64, bool) {
-		trialAdded = trialAdded[:0]
-		for _, b := range childBans {
-			if !bans[b] {
-				bans[b] = true
-				trialAdded = append(trialAdded, b)
-			}
-		}
-		_, c, ok := evaluate(bans)
-		for _, b := range trialAdded {
-			delete(bans, b)
-		}
-		return c, ok
+	runCtx := opt.Ctx
+	if runCtx == nil {
+		runCtx = context.Background()
 	}
-
-	diveRepair := func(bans map[banKey]bool, cutoff int64) (int64, [][]int32) {
-		local := map[banKey]bool{}
-		for k, v := range bans {
-			local[k] = v
-		}
-		for step := 0; step < 24; step++ {
-			routes, cost, feasible := evaluate(local)
-			if !feasible || cost >= cutoff {
-				return -1, nil // infeasible or already dominated
-			}
-			viols := checkDRC(routes)
-			if len(viols) == 0 {
-				return cost, routes
-			}
-			v := pickViolation(viols)
-			bestCost := int64(-1)
-			var bestBans []banKey
-			for _, childBans := range branchBans(g, v, routes) {
-				if len(childBans) == 0 {
-					continue
-				}
-				c, ok := tryBans(local, childBans)
-				if !ok {
-					continue
-				}
-				if bestCost < 0 || c < bestCost {
-					bestCost = c
-					bestBans = childBans
-				}
-			}
-			if bestBans == nil {
-				return -1, nil
-			}
-			for _, b := range bestBans {
-				local[b] = true
-			}
-		}
-		return -1, nil
-	}
-
-	// applyBans loads a node's forbiddances into every net context (used by
-	// the Lagrangian bound, which cannot go through the route cache).
-	applyBans := func(bans map[banKey]bool) {
-		for k := 0; k < nNets; k++ {
-			copy(ctxs[k].banned, baseBans[k])
-		}
-		for b := range bans {
-			ctxs[b.net].banned[b.arc] = true
-		}
-	}
-	lag := newLagrangian(g)
-
-	root := &bnbNode{}
-	pq := &nodePQ{root}
-	heap.Init(pq)
-	nodes := 0
-	sinceProgress := 0 // nodes since the last incumbent improvement or prune
-	banBuf := map[banKey]bool{}
-	proven := true
-	curBound := int64(-1) // global lower bound (lb of last popped node)
-	curDepth := 0         // depth of the node being processed
-
-	// nodeEvent feeds the flight recorder one structured record per search
-	// node: the action taken (cutoff / infeasible / dominated / solved /
-	// lagrangian / fathom / branch), the node's position (n, d), its lower
-	// bound and the global bound/incumbent state at that moment. Every attr
-	// is integral, so records marshal unconditionally. With recording off
-	// (the default) fl is nil and each call costs one comparison.
-	fl := obs.NewFlight(span, opt.Flight)
-	nodeEvent := func(act string, depth int, lb int64, extra ...obs.Attr) {
-		if fl == nil {
-			return
-		}
-		attrs := make([]obs.Attr, 0, 6+len(extra))
-		attrs = append(attrs,
-			obs.A("act", act), obs.A("n", nodes), obs.A("d", depth), obs.A("lb", lb))
-		if curBound >= 0 {
-			attrs = append(attrs, obs.A("bnd", curBound))
-		}
-		if best != nil {
-			attrs = append(attrs, obs.A("inc", bestCost))
-		}
-		fl.Event("node", append(attrs, extra...)...)
-	}
-
-	sample := func() {
-		if len(stats.BoundTrace) >= maxTraceSamples {
-			return
-		}
-		inc := int64(-1)
-		if best != nil {
-			inc = bestCost
-		}
-		stats.BoundTrace = append(stats.BoundTrace, BoundSample{
-			ElapsedMS: msSince(start), Nodes: nodes, Depth: curDepth,
-			Open: pq.Len(), Bound: curBound, Incumbent: inc,
-		})
-	}
-
-	reportProgress := func() {
-		if opt.Progress == nil {
-			return
-		}
-		inc := int64(-1)
-		if best != nil {
-			inc = bestCost
-		}
-		opt.Progress(BnBProgress{
-			Nodes: nodes, Open: pq.Len(), Incumbent: inc,
-			Bound: curBound, Elapsed: time.Since(start),
-		})
-	}
+	var rs sched.RunStats
 
 	clock.Enter(PhaseSearch)
+	proven := true
+	sinceProgress := 0 // expansions since the last incumbent improvement or Lagrangian prune
+	seq := int64(0)
+	batch := make([]*bnbNode, 0, width)
+	tasks := make([]nodeTask, 0, width)
+	outs := make([]sched.Result[expansion], 0, width)
 	for pq.Len() > 0 {
 		if nodes >= opt.MaxNodes {
 			proven = false
@@ -495,7 +736,7 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 			stats.Termination = "time-limit"
 			break
 		}
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+		if runCtx.Err() != nil {
 			proven = false
 			stats.Termination = "cancelled"
 			break
@@ -518,21 +759,24 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 		if f, ok := ex.Incumbent(); ok && f < cut {
 			cut = f
 		}
-		nd := heap.Pop(pq).(*bnbNode)
-		if nd.lb >= cut {
-			// Best-first: every remaining node is at least as bad.
-			nodeEvent("cutoff", nd.depth, nd.lb)
-			break
+
+		// Pop the round; stop at the cutoff — best-first order means every
+		// node behind a dominated top is dominated too — and at the node
+		// budget.
+		batch = batch[:0]
+		for len(batch) < min(width, opt.MaxNodes-nodes) && pq.Len() > 0 && (*pq)[0].lb < cut {
+			batch = append(batch, heap.Pop(pq).(*bnbNode))
 		}
-		nodes++
-		curDepth = nd.depth
-		if nd.depth > stats.MaxDepth {
-			stats.MaxDepth = nd.depth
+		if len(batch) == 0 {
+			top := (*pq)[0]
+			nodeEvent(fl, "cutoff", nodes, top.depth, top.lb, -1, curBound, incumbent())
+			break // every open node is dominated: search complete
 		}
-		if nd.lb > curBound {
-			curBound = nd.lb
-			// Publish the global lower bound: explored and pruned subtrees
-			// prove no solution below min(pq-min, cutoff) exists.
+		if batch[0].lb > curBound {
+			curBound = batch[0].lb
+			// Publish the global lower bound: the round minimum bounds every
+			// open and dispatched node, and pruned subtrees prove no solution
+			// below the cutoff exists.
 			if b := min(curBound, cut); b > 0 {
 				ex.OfferBound(b)
 			}
@@ -542,138 +786,88 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 				sample()
 			}
 		}
-		if nodes%opt.ProgressEvery == 0 {
+		curDepth = batch[0].depth
+
+		// Dispatch: node numbers, dive triggers and the Lagrangian stall gate
+		// come from round-start state, so they do not depend on the workers.
+		nodesBefore := nodes
+		nodes += len(batch)
+		tasks = tasks[:0]
+		for i, nd := range batch {
+			stats.MaxDepth = max(stats.MaxDepth, nd.depth)
+			num := nodesBefore + i + 1
+			tasks = append(tasks, nodeTask{
+				nd: nd, num: num, cut: cut, bnd: curBound, inc: incumbent(),
+				lag:  (best != nil || cut < bestCost) && sinceProgress+i > 24,
+				dive: num == 1 || num%512 == 0,
+			})
+		}
+		nw := min(len(workers), len(tasks))
+		if nw == 1 {
+			outs = outs[:0]
+			for _, t := range tasks {
+				r := sched.Result[expansion]{Err: runCtx.Err()}
+				if r.Err == nil {
+					r.Value = workers[0].expand(t)
+				}
+				outs = append(outs, r)
+			}
+		} else {
+			jobs := make([]sched.Job[expansion], len(tasks))
+			for i, t := range tasks {
+				jobs[i] = func(jctx context.Context) (expansion, error) {
+					return workers[sched.WorkerID(jctx)].expand(t), nil
+				}
+			}
+			outs = sched.Run(runCtx, jobs, sched.Options{Workers: nw, Stats: &rs})
+		}
+		clock.Apportion(PhaseSearch, clocks...)
+
+		// Serial fold in pop order: incumbent updates, child insertion and
+		// sequence numbering depend only on the deterministic outcome list.
+		for i, r := range outs {
+			nd := batch[i]
+			if r.Panicked {
+				return nil, r.Err
+			}
+			if r.Err != nil {
+				proven = false
+				stats.Termination = "cancelled"
+				continue
+			}
+			out := r.Value
+			switch out.act {
+			case "solved":
+				if out.lb < bestCost {
+					sol := &Solution{Feasible: true, NetArcs: out.routes, Proven: true}
+					summarize(g, sol)
+					sinceProgress = 0
+					setIncumbent(sol, nodesBefore+i+1, "")
+					reportProgress()
+				}
+			case "lagrangian":
+				sinceProgress = 0
+			case "fathom", "branch":
+				sinceProgress++
+				if out.diveCost >= 0 && out.diveCost < bestCost {
+					sol := &Solution{Feasible: true, NetArcs: out.diveRoutes}
+					summarize(g, sol)
+					setIncumbent(sol, nodesBefore+i+1, "dive")
+					reportProgress()
+				}
+				for _, ch := range out.children {
+					stats.BansGenerated += len(ch.bans)
+					seq++
+					heap.Push(pq, &bnbNode{parent: nd, bans: ch.bans, lb: ch.lb, depth: nd.depth + 1, tie: tieKey(seq)})
+				}
+			}
+		}
+		if stats.Termination == "cancelled" {
+			break
+		}
+		if nodes/opt.ProgressEvery > nodesBefore/opt.ProgressEvery {
 			reportProgress()
 		}
-		banBuf = nd.allBans(banBuf)
-		routes, lb, feasible := evaluate(banBuf)
-		if !feasible {
-			nodeEvent("infeasible", nd.depth, nd.lb)
-			continue
-		}
-		if lb >= cut {
-			nodeEvent("dominated", nd.depth, lb)
-			continue
-		}
-
-		viols := checkDRC(routes)
-		if len(viols) == 0 {
-			// The per-net optima are jointly legal: node solved exactly.
-			if lb < bestCost {
-				bestCost = lb
-				best = &Solution{Feasible: true, NetArcs: routes, Proven: true}
-				summarize(g, best)
-				sinceProgress = 0
-				if ex.OfferIncumbent(bestCost) {
-					stats.IncumbentExchanges++
-				}
-				stats.Incumbents++
-				sample()
-				span.Event("incumbent", obs.A("cost", best.Cost), obs.A("node", nodes))
-				reportProgress()
-			}
-			nodeEvent("solved", nd.depth, lb)
-			continue
-		}
-
-		// Lagrangian strengthening: dualized capacity penalties often close
-		// the gap between the independent bound and the incumbent, pruning
-		// without branching. It costs one uncached Steiner pass per net per
-		// round, so it only runs once the plain search stalls.
-		sinceProgress++
-		if (best != nil || cut < bestCost) && lb < cut && sinceProgress > 24 {
-			clock.Enter(PhaseLagrangian)
-			applyBans(banBuf)
-			stats.LagrangianRounds++
-			lagLB := lag.bound(ctxs, 2)
-			clock.Enter(PhaseSearch)
-			if lagLB == -2 || lagLB >= cut {
-				sinceProgress = 0
-				nodeEvent("lagrangian", nd.depth, lb, obs.A("lag_lb", lagLB))
-				continue
-			}
-		}
-
-		// Periodic primal dive for incumbents (always at the root, then
-		// sparsely — each dive costs many Steiner solves).
-		if nodes == 1 || nodes%512 == 0 {
-			clock.Enter(PhaseDive)
-			stats.Dives++
-			if c, r := diveRepair(banBuf, cut); c >= 0 && c < bestCost {
-				bestCost = c
-				best = &Solution{Feasible: true, NetArcs: r}
-				summarize(g, best)
-				if ex.OfferIncumbent(bestCost) {
-					stats.IncumbentExchanges++
-				}
-				stats.Incumbents++
-				sample()
-				span.Event("incumbent", obs.A("cost", best.Cost), obs.A("node", nodes), obs.A("source", "dive"))
-				reportProgress()
-			}
-			clock.Enter(PhaseSearch)
-		}
-
-		// Strong branching: among the highest-ranked violations, pick the
-		// one whose worst (minimum-bound) feasible child is largest — it
-		// tightens the subtree the most. Children evaluations are cached,
-		// so the lookahead is amortized when a child is later popped.
-		clock.Enter(PhaseBranch)
-		cands := candidateViolations(viols, 3)
-		type childEval struct {
-			bans []banKey
-			lb   int64
-			ok   bool
-		}
-		bestScore := int64(-1)
-		var bestChildren []childEval
-		var bestKind string // violation kind branched on (flight-recorder attr)
-		for _, v := range cands {
-			sets := branchBans(g, v, routes)
-			evals := make([]childEval, 0, len(sets))
-			minLB := int64(1) << 60
-			anyFeasible := false
-			for _, childBans := range sets {
-				child := childEval{bans: childBans}
-				if clb, ok := tryBans(banBuf, childBans); ok && clb < cut {
-					child.lb = clb
-					child.ok = true
-					anyFeasible = true
-					if clb < minLB {
-						minLB = clb
-					}
-				}
-				evals = append(evals, child)
-			}
-			if !anyFeasible {
-				// Every child of this violation is infeasible or dominated:
-				// the node itself is settled.
-				bestChildren = nil
-				bestScore = 1 << 60
-				bestKind = v.Kind.String()
-				break
-			}
-			if minLB > bestScore {
-				bestScore = minLB
-				bestChildren = evals
-				bestKind = v.Kind.String()
-			}
-		}
-		pushed := 0
-		for _, ce := range bestChildren {
-			if !ce.ok {
-				continue
-			}
-			stats.BansGenerated += len(ce.bans)
-			heap.Push(pq, &bnbNode{parent: nd, bans: ce.bans, lb: ce.lb, depth: nd.depth + 1})
-			pushed++
-		}
-		if pushed == 0 {
-			nodeEvent("fathom", nd.depth, lb, obs.A("kind", bestKind))
-		} else {
-			nodeEvent("branch", nd.depth, lb, obs.A("kind", bestKind), obs.A("kids", pushed))
-		}
-		clock.Enter(PhaseSearch)
 	}
 
 	sol := best
@@ -687,10 +881,24 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	sol.Runtime = time.Since(start)
 
 	stats.Nodes = nodes
-	for k := 0; k < nNets; k++ {
-		stats.SteinerSolves += ctxs[k].solves
-		stats.SteinerCells += ctxs[k].cells
+	if opt.Par > 0 {
+		stats.NodesPerWorker = make([]int, len(workers))
 	}
+	for id, w := range workers {
+		if stats.NodesPerWorker != nil {
+			stats.NodesPerWorker[id] = w.nodes
+		}
+		stats.SteinerCacheHits += w.cacheHits
+		stats.DRCChecks += w.drcChecks
+		stats.DRCTime += w.drcTime
+		stats.LagrangianRounds += w.lagRounds
+		stats.Dives += w.dives
+		for _, ctx := range w.ctxs {
+			stats.SteinerSolves += ctx.solves
+			stats.SteinerCells += ctx.cells
+		}
+	}
+	stats.Steals = int(rs.Steals.Load())
 	stats.Elapsed = sol.Runtime
 	if stats.Termination == "" {
 		if sol.Feasible {
@@ -712,6 +920,8 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	span.SetAttr("nodes", nodes)
 	span.SetAttr("steiner_solves", stats.SteinerSolves)
 	span.SetAttr("drc_checks", stats.DRCChecks)
+	span.SetAttr("steals", stats.Steals)
+	span.SetAttr("incumbent_exchanges", stats.IncumbentExchanges)
 	span.SetAttr("feasible", sol.Feasible)
 	span.SetAttr("proven", sol.Proven)
 	span.SetAttr("termination", stats.Termination)

@@ -12,10 +12,9 @@ import (
 //
 // is a valid lower bound on the optimal joint routing cost, because every
 // feasible solution uses each resource at most once and so pays at most
-// sum_r lambda_r of the added penalties. Penalties evolve globally by
-// subgradient steps (raise overused resources, decay unused ones); since
-// L(lambda) is valid for every lambda >= 0 under the node's bans, the drift
-// across nodes never invalidates a bound.
+// sum_r lambda_r of the added penalties. Each bound call starts from zero
+// penalties and moves them by subgradient steps (raise overused resources,
+// decay unused ones).
 type lagrangian struct {
 	g *rgraph.Graph
 	// lambdaArc[canonical arc id] and lambdaVert[grid vertex] are the
@@ -32,16 +31,6 @@ func newLagrangian(g *rgraph.Graph) *lagrangian {
 		lambdaVert: map[int32]int64{},
 		penalty:    make([]int64, len(g.Arcs)),
 	}
-}
-
-// reset clears the penalty state, making the next bound call a pure function
-// of the graph and the applied bans. The parallel tree search resets before
-// every evaluation: worker-local lambda drift would otherwise make pruning
-// decisions depend on which worker evaluated a node, and the engine's
-// cross-worker-count determinism guarantee rests on a deterministic tree.
-func (l *lagrangian) reset() {
-	clear(l.lambdaArc)
-	clear(l.lambdaVert)
 }
 
 // canonArc maps a directed arc to its undirected resource id.
@@ -80,23 +69,40 @@ func (l *lagrangian) loadPenalties() {
 	}
 }
 
-// bound evaluates L(lambda) under the given per-net contexts (bans applied
-// by the caller) and performs `rounds` subgradient updates. It returns the
-// best bound seen; a negative return means some net was unroutable (the
-// node is infeasible regardless of penalties).
-func (l *lagrangian) bound(ctxs []*steinerCtx, rounds int) int64 {
+// bound evaluates the dual from zero penalties under the given per-net
+// contexts (bans applied by the caller): L(0) and then `rounds` subgradient
+// updates, each followed by a re-evaluation of L. It returns the best bound
+// seen; a negative return means some net was unroutable (the node is
+// infeasible regardless of penalties). Starting from zero makes the bound a
+// pure function of the graph and the applied bans, whichever search worker
+// computes it. routes, if non-nil, are the nets' unpenalized optima under
+// the same bans — the solution of L(0) — and stand in for its Steiner
+// solves.
+func (l *lagrangian) bound(ctxs []*steinerCtx, rounds int, routes [][]int32) int64 {
+	clear(l.lambdaArc)
+	clear(l.lambdaVert)
 	best := int64(-1)
-	for round := 0; round < rounds; round++ {
+	for round := 0; round <= rounds; round++ {
 		l.loadPenalties()
 		sum := int64(0)
 		useArc := map[int32]int{}
 		useVert := map[int32]int{}
-		for _, ctx := range ctxs {
-			ctx.penalty = l.penalty
-			arcs, cost, ok := steinerTree(ctx)
-			ctx.penalty = nil
-			if !ok {
-				return -2 // infeasible independent subproblem
+		for k, ctx := range ctxs {
+			var arcs []int32
+			var cost int64
+			if round == 0 && routes != nil {
+				arcs = routes[k]
+				for _, a := range arcs {
+					cost += int64(l.g.Arcs[a].Cost)
+				}
+			} else {
+				ctx.penalty = l.penalty
+				var ok bool
+				arcs, cost, ok = steinerTree(ctx)
+				ctx.penalty = nil
+				if !ok {
+					return -2 // infeasible independent subproblem
+				}
 			}
 			sum += cost
 			seenV := map[int32]bool{}
@@ -112,6 +118,9 @@ func (l *lagrangian) bound(ctxs []*steinerCtx, rounds int) int64 {
 		lb := sum - l.totalLambda()
 		if lb > best {
 			best = lb
+		}
+		if round == rounds {
+			break
 		}
 
 		// Subgradient step: raise overused resources, decay slack ones.

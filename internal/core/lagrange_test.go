@@ -35,7 +35,7 @@ func TestLagrangianBoundAdmissible(t *testing.T) {
 		}
 		lag := newLagrangian(g)
 		for _, rounds := range []int{1, 4, 12} {
-			lb := lag.bound(ctxs, rounds)
+			lb := lag.bound(ctxs, rounds, nil)
 			if lb == -2 {
 				t.Fatalf("seed %d: lagrangian claims infeasible on a feasible clip", seed)
 			}
@@ -54,7 +54,7 @@ func TestLagrangianTightWithoutConflicts(t *testing.T) {
 	own := newOwnership(g)
 	ctxs := []*steinerCtx{newSteinerCtx(g, own, 0, nil), newSteinerCtx(g, own, 1, nil)}
 	lag := newLagrangian(g)
-	lb := lag.bound(ctxs, 3)
+	lb := lag.bound(ctxs, 3, nil)
 	if lb != 4 {
 		t.Fatalf("bound = %d, want 4 (the conflict-free optimum)", lb)
 	}
@@ -84,7 +84,7 @@ func TestLagrangianPenalizesContention(t *testing.T) {
 	own := newOwnership(g)
 	ctxs := []*steinerCtx{newSteinerCtx(g, own, 0, nil), newSteinerCtx(g, own, 1, nil)}
 	lag := newLagrangian(g)
-	lb := lag.bound(ctxs, 2)
+	lb := lag.bound(ctxs, 2, nil)
 	if lb == -2 {
 		t.Fatal("instance unexpectedly infeasible for a single net")
 	}

@@ -64,7 +64,7 @@ func TestRouteCacheCollisionSafety(t *testing.T) {
 
 	// Collision safety: two entries in the same bucket with different ban-id
 	// sets. The probe must select by set equality, not bucket membership.
-	entries := []cachedRoute{
+	entries := []*cachedRoute{
 		{ids: []int32{5}, cost: 50, ok: true},
 		{ids: []int32{9}, cost: 90, ok: true},
 		{ids: []int32{5, 9}, cost: 59, ok: true},
@@ -178,11 +178,11 @@ func BenchmarkBnBFlightOn(b *testing.B) {
 	benchmarkBnBFlight(b, obs.FlightOptions{Enabled: true})
 }
 
-// BenchmarkParallelBnB measures the deterministic round-parallel tree search
-// at several worker counts against the serial engine (par=0) on the same
-// instance. On a multi-core host the par>1 columns show the scaling curve; on
-// a single-core host they quantify the round-synchronous engine's overhead
-// (the answers are identical either way — that is the engine's contract).
+// BenchmarkParallelBnB measures the round-parallel search at several worker
+// counts against width-1 serial rounds (par=0) on the same instance. On a
+// multi-core host the par>1 columns show the scaling curve; on a single-core
+// host they quantify the cost of 32-wide rounds (the answers are identical
+// either way — that is the search's contract).
 func BenchmarkParallelBnB(b *testing.B) {
 	for _, par := range []int{0, 1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {

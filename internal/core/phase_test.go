@@ -66,6 +66,23 @@ func TestPhaseAttributionSums(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkPhaseAttribution(t, "bnb", bnb.Stats)
+				// The parallel search splits each round's wall time over the
+				// phases its workers recorded, so its breakdown must also sum
+				// to wall and name the same work phases as the serial one.
+				par, err := SolveBnB(g, BnBOptions{Par: 2, TimeLimit: 30 * time.Second})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPhaseAttribution(t, "bnb-par2", par.Stats)
+				for _, ph := range []string{PhaseSteiner, PhaseDRC} {
+					if _, ok := bnb.Stats.Phases[ph]; !ok {
+						continue
+					}
+					if _, ok := par.Stats.Phases[ph]; !ok {
+						t.Errorf("bnb-par2: breakdown lacks %q, which the serial breakdown has: %v",
+							ph, par.Stats.Phases.MS())
+					}
+				}
 				if len(bnb.Stats.BoundTrace) == 0 {
 					t.Error("bnb: empty bound trace")
 				} else {

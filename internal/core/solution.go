@@ -120,10 +120,10 @@ type SolveStats struct {
 
 	// Parallel-search and portfolio telemetry.
 	Winner string // engine that produced the returned result: "bnb", "ilp", "" (serial solves)
-	Par    int    // worker count of the parallel tree search (0 = classic serial engine)
-	// NodesPerWorker[w] counts nodes evaluated by parallel worker w. The
-	// split is scheduling-dependent (not deterministic across runs); the sum
-	// equals Nodes.
+	Par    int    // BnBOptions.Par of the CDC-BnB (0 = width-1 serial rounds)
+	// NodesPerWorker[w] counts nodes expanded by worker w of a parallel
+	// search (nil when Par is 0). The split is scheduling-dependent (not
+	// deterministic across runs); the sum equals Nodes.
 	NodesPerWorker []int
 	// IncumbentExchanges counts incumbent offers accepted by the shared
 	// portfolio exchange (0 outside portfolio mode).

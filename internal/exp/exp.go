@@ -194,11 +194,12 @@ type SolveOptions struct {
 	// identical for any worker count (see README "Parallel evaluation").
 	Workers int
 
-	// Par brings parallelism inside each solve: the CDC-BnB explores its tree
-	// round-synchronously on Par workers (0 = serial engine). The engine is
+	// Par brings parallelism inside each solve: the CDC-BnB expands its tree
+	// in fixed-width rounds on Par workers. 0 runs the same loop in width-1
+	// rounds on the solve's own goroutine, the serial search. The search is
 	// deterministic by construction — routes and objective are identical for
-	// every Par (see README "Parallel search & portfolio") — so study outputs
-	// do not depend on it.
+	// every Par >= 1 (see README "Parallel search & portfolio") — so study
+	// outputs do not depend on which Par >= 1 is chosen.
 	Par int
 	// Portfolio races the CDC-BnB (with Par workers when Par > 0) against the
 	// MILP engine on every solve, coupled through a shared incumbent/bound

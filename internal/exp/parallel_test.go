@@ -84,7 +84,7 @@ func TestDeltaCostStudyDeterministic(t *testing.T) {
 // worker-count golden above: the round-parallel BnB engine must leave the
 // study output byte-identical between -par 1 and -par 8, per the engine's
 // determinism guarantee (fixed round width, total node order; see
-// internal/core/parbnb.go). Scheduling-dependent telemetry (cache hits,
+// core.SolveBnB). Scheduling-dependent telemetry (cache hits,
 // per-worker splits, steal counts, wall times) is excluded; everything the
 // study publishes — curves, CSV, answers, search counters — must match.
 func TestDeltaCostStudyParDeterministic(t *testing.T) {

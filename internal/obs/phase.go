@@ -127,6 +127,45 @@ func (c *PhaseClock) Stop() {
 	c.cur = -1
 }
 
+// Apportion closes the open phase's running interval without crediting it
+// to that phase: the interval is split over the phases the part clocks have
+// accumulated, in proportion to their totals (it falls back to the open
+// phase when the parts hold no time). The parts are zeroed and next is
+// opened. A coordinator whose workers run under clocks of their own calls it
+// when the workers return, so its breakdown stays a partition of wall time
+// while naming the phases the workers spent it in.
+func (c *PhaseClock) Apportion(next string, parts ...*PhaseClock) {
+	if c == nil {
+		return
+	}
+	now := time.Now()
+	var sum time.Duration
+	for _, p := range parts {
+		for _, t := range p.totals {
+			sum += t
+		}
+	}
+	if c.cur >= 0 {
+		d := now.Sub(c.last)
+		if sum <= 0 {
+			c.totals[c.cur] += d
+		} else {
+			for _, p := range parts {
+				for i, t := range p.totals {
+					if t > 0 {
+						c.totals[c.phase(p.names[i])] += time.Duration(float64(d) * float64(t) / float64(sum))
+					}
+				}
+			}
+		}
+	}
+	for _, p := range parts {
+		clear(p.totals)
+	}
+	c.cur = c.phase(next)
+	c.last = now
+}
+
 // Breakdown exports the accumulated per-phase totals. Phases with zero
 // accumulated time are included (they were entered), so the phase set is
 // stable across solves of different sizes.

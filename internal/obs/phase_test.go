@@ -31,6 +31,41 @@ func TestPhaseClockPartition(t *testing.T) {
 	}
 }
 
+// TestPhaseClockApportion: the coordinator's interval is credited to the
+// phases its part clocks recorded, in proportion, never to the coordinator's
+// open phase, and the parts are drained.
+func TestPhaseClockApportion(t *testing.T) {
+	c := NewPhaseClock()
+	start := time.Now()
+	c.Enter("wait")
+	w1, w2 := NewPhaseClock(), NewPhaseClock()
+	w1.Enter("steiner")
+	time.Sleep(2 * time.Millisecond)
+	w1.Enter("drc")
+	time.Sleep(2 * time.Millisecond)
+	w1.Stop()
+	w2.Enter("steiner")
+	time.Sleep(2 * time.Millisecond)
+	w2.Stop()
+	c.Apportion("search", w1, w2)
+	c.Stop()
+	wall := time.Since(start)
+
+	b := c.Breakdown()
+	if b["wait"] != 0 {
+		t.Errorf("open phase kept %v of the apportioned interval", b["wait"])
+	}
+	if b["steiner"] <= b["drc"] || b["drc"] <= 0 {
+		t.Errorf("steiner %v should exceed drc %v > 0 (twice the part time)", b["steiner"], b["drc"])
+	}
+	if total := b.Total(); total > wall || wall-total > 5*time.Millisecond {
+		t.Errorf("total %v vs wall %v: apportioning must keep the partition", total, wall)
+	}
+	if w1.Breakdown().Total() != 0 || w2.Breakdown().Total() != 0 {
+		t.Errorf("parts not drained: %v %v", w1.Breakdown(), w2.Breakdown())
+	}
+}
+
 func TestPhaseClockSwap(t *testing.T) {
 	c := NewPhaseClock()
 	if prev := c.Swap("outer"); prev != "" {

@@ -3,11 +3,13 @@
 // (records are emitted at span End, so parents appear after their children —
 // resolution is order-independent), and ValidateTrace checks the structural
 // invariants every well-formed trace must satisfy: unique IDs, resolvable
-// parents, and children nested within their parents' time ranges.
+// parents, children nested within their parents' time ranges, and phase
+// breakdowns that account for their span's duration.
 package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -126,11 +128,33 @@ func BuildTree(recs []SpanRecord) (*TraceTree, error) {
 // though the underlying time.Time ranges nest exactly.
 const nestTolUS = 10
 
+// phaseSum totals a phases_ms attribute (as stamped in memory or decoded
+// from JSON); ok is false when v is not a phase map.
+func phaseSum(v interface{}) (sum float64, ok bool) {
+	switch m := v.(type) {
+	case map[string]float64:
+		for _, ms := range m {
+			sum += ms
+		}
+		return sum, true
+	case map[string]interface{}:
+		for _, ms := range m {
+			if f, isNum := ms.(float64); isNum {
+				sum += f
+			}
+		}
+		return sum, true
+	}
+	return 0, false
+}
+
 // ValidateTrace checks a record list for structural well-formedness and
 // returns a description of every violation found (empty = well-formed):
 // duplicate IDs, parent references that do not resolve, spans that start
-// before or end after their parent, and events outside their parent's time
-// range. It is the check behind `traceview -validate`.
+// before or end after their parent, events outside their parent's time
+// range, and spans whose phases_ms breakdown misses their duration by more
+// than 10% + 2ms (a solver's phases partition its wall time). It is the
+// check behind `traceview -validate`.
 func ValidateTrace(recs []SpanRecord) []string {
 	var problems []string
 	tree, err := BuildTree(recs)
@@ -141,6 +165,14 @@ func ValidateTrace(recs []SpanRecord) []string {
 		if n.DurUS < 0 {
 			problems = append(problems, fmt.Sprintf(
 				"span %d (%s): negative duration %dus", n.ID, n.Name, n.DurUS))
+		}
+		if sum, ok := phaseSum(n.Attr("phases_ms")); ok && !n.Event {
+			dur := float64(n.DurUS) / 1000
+			if math.Abs(sum-dur) > dur/10+2 {
+				problems = append(problems, fmt.Sprintf(
+					"span %d (%s): phases_ms sums to %.3fms, duration %.3fms",
+					n.ID, n.Name, sum, dur))
+			}
 		}
 		for _, c := range n.Children {
 			if c.StartUS+nestTolUS < n.StartUS {

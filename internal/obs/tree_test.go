@@ -102,6 +102,21 @@ func TestValidateTraceCatchesCorruption(t *testing.T) {
 	if probs := ValidateTrace(bad); len(probs) == 0 {
 		t.Error("child escaping parent time range not reported")
 	}
+
+	// A phase breakdown that misses its span's duration by more than 10% +
+	// 2ms; one within the tolerance passes.
+	phased := func(durUS int64, phases map[string]interface{}) []string {
+		recs := append([]SpanRecord(nil), base...)
+		recs = append(recs, SpanRecord{ID: 98, Name: "solve", DurUS: durUS,
+			Attrs: map[string]interface{}{"phases_ms": phases}})
+		return ValidateTrace(recs)
+	}
+	if probs := phased(100_000, map[string]interface{}{"search": 40.0, "steiner": 20.0}); len(probs) == 0 {
+		t.Error("phases_ms summing to 60ms on a 100ms span not reported")
+	}
+	if probs := phased(100_000, map[string]interface{}{"search": 45.0, "steiner": 50.0}); len(probs) != 0 {
+		t.Errorf("phases_ms within tolerance reported: %v", probs)
+	}
 }
 
 func TestRotatingTracerBoundsOutputAndCountsDrops(t *testing.T) {
