@@ -9,7 +9,8 @@
 # from solver goroutines and hosts the sampling profiler's ticker goroutine;
 # calib's probes must stay race-clean because they run inside instrumented
 # bench sessions; xchg is the lock-free portfolio exchange both race engines
-# hammer concurrently), the full test suite in short mode, a parallel
+# hammer concurrently), the full test suite in short mode, one iteration of
+# the full-design router's BenchmarkRoute (so it keeps building), a parallel
 # end-to-end smoke run of both CLIs at -j 4, and a traced -par 2 solve whose
 # phase breakdown traceview checks against the solve span's duration.
 set -eu
@@ -39,6 +40,9 @@ go test -race -short -timeout 20m \
 
 echo "== go test -short ./..."
 go test -short ./...
+
+echo "== bench: route benchmark builds and runs once"
+go test -run '^$' -bench BenchmarkRoute -benchtime 1x ./internal/route
 
 smoke_tmp=$(mktemp -d)
 bench_tmp=$(mktemp -d)

@@ -9,16 +9,25 @@
 // The output is the substrate for clip extraction (package clip/extract):
 // what matters is realistic local congestion and boundary-crossing patterns,
 // not sign-off DRC cleanliness.
+//
+// Determinism contract: the route of every net is a pure function of the
+// placement and options. Dijkstra's queue (rpq) is a concrete binary heap
+// whose push and pop run container/heap's exact up/down sift, so labels that
+// tie pop in container/heap's order and every predecessor pointer, route and
+// clip extracted from it is the same as with container/heap. A bucket queue
+// or a decrease-key heap would pop ties in another order and change the
+// routes, which is why neither is used. Labels are int32; Route returns an
+// error rather than wrapping when a search window's label bound could reach
+// math.MaxInt32.
 package route
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"optrouter/internal/geom"
 	"optrouter/internal/place"
-	"optrouter/internal/tech"
 )
 
 // Step is one routing-graph move: a unit wire step or a via between
@@ -101,17 +110,22 @@ func (o Options) withDefaults() Options {
 type router struct {
 	nx, ny, nz int
 	minLayer   int
-	viaCost    int64
+	viaCost    int32
 	margin     int
 
 	owner    []int32 // vertex -> net or -1
 	pinOwner []int32 // vertex -> owning net's pin metal, or -1
 	hist     []int32 // history congestion
+	maxHist  int32   // largest hist entry
 
-	dist []int64
+	dist []int32
 	ver  []int32
 	prev []int32 // packed predecessor vertex (+1), 0 = none
 	cur  int32
+
+	// Search scratch reused by every Dijkstra run.
+	q     rpq
+	seeds []int32
 }
 
 func (r *router) id(x, y, z int) int32 { return int32((z*r.ny+y)*r.nx + x) }
@@ -122,22 +136,54 @@ func (r *router) xyz(v int32) (int, int, int) {
 	return x, y, z
 }
 
+// rpq is Dijkstra's min-queue of (vertex, label) items. push and pop sift
+// exactly as container/heap's Push and Pop do (up, and swap-last-then-down),
+// moving a hole instead of swapping, so items with equal labels pop in the
+// same order.
 type rpq []rpqItem
 
 type rpqItem struct {
 	v int32
-	d int64
+	d int32
 }
 
-func (p rpq) Len() int            { return len(p) }
-func (p rpq) Less(i, j int) bool  { return p[i].d < p[j].d }
-func (p rpq) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *rpq) Push(x interface{}) { *p = append(*p, x.(rpqItem)) }
-func (p *rpq) Pop() interface{} {
-	old := *p
-	it := old[len(old)-1]
-	*p = old[:len(old)-1]
-	return it
+func (p *rpq) push(it rpqItem) {
+	q := append(*p, it)
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if it.d >= q[i].d {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = it
+	*p = q
+}
+
+func (p *rpq) pop() rpqItem {
+	q := *p
+	n := len(q) - 1
+	top, it := q[0], q[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].d < q[j].d {
+			j = j2
+		}
+		if it.d <= q[j].d {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = it
+	*p = q[:n]
+	return top
 }
 
 // Route routes all nets of the placement.
@@ -148,15 +194,18 @@ func Route(p *place.Placement, opt Options) (*Result, error) {
 	if nx <= 0 || ny <= 0 {
 		return nil, fmt.Errorf("route: empty die")
 	}
+	if opt.ViaCost >= math.MaxInt32 {
+		return nil, fmt.Errorf("route: via cost %d exceeds the int32 label range", opt.ViaCost)
+	}
 	r := &router{
 		nx: nx, ny: ny, nz: nz,
 		minLayer: opt.MinLayer,
-		viaCost:  int64(opt.ViaCost),
+		viaCost:  int32(opt.ViaCost),
 		margin:   opt.Margin,
 		owner:    make([]int32, nx*ny*nz),
 		pinOwner: make([]int32, nx*ny*nz),
 		hist:     make([]int32, nx*ny*nz),
-		dist:     make([]int64, nx*ny*nz),
+		dist:     make([]int32, nx*ny*nz),
 		ver:      make([]int32, nx*ny*nz),
 		prev:     make([]int32, nx*ny*nz),
 	}
@@ -202,6 +251,10 @@ func Route(p *place.Placement, opt Options) (*Result, error) {
 	for i := range needRoute {
 		needRoute[i] = true
 	}
+	// failed marks nets routeNet could not connect. They are retried next
+	// pass; an empty route that routeNet did find (no sinks, or every sink
+	// already touching the driver) is final.
+	failed := make([]bool, len(nl.Nets))
 
 	for iter := 0; iter < opt.MaxIters; iter++ {
 		res.Iters = iter + 1
@@ -211,22 +264,24 @@ func Route(p *place.Placement, opt Options) (*Result, error) {
 				continue
 			}
 			r.clearNet(int32(i), &res.Nets[i])
-			steps, ok := r.routeNet(int32(i), terms[i], present)
-			if ok {
-				res.Nets[i] = RoutedNet{NetIdx: i, Steps: steps}
-				r.claim(int32(i), steps)
-			} else {
-				res.Nets[i] = RoutedNet{NetIdx: i}
+			steps, ok, err := r.routeNet(int32(i), terms[i], present)
+			if err != nil {
+				return nil, fmt.Errorf("route: net %s: %w", nl.Nets[i].Name, err)
 			}
+			failed[i] = !ok
+			res.Nets[i] = RoutedNet{NetIdx: i, Steps: steps}
+			r.claim(int32(i), steps)
 		}
 		// Conflict scan.
-		conflictNets := r.findConflicts(res.Nets)
-		if len(conflictNets) == 0 {
+		conflicted := r.findConflicts(res.Nets)
+		done := true
+		for i := range needRoute {
+			needRoute[i] = conflicted[i] || failed[i]
+			done = done && !needRoute[i]
+		}
+		if done {
 			res.Conflicts = 0
 			return res, nil
-		}
-		for i := range needRoute {
-			needRoute[i] = conflictNets[i]
 		}
 	}
 	// Count remaining conflicted vertices.
@@ -259,10 +314,11 @@ func (r *router) claim(net int32, steps []Step) {
 }
 
 // routeNet grows a Steiner tree: multi-source Dijkstra from the current tree
-// to each remaining pin, nearest-first.
-func (r *router) routeNet(net int32, pins [][]int32, present int64) ([]Step, bool) {
+// to each remaining pin, nearest-first. ok is false when some pin cannot be
+// reached inside the search window.
+func (r *router) routeNet(net int32, pins [][]int32, present int64) (steps []Step, ok bool, err error) {
 	if len(pins) < 2 {
-		return nil, true
+		return nil, true, nil
 	}
 	// Search window: bbox of all terminals plus margin.
 	x1, y1 := r.nx, r.ny
@@ -279,6 +335,16 @@ func (r *router) routeNet(net int32, pins [][]int32, present int64) ([]Step, boo
 	x2 = geom.Min(r.nx-1, x2+r.margin)
 	y2 = geom.Min(r.ny-1, y2+r.margin)
 
+	// A shortest path visits each window vertex at most once, and no step
+	// costs more than a via plus the largest history plus the present
+	// penalty, so every label stays below this bound.
+	verts := int64(x2-x1+1) * int64(y2-y1+1) * int64(r.nz-r.minLayer)
+	if bound := verts * (int64(r.viaCost) + 1 + int64(r.maxHist) + present); bound >= math.MaxInt32 {
+		return nil, false, fmt.Errorf("label bound %d of a %dx%dx%d window reaches the int32 limit",
+			bound, x2-x1+1, y2-y1+1, r.nz-r.minLayer)
+	}
+	pres := int32(present)
+
 	tree := map[int32]bool{}
 	for _, v := range pins[0] {
 		tree[v] = true
@@ -286,26 +352,25 @@ func (r *router) routeNet(net int32, pins [][]int32, present int64) ([]Step, boo
 	// Copy: the nearest-first removal below must not disturb the caller's
 	// pin lists (nets are rerouted across rip-up iterations).
 	remaining := append([][]int32{}, pins[1:]...)
-	var steps []Step
 
 	for len(remaining) > 0 {
 		// Dijkstra from tree to the nearest remaining pin. Seed in sorted
 		// vertex order so tie-breaking (and thus the whole route) is
-		// deterministic.
+		// deterministic. Every seed has label 0, so the seeded queue is
+		// already a heap.
 		r.cur++
-		seeds := make([]int32, 0, len(tree))
+		r.seeds = r.seeds[:0]
 		for v := range tree {
-			seeds = append(seeds, v)
+			r.seeds = append(r.seeds, v)
 		}
-		sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-		var q rpq
-		for _, v := range seeds {
+		slices.Sort(r.seeds)
+		r.q = r.q[:0]
+		for _, v := range r.seeds {
 			r.dist[v] = 0
 			r.ver[v] = r.cur
 			r.prev[v] = 0
-			q = append(q, rpqItem{v, 0})
+			r.q = append(r.q, rpqItem{v, 0})
 		}
-		heap.Init(&q)
 
 		targetOf := map[int32]int{}
 		for pi, pv := range remaining {
@@ -316,8 +381,8 @@ func (r *router) routeNet(net int32, pins [][]int32, present int64) ([]Step, boo
 
 		foundPin := -1
 		var foundV int32
-		for q.Len() > 0 {
-			it := heap.Pop(&q).(rpqItem)
+		for len(r.q) > 0 {
+			it := r.q.pop()
 			if r.ver[it.v] == r.cur && it.d > r.dist[it.v] {
 				continue
 			}
@@ -326,10 +391,10 @@ func (r *router) routeNet(net int32, pins [][]int32, present int64) ([]Step, boo
 				break
 			}
 			x, y, z := r.xyz(it.v)
-			r.expand(net, it.v, x, y, z, it.d, present, x1, y1, x2, y2, &q)
+			r.expand(net, it.v, x, y, z, it.d, pres, x1, y1, x2, y2)
 		}
 		if foundPin < 0 {
-			return nil, false
+			return nil, false, nil
 		}
 		// Trace back to tree, claiming vertices into the tree.
 		v := foundV
@@ -346,57 +411,57 @@ func (r *router) routeNet(net int32, pins [][]int32, present int64) ([]Step, boo
 		// the satisfied pin.
 		remaining = append(remaining[:foundPin], remaining[foundPin+1:]...)
 	}
-	return steps, true
+	return steps, true, nil
 }
 
 // expand relaxes neighbors of vertex v.
-func (r *router) expand(net, v int32, x, y, z int, d, present int64, x1, y1, x2, y2 int, q *rpq) {
-	relax := func(nv int32, base int64) {
-		if po := r.pinOwner[nv]; po != -1 && po != net {
-			return // another net's pin metal is a hard block
-		}
-		cost := d + base + int64(r.hist[nv])
-		if o := r.owner[nv]; o != -1 && o != net {
-			cost += present
-		}
-		if r.ver[nv] != r.cur || cost < r.dist[nv] {
-			r.ver[nv] = r.cur
-			r.dist[nv] = cost
-			r.prev[nv] = v + 1
-			heap.Push(q, rpqItem{nv, cost})
-		}
-	}
-	dir := tech.Horizontal
-	if z%2 == 1 {
-		dir = tech.Vertical
-	}
-	if dir == tech.Horizontal {
+func (r *router) expand(net, v int32, x, y, z int, d, present int32, x1, y1, x2, y2 int) {
+	if z%2 == 0 { // horizontal layer
 		if x > x1 {
-			relax(r.id(x-1, y, z), 1)
+			r.relax(net, v, r.id(x-1, y, z), d+1, present)
 		}
 		if x < x2 {
-			relax(r.id(x+1, y, z), 1)
+			r.relax(net, v, r.id(x+1, y, z), d+1, present)
 		}
 	} else {
 		if y > y1 {
-			relax(r.id(x, y-1, z), 1)
+			r.relax(net, v, r.id(x, y-1, z), d+1, present)
 		}
 		if y < y2 {
-			relax(r.id(x, y+1, z), 1)
+			r.relax(net, v, r.id(x, y+1, z), d+1, present)
 		}
 	}
 	if z > r.minLayer {
-		relax(r.id(x, y, z-1), r.viaCost)
+		r.relax(net, v, r.id(x, y, z-1), d+r.viaCost, present)
 	}
 	if z < r.nz-1 {
-		relax(r.id(x, y, z+1), r.viaCost)
+		r.relax(net, v, r.id(x, y, z+1), d+r.viaCost, present)
 	}
 }
 
-// findConflicts returns per-net flags for nets sharing vertices.
-func (r *router) findConflicts(nets []RoutedNet) map[int]bool {
+// relax offers neighbor nv of v the label d (v's label plus the step cost)
+// plus nv's congestion costs.
+func (r *router) relax(net, v, nv, d, present int32) {
+	if po := r.pinOwner[nv]; po != -1 && po != net {
+		return // another net's pin metal is a hard block
+	}
+	cost := d + r.hist[nv]
+	if o := r.owner[nv]; o != -1 && o != net {
+		cost += present
+	}
+	if r.ver[nv] != r.cur || cost < r.dist[nv] {
+		r.ver[nv] = r.cur
+		r.dist[nv] = cost
+		r.prev[nv] = v + 1
+		r.q.push(rpqItem{nv, cost})
+	}
+}
+
+// findConflicts returns per-net flags for nets sharing vertices, and raises
+// the history cost of every shared vertex.
+func (r *router) findConflicts(nets []RoutedNet) []bool {
 	users := map[int32]int32{} // vertex -> first net
-	conflicted := map[int]bool{}
+	conflicted := make([]bool, len(nets))
 	for i := range nets {
 		seen := map[int32]bool{}
 		for _, s := range nets[i].Steps {
@@ -406,17 +471,14 @@ func (r *router) findConflicts(nets []RoutedNet) map[int]bool {
 				}
 				seen[v] = true
 				if first, ok := users[v]; ok && first != int32(i) {
-					conflicted[int(first)] = true
+					conflicted[first] = true
 					conflicted[i] = true
 					r.hist[v] += 6
+					r.maxHist = max(r.maxHist, r.hist[v])
 				} else {
 					users[v] = int32(i)
 				}
 			}
-		}
-		if len(nets[i].Steps) == 0 && i < len(nets) {
-			// Unrouted net: force retry.
-			conflicted[i] = true
 		}
 	}
 	return conflicted

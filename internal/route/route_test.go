@@ -11,20 +11,26 @@ import (
 
 func routed(t *testing.T, tt *tech.Technology, n int, util float64, seed int64) *Result {
 	t.Helper()
-	lib := cells.Generate(tt)
-	nl, err := netlist.Generate(lib, netlist.M0Class(n, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Place(lib, nl, util)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Route(p, Options{})
+	res, err := Route(placed(t, tt, n, util, seed), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// placed places an n-instance M0-class netlist at the target utilization.
+func placed(tb testing.TB, tt *tech.Technology, n int, util float64, seed int64) *place.Placement {
+	tb.Helper()
+	lib := cells.Generate(tt)
+	nl, err := netlist.Generate(lib, netlist.M0Class(n, seed))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, err := Place(lib, nl, util)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
 }
 
 // Place is a tiny wrapper so the helper reads clearly.
@@ -189,5 +195,48 @@ func TestHigherUtilMoreCongestion(t *testing.T) {
 		if res.Conflicts != 0 {
 			t.Fatalf("util %.2f: %d conflicts", util, res.Conflicts)
 		}
+	}
+}
+
+// TestEmptyRouteIsNotAConflict strips one net's sinks from a design that
+// converges in one pass. The net's correct route is empty; it must not be
+// re-queued as unrouted, so the pass count stays the unmodified design's.
+func TestEmptyRouteIsNotAConflict(t *testing.T) {
+	base, err := Route(smallDesign(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Conflicts != 0 {
+		t.Fatalf("unmodified design left %d conflicts", base.Conflicts)
+	}
+	p := smallDesign(t)
+	k := -1
+	for i := range p.NL.Nets {
+		if len(p.NL.Nets[i].Sinks) > 0 {
+			k = i
+			break
+		}
+	}
+	if k < 0 {
+		t.Fatal("design has no net with sinks")
+	}
+	p.NL.Nets[k].Sinks = nil
+	res, err := Route(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Nets[k].Steps) != 0 {
+		t.Fatalf("sinkless net %s routed %d steps", p.NL.Nets[k].Name, len(res.Nets[k].Steps))
+	}
+	if res.Iters != base.Iters || res.Conflicts != 0 {
+		t.Fatalf("iters %d conflicts %d, want %d and 0", res.Iters, res.Conflicts, base.Iters)
+	}
+}
+
+// TestLabelBoundGuard checks that a cost setting whose labels could pass
+// math.MaxInt32 is an error rather than a wrapped, silently wrong search.
+func TestLabelBoundGuard(t *testing.T) {
+	if _, err := Route(smallDesign(t), Options{ViaCost: 1 << 30}); err == nil {
+		t.Fatal("via cost 2^30 routed without error; labels would wrap int32")
 	}
 }
