@@ -10,9 +10,11 @@
 # calib's probes must stay race-clean because they run inside instrumented
 # bench sessions; xchg is the lock-free portfolio exchange both race engines
 # hammer concurrently), the full test suite in short mode, one iteration of
-# the full-design router's BenchmarkRoute (so it keeps building), a parallel
-# end-to-end smoke run of both CLIs at -j 4, and a traced -par 2 solve whose
-# phase breakdown traceview checks against the solve span's duration.
+# the full-design router's BenchmarkRoute and of the Steiner kernel's and
+# CDC-BnB's BenchmarkSteinerTree and BenchmarkBnBFlightOff (so they keep
+# building), a parallel end-to-end smoke run of both CLIs at -j 4, and a
+# traced -par 2 solve whose phase breakdown traceview checks against the
+# solve span's duration.
 set -eu
 
 cd "$(dirname "$0")"
@@ -44,6 +46,9 @@ go test -short ./...
 echo "== bench: route benchmark builds and runs once"
 go test -run '^$' -bench BenchmarkRoute -benchtime 1x ./internal/route
 
+echo "== bench: Steiner kernel and CDC-BnB benchmarks build and run once"
+go test -run '^$' -bench 'BenchmarkSteinerTree$|BenchmarkBnBFlightOff$' -benchtime 1x ./internal/core
+
 smoke_tmp=$(mktemp -d)
 bench_tmp=$(mktemp -d)
 trap 'rm -rf "$smoke_tmp" "$bench_tmp"' EXIT
@@ -52,7 +57,7 @@ echo "== smoke: optroute -rule all -j 4 (traced, flight-recorded)"
 go run ./cmd/optroute -synth 5x6x3 -nets 3 -seed 7 -rule all -j 4 -timeout 20s \
 	-trace "$smoke_tmp/optroute.jsonl" -flight >/dev/null
 
-echo "== smoke: optroute -par 2 (traced, round-parallel CDC-BnB)"
+echo "== smoke: optroute -par 2 (traced, CDC-BnB rounds on 2 workers)"
 go run ./cmd/optroute -synth 6x7x4 -nets 3 -seed 3 -rule RULE8 -par 2 -timeout 60s \
 	-trace "$smoke_tmp/optroute_par.jsonl" >/dev/null
 

@@ -11,8 +11,8 @@
 //
 // -solver portfolio races the exact engines (CDC-BnB vs MILP) through a
 // shared incumbent/bound exchange; the first optimality proof wins and
-// cancels the loser. -par N runs the CDC-BnB's deterministic round-parallel
-// tree search on N workers (answers and routes are identical for every N;
+// cancels the loser. -par N expands the CDC-BnB's fixed-width rounds of
+// open nodes on N workers (answers and routes are identical for every N;
 // see README "Parallel search & portfolio").
 //
 // -rule all sweeps the clip through every Table 3 rule configuration,

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -124,27 +125,25 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// banFingerprint hashes the subset of bans belonging to net k without
-// materializing a key: the per-arc mixes are combined by addition, so the
-// fingerprint is independent of Go's randomized map iteration order. Returns
-// the hash and the subset size.
-func banFingerprint(k int, bans map[banKey]bool) (uint64, int) {
-	h := uint64(0)
-	cnt := 0
-	for b := range bans {
-		if int(b.net) == k {
-			h += splitmix64(uint64(uint32(b.arc)) + 1)
-			cnt++
-		}
-	}
-	return h, cnt
+// banPrint fingerprints one net's ban set: the sum of the per-arc mixes and
+// the set's size. The sum is order-independent and additive, so a child's
+// fingerprint is its parent's plus the mixes of the bans it adds.
+type banPrint struct {
+	h uint64
+	n int32
 }
+
+func banMix(arc int32) uint64 { return splitmix64(uint64(uint32(arc)) + 1) }
+
+func (p *banPrint) add(arc int32) { p.h += banMix(arc); p.n++ }
+func (p *banPrint) sub(arc int32) { p.h -= banMix(arc); p.n-- }
 
 // bnbNode is an open search node: its bans are the chain to the root.
 type bnbNode struct {
 	parent *bnbNode
-	bans   []banKey // bans added at this node
-	lb     int64    // lower bound computed at creation (parent-estimate)
+	bans   []banKey   // bans added at this node, none already in the parent's set
+	fp     []banPrint // per-net fingerprints of the node's whole ban set
+	lb     int64      // lower bound computed at creation (parent-estimate)
 	depth  int
 	tie    uint64 // tieKey of the node's insertion sequence number
 }
@@ -156,18 +155,78 @@ type bnbNode struct {
 // to 25% more nodes on the cmd/benchrun corpus.
 func tieKey(seq int64) uint64 { return splitmix64(0x2d0f28c7e7e786b2 + uint64(seq)) }
 
-func (n *bnbNode) allBans(buf map[banKey]bool) map[banKey]bool {
-	if buf == nil {
-		buf = map[banKey]bool{}
-	} else {
-		clear(buf)
+// banSet is a worker's live ban set: an expanded node's bans plus the trial
+// bans stacked on them. Membership is a per-(net, arc) stamp array, valid
+// where it equals the current epoch, so loading a node clears nothing; each
+// net also keeps the list of its bans and its fingerprint. Trial bans go on
+// a journal and come off in reverse order, which keeps every net's list a
+// stack.
+type banSet struct {
+	nArcs   int
+	stamp   []uint32 // k*nArcs + arc
+	epoch   uint32
+	net     [][]int32
+	fp      []banPrint
+	journal []banKey
+}
+
+func newBanSet(nNets, nArcs int) *banSet {
+	return &banSet{
+		nArcs: nArcs,
+		stamp: make([]uint32, nNets*nArcs),
+		net:   make([][]int32, nNets),
+		fp:    make([]banPrint, nNets),
 	}
-	for cur := n; cur != nil; cur = cur.parent {
+}
+
+func (s *banSet) has(k int, arc int32) bool { return s.stamp[k*s.nArcs+int(arc)] == s.epoch }
+
+// load replaces the set with node nd's bans.
+func (s *banSet) load(nd *bnbNode) {
+	s.epoch++
+	if s.epoch == 0 {
+		clear(s.stamp)
+		s.epoch = 1
+	}
+	for k := range s.net {
+		s.net[k] = s.net[k][:0]
+	}
+	copy(s.fp, nd.fp)
+	s.journal = s.journal[:0]
+	for cur := nd; cur != nil; cur = cur.parent {
 		for _, b := range cur.bans {
-			buf[b] = true
+			s.stamp[int(b.net)*s.nArcs+int(b.arc)] = s.epoch
+			s.net[b.net] = append(s.net[b.net], b.arc)
 		}
 	}
-	return buf
+}
+
+// push adds bans, journaling those not already in the set, and returns the
+// journal mark that rollback restores; journal[mark:] is then the delta.
+func (s *banSet) push(bans []banKey) int {
+	mark := len(s.journal)
+	for _, b := range bans {
+		i := int(b.net)*s.nArcs + int(b.arc)
+		if s.stamp[i] == s.epoch {
+			continue
+		}
+		s.stamp[i] = s.epoch
+		s.net[b.net] = append(s.net[b.net], b.arc)
+		s.fp[b.net].add(b.arc)
+		s.journal = append(s.journal, b)
+	}
+	return mark
+}
+
+// rollback removes the bans journaled since mark.
+func (s *banSet) rollback(mark int) {
+	for i := len(s.journal) - 1; i >= mark; i-- {
+		b := s.journal[i]
+		s.stamp[int(b.net)*s.nArcs+int(b.arc)] = 0
+		s.net[b.net] = s.net[b.net][:len(s.net[b.net])-1]
+		s.fp[b.net].sub(b.arc)
+	}
+	s.journal = s.journal[:mark]
 }
 
 // nodePQ is a min-heap with a total order: lower bound, then deeper first
@@ -207,10 +266,10 @@ type cachedRoute struct {
 
 // routeCache is the per-net route memo shared by a solve's workers: most
 // branches ban arcs for a single net, so sibling nodes share nearly all
-// per-net Steiner solutions. Entries are keyed by an order-independent
-// fingerprint of the net's ban set — probing allocates nothing — in one
-// mutex-guarded shard per net, so different nets never contend. The cache
-// can change only when a route is computed, never what it is.
+// per-net Steiner solutions. Entries are keyed by the net's banPrint hash —
+// probing allocates nothing — in one mutex-guarded shard per net, so
+// different nets never contend. The cache can change only when a route is
+// computed, never what it is.
 type routeCache []routeShard
 
 type routeShard struct {
@@ -227,18 +286,19 @@ func newRouteCache(nNets int) routeCache {
 }
 
 // lookupRoute scans the same-fingerprint cache entries for one whose ban-id
-// set equals net k's subset of bans (known to have size cnt). Entries are
-// verified by size and membership rather than trusted on hash equality, so a
-// fingerprint collision degrades to a cache miss, never a wrong route (see
+// set equals net k's bans in the set. Entries are verified by size and
+// membership rather than trusted on hash equality, so a fingerprint
+// collision degrades to a cache miss, never a wrong route (see
 // TestRouteCacheCollisionSafety).
-func lookupRoute(entries []*cachedRoute, k, cnt int, bans map[banKey]bool) *cachedRoute {
+func lookupRoute(entries []*cachedRoute, k int, bans *banSet) *cachedRoute {
+	cnt := int(bans.fp[k].n)
 	for _, e := range entries {
 		if len(e.ids) != cnt {
 			continue
 		}
 		match := true
 		for _, id := range e.ids {
-			if !bans[banKey{net: int32(k), arc: id}] {
+			if !bans.has(k, id) {
 				match = false
 				break
 			}
@@ -250,22 +310,23 @@ func lookupRoute(entries []*cachedRoute, k, cnt int, bans map[banKey]bool) *cach
 	return nil
 }
 
-func (c routeCache) lookup(k int, h uint64, cnt int, bans map[banKey]bool) *cachedRoute {
+func (c routeCache) lookup(k int, bans *banSet) *cachedRoute {
 	s := &c[k]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return lookupRoute(s.m[h], k, cnt, bans)
+	return lookupRoute(s.m[bans.fp[k].h], k, bans)
 }
 
 // insert publishes a computed route, deduplicating against a racing worker
 // that computed the same ban set concurrently: the first insertion wins and
 // everyone shares its entry (the routes are identical either way, since the
 // Steiner kernel is deterministic).
-func (c routeCache) insert(k int, h uint64, cnt int, bans map[banKey]bool, ent *cachedRoute) *cachedRoute {
+func (c routeCache) insert(k int, bans *banSet, ent *cachedRoute) *cachedRoute {
 	s := &c[k]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if prev := lookupRoute(s.m[h], k, cnt, bans); prev != nil {
+	h := bans.fp[k].h
+	if prev := lookupRoute(s.m[h], k, bans); prev != nil {
 		return prev
 	}
 	s.m[h] = append(s.m[h], ent)
@@ -282,9 +343,18 @@ type bnbWorker struct {
 	ctxs     []*steinerCtx
 	baseBans [][]bool
 	lag      *lagrangian
-	trial    []banKey // rollback journal of tryBans
-	banBuf   map[banKey]bool
+	drc      *drc.Checker
+	bans     *banSet
 	clock    *obs.PhaseClock
+
+	// Per-net route buffers: the expanded node's routes, a dive step's and a
+	// trial evaluation's. Routes that outlive the expansion are cloned.
+	nodeRoutes, diveRoutes, trialRoutes [][]int32
+	// cands holds the violations strong branching considers; kids and
+	// kidBans collect one violation's children and their ban deltas.
+	cands   []drc.Violation
+	kids    []childNode
+	kidBans []banKey
 
 	// Counters folded into SolveStats after the search. The per-worker split
 	// is scheduling-dependent; the sums are deterministic, except cacheHits,
@@ -301,11 +371,15 @@ func newBnBWorker(id int, g *rgraph.Graph, own ownership, cache routeCache, fl *
 	nNets := len(g.Clip.Nets)
 	w := &bnbWorker{
 		id: id, g: g, cache: cache, fl: fl,
-		ctxs:     make([]*steinerCtx, nNets),
-		baseBans: make([][]bool, nNets),
-		lag:      newLagrangian(g),
-		banBuf:   map[banKey]bool{},
-		clock:    obs.NewPhaseClock(),
+		ctxs:        make([]*steinerCtx, nNets),
+		baseBans:    make([][]bool, nNets),
+		lag:         newLagrangian(g),
+		drc:         drc.NewChecker(g),
+		bans:        newBanSet(nNets, len(g.Arcs)),
+		clock:       obs.NewPhaseClock(),
+		nodeRoutes:  make([][]int32, nNets),
+		diveRoutes:  make([][]int32, nNets),
+		trialRoutes: make([][]int32, nNets),
 	}
 	for k := 0; k < nNets; k++ {
 		w.ctxs[k] = newSteinerCtx(g, own, k, arena)
@@ -314,92 +388,81 @@ func newBnBWorker(id int, g *rgraph.Graph, own ownership, cache routeCache, fl *
 	return w
 }
 
-// evaluate solves all per-net Steiner problems under the node's bans,
-// sharing routes through the route cache.
-func (w *bnbWorker) evaluate(bans map[banKey]bool) (routes [][]int32, lb int64, feasible bool) {
+// evaluate solves all per-net Steiner problems under the live ban set into
+// routes, sharing routes through the route cache. On a cache miss it reads
+// only the net's own bans.
+func (w *bnbWorker) evaluate(routes [][]int32) (lb int64, feasible bool) {
 	prev := w.clock.Swap(PhaseSteiner)
 	defer w.clock.Enter(prev)
-	routes = make([][]int32, len(w.ctxs))
 	for k, ctx := range w.ctxs {
-		h, cnt := banFingerprint(k, bans)
-		cr := w.cache.lookup(k, h, cnt, bans)
+		cr := w.cache.lookup(k, w.bans)
 		if cr != nil {
 			w.cacheHits++
 		} else {
 			copy(ctx.banned, w.baseBans[k])
-			ids := make([]int32, 0, cnt)
-			for b := range bans {
-				if int(b.net) == k {
-					ctx.banned[b.arc] = true
-					ids = append(ids, b.arc)
-				}
+			ids := w.bans.net[k]
+			for _, a := range ids {
+				ctx.banned[a] = true
 			}
 			arcs, cost, ok := steinerTree(ctx)
-			ent := &cachedRoute{ids: ids, cost: cost, ok: ok}
+			ent := &cachedRoute{ids: slices.Clone(ids), cost: cost, ok: ok}
 			if ok {
 				// The solver's arc buffer is arena-owned; the cache outlives
 				// the next solve, so it keeps a copy.
-				ent.arcs = append([]int32(nil), arcs...)
+				ent.arcs = slices.Clone(arcs)
 			}
-			cr = w.cache.insert(k, h, cnt, bans, ent)
+			cr = w.cache.insert(k, w.bans, ent)
 		}
 		if !cr.ok {
-			return nil, 0, false
+			return 0, false
 		}
 		routes[k] = cr.arcs
 		lb += cr.cost
 	}
-	return routes, lb, true
+	return lb, true
 }
 
-// checkDRC wraps the rule checker with count/time accounting, attributing
-// the check to the DRC phase whichever phase drove it.
+// checkDRC wraps the worker's rule checker with count/time accounting,
+// attributing the check to the DRC phase whichever phase drove it. The
+// violations live in the checker until its next check.
 func (w *bnbWorker) checkDRC(routes [][]int32) []drc.Violation {
 	prev := w.clock.Swap(PhaseDRC)
 	t0 := time.Now()
-	viols := drc.Check(w.g, routes)
+	viols := w.drc.Check(routes)
 	w.drcChecks++
 	w.drcTime += time.Since(t0)
 	w.clock.Enter(prev)
 	return viols
 }
 
-// tryBans speculatively applies child bans to the live ban map, evaluates,
-// and rolls back through the trial journal instead of copying the map.
-func (w *bnbWorker) tryBans(bans map[banKey]bool, childBans []banKey) (int64, bool) {
-	w.trial = w.trial[:0]
-	for _, b := range childBans {
-		if !bans[b] {
-			bans[b] = true
-			w.trial = append(w.trial, b)
-		}
-	}
-	_, c, ok := w.evaluate(bans)
-	for _, b := range w.trial {
-		delete(bans, b)
-	}
-	return c, ok
+// tryBans speculatively adds child bans to the live set and evaluates. The
+// bans stay pushed: the caller reads the delta at journal[mark:] and rolls
+// back to mark.
+func (w *bnbWorker) tryBans(childBans []banKey) (cost int64, ok bool, mark int) {
+	mark = w.bans.push(childBans)
+	cost, ok = w.evaluate(w.trialRoutes)
+	return cost, ok, mark
 }
 
-// diveRepair greedily resolves violations from a node's routes by applying,
-// at each conflict, the child ban whose re-route is cheapest. It is a primal
-// heuristic only — bans explored here are not removed from the tree — but it
-// supplies early incumbents that best-first search needs for pruning,
-// especially under SADP rules where the standalone heuristic router often
-// fails. It returns (-1, nil) when it finds nothing below cutoff.
-func (w *bnbWorker) diveRepair(bans map[banKey]bool, cutoff int64) (int64, [][]int32) {
-	local := make(map[banKey]bool, len(bans))
-	for k, v := range bans {
-		local[k] = v
-	}
+// diveRepair greedily resolves violations from the live ban set by
+// applying, at each conflict, the child ban whose re-route is cheapest. It
+// is a primal heuristic only — bans explored here are not removed from the
+// tree — but it supplies early incumbents that best-first search needs for
+// pruning, especially under SADP rules where the standalone heuristic
+// router often fails. The live set is restored before it returns. It
+// returns (-1, nil) when it finds nothing below cutoff.
+func (w *bnbWorker) diveRepair(cutoff int64) (int64, [][]int32) {
+	start := len(w.bans.journal)
+	defer w.bans.rollback(start)
+	routes := w.diveRoutes
 	for step := 0; step < 24; step++ {
-		routes, cost, feasible := w.evaluate(local)
+		cost, feasible := w.evaluate(routes)
 		if !feasible || cost >= cutoff {
 			return -1, nil // infeasible or already dominated
 		}
 		viols := w.checkDRC(routes)
 		if len(viols) == 0 {
-			return cost, routes
+			return cost, slices.Clone(routes)
 		}
 		v := pickViolation(viols)
 		bestCost := int64(-1)
@@ -408,7 +471,8 @@ func (w *bnbWorker) diveRepair(bans map[banKey]bool, cutoff int64) (int64, [][]i
 			if len(childBans) == 0 {
 				continue
 			}
-			c, ok := w.tryBans(local, childBans)
+			c, ok, mark := w.tryBans(childBans)
+			w.bans.rollback(mark)
 			if !ok {
 				continue
 			}
@@ -420,21 +484,19 @@ func (w *bnbWorker) diveRepair(bans map[banKey]bool, cutoff int64) (int64, [][]i
 		if bestBans == nil {
 			return -1, nil
 		}
-		for _, b := range bestBans {
-			local[b] = true
-		}
+		w.bans.push(bestBans)
 	}
 	return -1, nil
 }
 
-// applyBans loads a node's forbiddances into every net context (the
-// Lagrangian bound cannot go through the route cache).
-func (w *bnbWorker) applyBans(bans map[banKey]bool) {
+// applyBans loads the live ban set into every net context (the Lagrangian
+// bound cannot go through the route cache).
+func (w *bnbWorker) applyBans() {
 	for k, ctx := range w.ctxs {
 		copy(ctx.banned, w.baseBans[k])
-	}
-	for b := range bans {
-		w.ctxs[b.net].banned[b.arc] = true
+		for _, a := range w.bans.net[k] {
+			ctx.banned[a] = true
+		}
 	}
 }
 
@@ -452,9 +514,12 @@ type nodeTask struct {
 	dive bool  // run the primal dive
 }
 
-// childNode is one feasible, non-dominated child produced by strong branching.
+// childNode is one feasible, non-dominated child produced by strong
+// branching: the bans it adds to its parent's set, the size of the branch's
+// ban set before bans already in the parent's were dropped, and its bound.
 type childNode struct {
 	bans []banKey
+	gen  int
 	lb   int64
 }
 
@@ -507,9 +572,9 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 		return out
 	}
 
-	w.banBuf = nd.allBans(w.banBuf)
-	bans := w.banBuf
-	routes, lb, feasible := w.evaluate(bans)
+	w.bans.load(nd)
+	routes := w.nodeRoutes
+	lb, feasible := w.evaluate(routes)
 	if !feasible {
 		return emit("infeasible", nd.lb)
 	}
@@ -520,7 +585,7 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 	viols := w.checkDRC(routes)
 	if len(viols) == 0 {
 		// The per-net optima are jointly legal: node solved exactly.
-		out.routes = routes
+		out.routes = slices.Clone(routes)
 		return emit("solved", lb)
 	}
 
@@ -530,7 +595,7 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 	// only runs once the plain search stalls.
 	if t.lag {
 		w.clock.Enter(PhaseLagrangian)
-		w.applyBans(bans)
+		w.applyBans()
 		w.lagRounds++
 		lagLB := w.lag.bound(w.ctxs, 1, routes)
 		w.clock.Enter(PhaseSearch)
@@ -539,10 +604,16 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 		}
 	}
 
+	// The dive checks other routings on the same checker, so the candidates
+	// it would overwrite are copied out first.
+	w.cands = candidateViolations(w.cands[:0], viols, 3)
 	if t.dive {
+		for i := range w.cands {
+			w.cands[i] = cloneViolation(w.cands[i])
+		}
 		w.clock.Enter(PhaseDive)
 		w.dives++
-		out.diveCost, out.diveRoutes = w.diveRepair(bans, t.cut)
+		out.diveCost, out.diveRoutes = w.diveRepair(t.cut)
 		w.clock.Enter(PhaseSearch)
 	}
 
@@ -553,16 +624,22 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 	w.clock.Enter(PhaseBranch)
 	bestScore := int64(-1)
 	var kind string // violation kind branched on (flight-recorder attr)
-	for _, v := range candidateViolations(viols, 3) {
-		sets := branchBans(w.g, v, routes)
-		kids := make([]childNode, 0, len(sets))
+	for _, v := range w.cands {
+		// Children are collected in worker scratch; only the chosen ones are
+		// copied into the expansion.
+		kids, delta := w.kids[:0], w.kidBans[:0]
 		minLB := int64(1) << 60
-		for _, childBans := range sets {
-			if clb, ok := w.tryBans(bans, childBans); ok && clb < t.cut {
-				kids = append(kids, childNode{bans: childBans, lb: clb})
+		for _, childBans := range branchBans(w.g, v, routes) {
+			clb, ok, mark := w.tryBans(childBans)
+			if ok && clb < t.cut {
+				n := len(delta)
+				delta = append(delta, w.bans.journal[mark:]...)
+				kids = append(kids, childNode{bans: delta[n:len(delta):len(delta)], gen: len(childBans), lb: clb})
 				minLB = min(minLB, clb)
 			}
+			w.bans.rollback(mark)
 		}
+		w.kids, w.kidBans = kids, delta
 		if len(kids) == 0 {
 			// Every child of this violation is infeasible or dominated: the
 			// node itself is settled.
@@ -572,7 +649,7 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 		}
 		if minLB > bestScore {
 			bestScore = minLB
-			out.children = kids
+			out.children = cloneChildren(kids)
 			kind = v.Kind.String()
 		}
 	}
@@ -602,9 +679,13 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 // worker expanded which node, steals, cache hits, wall times) are outside
 // that guarantee. With a portfolio Exchange attached, foreign incumbents
 // tighten cutoffs at nondeterministic times, so cross-run determinism is
-// then also waived — exactness is not.
+// then also waived — exactness is not. A clip with a net of more sinks than
+// the Steiner kernel solves is an error, not an infeasible verdict.
 func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	start := time.Now()
+	if err := checkSinkLimit(g); err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults()
 	ex := opt.Exchange
 	nNets := len(g.Clip.Nets)
@@ -710,7 +791,7 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 			workers = append(workers, w)
 			clocks = append(clocks, w.clock)
 		}
-		heap.Push(pq, &bnbNode{tie: tieKey(0)})
+		heap.Push(pq, &bnbNode{fp: make([]banPrint, nNets), tie: tieKey(0)})
 	}
 	runCtx := opt.Ctx
 	if runCtx == nil {
@@ -856,9 +937,13 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 					reportProgress()
 				}
 				for _, ch := range out.children {
-					stats.BansGenerated += len(ch.bans)
+					stats.BansGenerated += ch.gen
 					seq++
-					heap.Push(pq, &bnbNode{parent: nd, bans: ch.bans, lb: ch.lb, depth: nd.depth + 1, tie: tieKey(seq)})
+					fp := slices.Clone(nd.fp)
+					for _, b := range ch.bans {
+						fp[b.net].add(b.arc)
+					}
+					heap.Push(pq, &bnbNode{parent: nd, bans: ch.bans, fp: fp, lb: ch.lb, depth: nd.depth + 1, tie: tieKey(seq)})
 				}
 			}
 		}
@@ -962,17 +1047,45 @@ func pickViolation(viols []drc.Violation) drc.Violation {
 	return best
 }
 
-// candidateViolations returns up to n violations in rank order for strong
-// branching.
-func candidateViolations(viols []drc.Violation, n int) []drc.Violation {
-	sorted := append([]drc.Violation(nil), viols...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return violationRank(sorted[i]) < violationRank(sorted[j])
+// candidateViolations appends to dst up to n violations in rank order for
+// strong branching.
+func candidateViolations(dst, viols []drc.Violation, n int) []drc.Violation {
+	sorted := append(dst, viols...)
+	slices.SortStableFunc(sorted, func(a, b drc.Violation) int {
+		return cmp.Compare(violationRank(a), violationRank(b))
 	})
 	if len(sorted) > n {
 		sorted = sorted[:n]
 	}
 	return sorted
+}
+
+// cloneViolation copies a violation out of the checker that owns its slices.
+func cloneViolation(v drc.Violation) drc.Violation {
+	v.Nets = slices.Clone(v.Nets)
+	v.Verts = slices.Clone(v.Verts)
+	v.Arcs = slices.Clone(v.Arcs)
+	v.Sites = slices.Clone(v.Sites)
+	v.EOLs = slices.Clone(v.EOLs)
+	return v
+}
+
+// cloneChildren copies children collected in worker scratch, their ban
+// deltas into one shared backing array.
+func cloneChildren(kids []childNode) []childNode {
+	n := 0
+	for _, ch := range kids {
+		n += len(ch.bans)
+	}
+	bans := make([]banKey, 0, n)
+	out := make([]childNode, len(kids))
+	for i, ch := range kids {
+		start := len(bans)
+		bans = append(bans, ch.bans...)
+		out[i] = ch
+		out[i].bans = bans[start:len(bans):len(bans)]
+	}
+	return out
 }
 
 // branchBans generates the children's forbiddance sets for a violation.
@@ -1013,13 +1126,9 @@ func branchBans(g *rgraph.Graph, v drc.Violation, routes [][]int32) [][]banKey {
 		s := v.Sites[0]
 		intruder := int32(v.Nets[len(v.Nets)-1])
 		fv := v.Verts[0]
-		siteArc := map[int32]bool{}
-		for _, a := range g.Sites[s].Arcs {
-			siteArc[a] = true
-		}
 		var intruderBan []banKey
 		for _, a := range g.In[fv] {
-			if !siteArc[a] {
+			if !slices.Contains(g.Sites[s].Arcs, a) {
 				intruderBan = append(intruderBan, banKey{intruder, a}, banKey{intruder, g.Pair[a]})
 			}
 		}
@@ -1041,24 +1150,19 @@ func branchBans(g *rgraph.Graph, v drc.Violation, routes [][]int32) [][]banKey {
 	}
 }
 
+// banVertex bans net k from every arc at vert, in arc order.
 func banVertex(g *rgraph.Graph, k int32, vert int32) []banKey {
-	var out []banKey
-	seen := map[int32]bool{}
-	add := func(a int32) {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, banKey{k, a})
+	out := make([]banKey, 0, 2*(len(g.In[vert])+len(g.Out[vert])))
+	for _, arcs := range [2][]int32{g.In[vert], g.Out[vert]} {
+		for _, a := range arcs {
+			for _, b := range [2]int32{a, g.Pair[a]} {
+				if !slices.Contains(out, banKey{k, b}) {
+					out = append(out, banKey{k, b})
+				}
+			}
 		}
 	}
-	for _, a := range g.In[vert] {
-		add(a)
-		add(g.Pair[a])
-	}
-	for _, a := range g.Out[vert] {
-		add(a)
-		add(g.Pair[a])
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].arc < out[j].arc })
+	slices.SortFunc(out, func(x, y banKey) int { return cmp.Compare(x.arc, y.arc) })
 	return out
 }
 

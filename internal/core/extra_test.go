@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -249,5 +250,36 @@ func TestHeuristicProvenInfeasible(t *testing.T) {
 	}
 	if b.Feasible || !b.Proven {
 		t.Fatalf("BnB should agree: %+v", b)
+	}
+}
+
+// TestSinkLimitNotProvenInfeasible is the regression test for a net beyond
+// the Steiner kernel's 16-sink limit: the kernel cannot solve it, which says
+// nothing about the clip's feasibility. SolveBnB must fail naming the net
+// instead of reporting a proven-infeasible clip, and SolveHeuristic must
+// return an unproven result.
+func TestSinkLimitNotProvenInfeasible(t *testing.T) {
+	c := &clip.Clip{Name: "wide", Tech: "t", NX: 6, NY: 4, NZ: 3, MinLayer: 1}
+	big := clip.Net{Name: "big"}
+	for i := 0; i < 18; i++ { // one source and 17 sinks
+		big.Pins = append(big.Pins, clip.Pin{
+			Name: fmt.Sprintf("p%d", i),
+			APs:  []clip.AccessPoint{{X: i % 6, Y: i / 6, Z: 1}},
+		})
+	}
+	c.Nets = []clip.Net{big}
+	g := mustGraph(t, c, rgraph.Options{})
+	if n := len(g.SinkVerts[0]); n != 17 {
+		t.Fatalf("net has %d sinks, want 17", n)
+	}
+	if h := SolveHeuristic(g, HeuristicOptions{}); h.Feasible || h.Proven {
+		t.Fatalf("heuristic: feasible=%v proven=%v, want an unproven result", h.Feasible, h.Proven)
+	}
+	sol, err := SolveBnB(g, BnBOptions{})
+	if err == nil {
+		t.Fatalf("SolveBnB returned feasible=%v proven=%v, want an error", sol.Feasible, sol.Proven)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"big"`) || !strings.Contains(msg, "17 sinks") {
+		t.Fatalf("error %q does not name the net and its sink count", msg)
 	}
 }

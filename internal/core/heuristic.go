@@ -45,10 +45,14 @@ func (o HeuristicOptions) withDefaults() HeuristicOptions {
 //
 // The result is DRC-clean when Feasible; optimality is NOT guaranteed
 // (Proven is false), except that a proven-infeasible verdict (no per-net
-// path exists at all) sets Proven.
+// path exists at all) sets Proven. A net with more sinks than the Steiner
+// kernel solves gives an unproven infeasible result.
 func SolveHeuristic(g *rgraph.Graph, opt HeuristicOptions) *Solution {
 	start := time.Now()
 	opt = opt.withDefaults()
+	if checkSinkLimit(g) != nil {
+		return &Solution{Feasible: false, Proven: false, Runtime: time.Since(start)}
+	}
 	own := newOwnership(g)
 	nNets := len(g.Clip.Nets)
 
@@ -85,8 +89,9 @@ func SolveHeuristic(g *rgraph.Graph, opt HeuristicOptions) *Solution {
 		return g.Clip.Nets[order[a]].NumSinks() > g.Clip.Nets[order[b]].NumSinks()
 	})
 
+	ck := drc.NewChecker(g)
 	for iter := 0; iter < opt.MaxIters; iter++ {
-		viols := drc.Check(g, routes)
+		viols := ck.Check(routes)
 		if len(viols) == 0 {
 			sol := &Solution{Feasible: true, NetArcs: routes, Runtime: time.Since(start)}
 			summarize(g, sol)
@@ -144,7 +149,7 @@ func SolveHeuristic(g *rgraph.Graph, opt HeuristicOptions) *Solution {
 	}
 
 	// One final check: the last pass may have converged.
-	if len(drc.Check(g, routes)) == 0 {
+	if len(ck.Check(routes)) == 0 {
 		sol := &Solution{Feasible: true, NetArcs: routes, Runtime: time.Since(start)}
 		summarize(g, sol)
 		return sol

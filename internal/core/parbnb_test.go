@@ -51,10 +51,11 @@ func deterministicStats(s SolveStats) map[string]int {
 	}
 }
 
-// TestParBnBDeterministicAcrossWorkers is the tentpole's determinism golden:
-// the round-parallel engine must return byte-identical routes, the same
-// objective/proof and the same deterministic search statistics for Par = 1,
-// 2 and 8 — on a Steiner-heavy SADP case and a plain (MILP-friendly) case.
+// TestParBnBDeterministicAcrossWorkers is the parallel search's determinism
+// golden: the CDC-BnB's round loop must return byte-identical routes, the
+// same objective/proof and the same deterministic search statistics for
+// Par = 1, 2 and 8 — on a Steiner-heavy SADP case and a plain (MILP-friendly)
+// case.
 func TestParBnBDeterministicAcrossWorkers(t *testing.T) {
 	cases := []struct {
 		name  string

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,32 +35,61 @@ func synthGraph(tb testing.TB, seed int64, ruleName string) *rgraph.Graph {
 	return g
 }
 
-// TestRouteCacheCollisionSafety pins the two properties SolveBnB's route
-// cache rests on: the ban-set fingerprint is independent of map iteration
-// and insertion order, and lookupRoute never returns an entry whose ban-id
-// set differs from the probe — even when entries share a fingerprint bucket,
-// as they would after a hash collision.
+// TestRouteCacheCollisionSafety pins the properties SolveBnB's route cache
+// rests on: a net's ban fingerprint is independent of insertion order and of
+// other nets' bans, a rollback restores it exactly, a node's carried
+// fingerprint (its parent's plus its delta) matches the set it loads, and
+// lookupRoute never returns an entry whose ban-id set differs from the probe
+// — even when entries share a fingerprint bucket, as they would after a hash
+// collision.
 func TestRouteCacheCollisionSafety(t *testing.T) {
-	// Fingerprint order-independence: the same (net, arc) set inserted in
-	// different orders must fingerprint identically, and other nets' bans
-	// must not contribute.
+	const nNets, nArcs = 4, 2048
 	arcs := []int32{3, 17, 255, 1024, 7}
-	fwd := map[banKey]bool{}
-	rev := map[banKey]bool{}
+	fwd := newBanSet(nNets, nArcs)
+	rev := newBanSet(nNets, nArcs)
+	root := &bnbNode{fp: make([]banPrint, nNets)}
+	fwd.load(root)
+	rev.load(root)
 	for _, a := range arcs {
-		fwd[banKey{net: 1, arc: a}] = true
+		fwd.push([]banKey{{net: 1, arc: a}})
 	}
 	for i := len(arcs) - 1; i >= 0; i-- {
-		rev[banKey{net: 1, arc: arcs[i]}] = true
-		rev[banKey{net: 2, arc: arcs[i] + 1}] = true // other net: must be ignored
+		rev.push([]banKey{{net: 1, arc: arcs[i]}, {net: 2, arc: arcs[i] + 1}}) // net 2: must be ignored
 	}
-	h1, c1 := banFingerprint(1, fwd)
-	h2, c2 := banFingerprint(1, rev)
-	if h1 != h2 || c1 != c2 {
-		t.Fatalf("fingerprint depends on insertion order or foreign nets: (%x,%d) vs (%x,%d)", h1, c1, h2, c2)
+	if fwd.fp[1] != rev.fp[1] || fwd.fp[1].n != int32(len(arcs)) {
+		t.Fatalf("fingerprint depends on insertion order or foreign nets: %+v vs %+v", fwd.fp[1], rev.fp[1])
 	}
-	if h3, c3 := banFingerprint(3, fwd); h3 != 0 || c3 != 0 {
-		t.Fatalf("empty ban subset fingerprints (%x,%d), want (0,0)", h3, c3)
+	if fwd.fp[3] != (banPrint{}) {
+		t.Fatalf("empty ban subset fingerprints %+v, want zero", fwd.fp[3])
+	}
+	// A repeated ban is not journaled and changes nothing.
+	before := rev.fp[1]
+	if mark := rev.push([]banKey{{net: 1, arc: 3}}); len(rev.journal) != mark || rev.fp[1] != before {
+		t.Fatal("re-banning a banned arc changed the set")
+	}
+	mark := rev.push([]banKey{{net: 1, arc: 99}, {net: 2, arc: 5}})
+	rev.rollback(mark)
+	if rev.fp[1] != before || rev.has(1, 99) || rev.has(2, 5) || len(rev.net[1]) != len(arcs) {
+		t.Fatal("rollback did not restore the set")
+	}
+
+	// Carried fingerprints: a child built from its parent's fingerprint plus
+	// its delta loads into the same fingerprint as the whole chain.
+	parent := &bnbNode{parent: root, bans: []banKey{{1, 3}, {1, 17}}, fp: make([]banPrint, nNets)}
+	for _, b := range parent.bans {
+		parent.fp[b.net].add(b.arc)
+	}
+	child := &bnbNode{parent: parent, bans: []banKey{{1, 255}, {0, 9}}, fp: slices.Clone(parent.fp)}
+	for _, b := range child.bans {
+		child.fp[b.net].add(b.arc)
+	}
+	chain := newBanSet(nNets, nArcs)
+	chain.load(root)
+	chain.push([]banKey{{0, 9}, {1, 255}, {1, 17}, {1, 3}})
+	loaded := newBanSet(nNets, nArcs)
+	loaded.load(child)
+	if !slices.Equal(loaded.fp, chain.fp) || !loaded.has(1, 17) || !loaded.has(0, 9) {
+		t.Fatalf("carried fingerprints %+v, pushed %+v", loaded.fp, chain.fp)
 	}
 
 	// Collision safety: two entries in the same bucket with different ban-id
@@ -70,11 +100,13 @@ func TestRouteCacheCollisionSafety(t *testing.T) {
 		{ids: []int32{5, 9}, cost: 59, ok: true},
 	}
 	probe := func(ids ...int32) *cachedRoute {
-		bans := map[banKey]bool{banKey{net: 9, arc: 5}: true} // foreign net noise
+		bans := newBanSet(nNets, nArcs)
+		bans.load(root)
+		bans.push([]banKey{{net: 3, arc: 5}}) // foreign net noise
 		for _, id := range ids {
-			bans[banKey{net: 0, arc: id}] = true
+			bans.push([]banKey{{net: 0, arc: id}})
 		}
-		return lookupRoute(entries, 0, len(ids), bans)
+		return lookupRoute(entries, 0, bans)
 	}
 	if e := probe(5); e == nil || e.cost != 50 {
 		t.Fatalf("probe {5}: got %+v, want the cost-50 entry", e)
@@ -178,7 +210,7 @@ func BenchmarkBnBFlightOn(b *testing.B) {
 	benchmarkBnBFlight(b, obs.FlightOptions{Enabled: true})
 }
 
-// BenchmarkParallelBnB measures the round-parallel search at several worker
+// BenchmarkParallelBnB measures the CDC-BnB's round loop at several worker
 // counts against width-1 serial rounds (par=0) on the same instance. On a
 // multi-core host the par>1 columns show the scaling curve; on a single-core
 // host they quantify the cost of 32-wide rounds (the answers are identical

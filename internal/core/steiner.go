@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"optrouter/internal/rgraph"
@@ -19,6 +20,9 @@ type steinerCtx struct {
 	cells   int64   // finite DP cells across all solves (deterministic work)
 	maxBase int64   // max base arc cost, bounds the bucket-queue span
 	arena   *SteinerArena
+	// fullRelax disables the full-mask early exit, so the last row relaxes
+	// to exhaustion; the kernel's differential test uses it as the oracle.
+	fullRelax bool
 }
 
 func (c *steinerCtx) arcCost(a int32) int64 {
@@ -30,6 +34,24 @@ func (c *steinerCtx) arcCost(a int32) int64 {
 }
 
 const infCost = math.MaxInt64 / 4
+
+// maxSteinerSinks is the largest sink count the kernel solves: subset masks
+// are stored in 16 bits. steinerTree reports a larger net as unroutable, so
+// the solvers check the limit up front (checkSinkLimit) instead of reading
+// that as infeasibility.
+const maxSteinerSinks = 16
+
+// checkSinkLimit returns an error naming the first net of g with more sinks
+// than the Steiner kernel solves.
+func checkSinkLimit(g *rgraph.Graph) error {
+	for k, sinks := range g.SinkVerts {
+		if len(sinks) > maxSteinerSinks {
+			return fmt.Errorf("core: net %d (%q) of clip %s has %d sinks; the exact Steiner kernel solves at most %d",
+				k, g.Clip.Nets[k].Name, g.Clip.Name, len(sinks), maxSteinerSinks)
+		}
+	}
+	return nil
+}
 
 // maxBucketSpan bounds the Dial's-queue label range: solves whose seed spread
 // plus worst-case path cost exceed it (Lagrangian rounds with large penalties)
@@ -112,8 +134,8 @@ func steinerTree(c *steinerCtx) (arcs []int32, cost int64, ok bool) {
 	if t == 0 {
 		return nil, 0, true
 	}
-	if t > 16 {
-		return nil, 0, false // out of scope for switchbox clips
+	if t > maxSteinerSinks {
+		return nil, 0, false // out of scope: see checkSinkLimit
 	}
 	nV := g.NumVerts
 	full := (1 << t) - 1
@@ -188,11 +210,19 @@ func steinerTree(c *steinerCtx) (arcs []int32, cost int64, ok bool) {
 				}
 			}
 		}
+		// The full-mask row is only read at the source, so its relaxation
+		// stops once the source pops with its final label: with nonnegative
+		// arc costs no later relaxation can lower that label or change its
+		// parent, and the tree and cost are those of the exhaustive run.
+		stop := -1
+		if mask == full && maxArc >= 0 && !c.fullRelax {
+			stop = int(src)
+		}
 		span := maxSeed - minSeed + maxArc*int64(nV) + 1
 		if maxArc >= 0 && span <= maxBucketSpan {
-			c.dijkstraBuckets(a, base, nV, minSeed, epoch)
+			c.dijkstraBuckets(a, base, nV, minSeed, epoch, stop)
 		} else {
-			c.dijkstraHeap(a, base, nV, epoch)
+			c.dijkstraHeap(a, base, nV, epoch, stop)
 		}
 		if mask == full {
 			break
@@ -274,18 +304,22 @@ func (c *steinerCtx) maxCost() int64 {
 // labels are offset by the minimum seed, every push lands at or after the
 // bucket being drained (arc costs are nonnegative), and stale entries are
 // detected by comparing the entry's implied label to the current cell value.
-func (c *steinerCtx) dijkstraBuckets(a *SteinerArena, base, nV int, off int64, epoch uint32) {
-	g := c.g
-	dp, par, stamp := a.dp, a.par, a.stamp
-	remaining := 0
+// The relaxation ends early when vertex stop (>= 0) pops with its final
+// label; the entries still queued are dropped.
+func (c *steinerCtx) dijkstraBuckets(a *SteinerArena, base, nV int, off int64, epoch uint32, stop int) {
+	arcs, banned, pen := c.g.Arcs, c.banned, c.penalty
+	dp, par, stamp := a.dp[base:base+nV], a.par[base:base+nV], a.stamp[base:base+nV]
+	finite := &a.rowCnt[base/nV]
+	remaining, top := 0, 0
 	for v := 0; v < nV; v++ {
-		if stamp[base+v] != epoch {
+		if stamp[v] != epoch {
 			continue
 		}
-		b := int(dp[base+v] - off)
+		b := int(dp[v] - off)
 		bk := a.bucketFor(b)
 		*bk = append(*bk, int32(v))
 		remaining++
+		top = max(top, b)
 	}
 	// Index a.buckets[b] afresh on every access: pushing a new maximum label
 	// grows the bucket list, which may move it.
@@ -297,36 +331,46 @@ func (c *steinerCtx) dijkstraBuckets(a *SteinerArena, base, nV int, off int64, e
 			a.buckets[b] = bk[:n]
 			remaining--
 			dist := off + int64(b)
-			if dp[base+int(v)] != dist {
+			if dp[v] != dist {
 				continue // stale: relaxed to a smaller label after push
 			}
-			for _, aid := range g.In[v] {
-				if c.banned[aid] {
+			if int(v) == stop {
+				for i := b; i <= top; i++ {
+					a.buckets[i] = a.buckets[i][:0]
+				}
+				return
+			}
+			for _, aid := range c.g.In[v] {
+				if banned[aid] {
 					continue
 				}
-				u := int(g.Arcs[aid].From)
-				nd := dist + c.arcCost(aid)
-				if stamp[base+u] == epoch && nd >= dp[base+u] {
+				arc := &arcs[aid]
+				nd := dist + int64(arc.Cost)
+				if pen != nil {
+					nd += pen[aid]
+				}
+				u := arc.From
+				if stamp[u] != epoch {
+					stamp[u] = epoch
+					*finite++
+				} else if nd >= dp[u] {
 					continue
 				}
-				if stamp[base+u] != epoch {
-					stamp[base+u] = epoch
-					a.rowCnt[base/nV]++
-				}
-				dp[base+u] = nd
-				par[base+u] = parentAction{kind: 1, arc: aid}
+				dp[u] = nd
+				par[u] = parentAction{kind: 1, arc: aid}
 				nb := int(nd - off)
 				nbk := a.bucketFor(nb)
 				*nbk = append(*nbk, int32(u))
 				remaining++
+				top = max(top, nb)
 			}
 		}
 	}
 }
 
 // dijkstraHeap is the pooled binary-heap Dijkstra used when labels don't fit
-// the bucket span (large Lagrangian penalties).
-func (c *steinerCtx) dijkstraHeap(a *SteinerArena, base, nV int, epoch uint32) {
+// the bucket span (large Lagrangian penalties). stop is dijkstraBuckets'.
+func (c *steinerCtx) dijkstraHeap(a *SteinerArena, base, nV int, epoch uint32, stop int) {
 	g := c.g
 	dp, par, stamp := a.dp, a.par, a.stamp
 	h := a.heap[:0]
@@ -340,6 +384,9 @@ func (c *steinerCtx) dijkstraHeap(a *SteinerArena, base, nV int, epoch uint32) {
 		it, h = heapPop(h)
 		if it.dist > dp[base+int(it.v)] {
 			continue
+		}
+		if int(it.v) == stop {
+			break
 		}
 		for _, aid := range g.In[it.v] {
 			if c.banned[aid] {
@@ -359,7 +406,7 @@ func (c *steinerCtx) dijkstraHeap(a *SteinerArena, base, nV int, epoch uint32) {
 			h = heapPush(h, pqItem{int32(u), nd})
 		}
 	}
-	a.heap = h
+	a.heap = h[:0]
 }
 
 // newSteinerCtx builds the per-net context with ownership bans applied. The

@@ -59,6 +59,17 @@ func path(t *testing.T, g *rgraph.Graph, pts ...[3]int) []int32 {
 	return arcs
 }
 
+// ofKind returns the violations of one kind.
+func ofKind(vs []Violation, k Kind) []Violation {
+	var out []Violation
+	for _, v := range vs {
+		if v.Kind == k {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // withTerminals prepends/appends the virtual arcs for net k's source and one
 // sink so connectivity holds.
 func withTerminals(t *testing.T, g *rgraph.Graph, k int, arcs []int32) []int32 {
@@ -198,7 +209,7 @@ func TestSADPConflictDetected(t *testing.T) {
 	// Facing pair across one track: (1,1) hi-opening-lo at (2,1)... EOL at
 	// (2,1,2) with wire on hi side, forbidden sites include (1,1,2) lo EOL.
 	b := path(t, g, [3]int{3, 1, 2}, [3]int{2, 1, 2}, [3]int{2, 1, 1})
-	viols := CheckSADP(g, [][]int32{a, b})
+	viols := ofKind(Check(g, [][]int32{a, b}), SADPEOL)
 	if len(viols) == 0 {
 		t.Fatal("facing EOL pair not detected")
 	}
@@ -206,7 +217,7 @@ func TestSADPConflictDetected(t *testing.T) {
 	g1 := grid(t, tech.RuleConfig{})
 	a1 := path(t, g1, [3]int{0, 1, 2}, [3]int{1, 1, 2}, [3]int{1, 1, 1})
 	b1 := path(t, g1, [3]int{3, 1, 2}, [3]int{2, 1, 2}, [3]int{2, 1, 1})
-	if v := CheckSADP(g1, [][]int32{a1, b1}); len(v) != 0 {
+	if v := ofKind(Check(g1, [][]int32{a1, b1}), SADPEOL); len(v) != 0 {
 		t.Fatalf("SADP flagged without SADP layers: %v", v)
 	}
 }
@@ -217,7 +228,7 @@ func TestSADPDistantEOLsLegal(t *testing.T) {
 	// EOLs far apart (different rows, >1 track apart in y): legal.
 	a := path(t, g, [3]int{0, 0, 2}, [3]int{1, 0, 2}, [3]int{1, 0, 1})
 	b := path(t, g, [3]int{3, 3, 2}, [3]int{2, 3, 2}, [3]int{2, 3, 1})
-	if v := CheckSADP(g, [][]int32{a, b}); len(v) != 0 {
+	if v := ofKind(Check(g, [][]int32{a, b}), SADPEOL); len(v) != 0 {
 		t.Fatalf("distant EOLs flagged: %v", v)
 	}
 }

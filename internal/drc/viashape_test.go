@@ -117,10 +117,10 @@ func TestViaShapeOwnNetMayTouchFootprint(t *testing.T) {
 	if approach < 0 {
 		t.Fatal("no wire approach")
 	}
-	for _, v := range CheckSADP(g, [][]int32{{approach, inArc, outArc}, nil}) {
+	for _, v := range ofKind(Check(g, [][]int32{{approach, inArc, outArc}, nil}), SADPEOL) {
 		t.Fatalf("unexpected SADP violation: %v", v)
 	}
-	for _, v := range checkViaShapes(g, [][]int32{{approach, inArc, outArc}, nil}) {
+	for _, v := range ofKind(Check(g, [][]int32{{approach, inArc, outArc}, nil}), ViaShapeBlock) {
 		t.Fatalf("own-net footprint touch flagged: %v", v)
 	}
 }
@@ -129,18 +129,26 @@ func TestUsedSites(t *testing.T) {
 	g := shapeGraph(t)
 	site := findShapedSite(t, g, 0, 0, 1)
 	s := &g.Sites[site]
-	used := UsedSites(g, [][]int32{{s.Arcs[0]}, nil})
-	if len(used) != 1 {
-		t.Fatalf("used sites = %d, want 1", len(used))
+	c := NewChecker(g)
+	routes := [][]int32{{s.Arcs[0]}, nil}
+	occupied := c.occupySites(routes)
+	if len(c.sites) != 1 || c.sites[0] != site || c.siteStamp[site] != occupied {
+		t.Fatalf("occupied sites = %v, want [%d]", c.sites, site)
 	}
-	if nets, ok := used[site]; !ok || len(nets) != 1 || nets[0] != 0 {
-		t.Fatalf("site attribution wrong: %v", used)
+	if nets := c.siteNets[site]; len(nets) != 1 || nets[0] != 0 {
+		t.Fatalf("site attribution wrong: %v", nets)
+	}
+	if ref := refUsedSites(g, routes); len(ref) != 1 || len(ref[site]) != 1 || ref[site][0] != 0 {
+		t.Fatalf("reference site attribution wrong: %v", ref)
 	}
 }
 
 func TestViolationString(t *testing.T) {
-	v := Violation{Kind: ArcConflict, Msg: "x"}
-	if v.String() != "arc-conflict: x" {
+	v := Violation{Kind: ArcConflict, Nets: []int{0, 2}, Arcs: []int32{7}}
+	if v.String() != "arc-conflict: arc 7 shared by nets 0 and 2" {
 		t.Fatalf("String = %q", v.String())
+	}
+	if s := (Violation{Kind: SADPEOL}).String(); s != "sadp-eol: malformed" {
+		t.Fatalf("String of an incomplete violation = %q", s)
 	}
 }

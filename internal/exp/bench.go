@@ -53,9 +53,9 @@ func BenchCorpus(short bool) []BenchSpec {
 			Rule: rule, Solver: solver,
 		}
 	}
-	// mkPar is a par-N twin of a bnb case: same instance, the deterministic
-	// round-parallel engine on par workers. Its answer must match the serial
-	// case's exactly (the -baseline gate enforces this across trajectory
+	// mkPar is a par-N twin of a bnb case: same instance, the CDC-BnB's one
+	// round loop at its fixed parallel round width on par workers. Its answer
+	// must match the width-1 case's exactly (the -baseline gate enforces this across trajectory
 	// points, the determinism goldens within one revision).
 	mkPar := func(nx, ny, nz int, seed int64, rule string, par int) BenchSpec {
 		s := mk(nx, ny, nz, seed, rule, "bnb")
@@ -359,12 +359,14 @@ func runBenchCase(ctx context.Context, s BenchSpec, opt BenchRunOptions) (report
 
 // benchWork assembles the case's deterministic work vector from the solve
 // stats. Three counter sets exist because determinism shrinks with
-// parallelism: the serial CDC-BnB pins every counter including the
-// Steiner-DP ones; the round-parallel engine pins its search shape but not
-// the Steiner cache traffic (route-cache hits depend on worker interleaving,
-// so steiner_solves/steiner_cells move run to run — the deterministic set
-// matches the projection TestParBnBDeterministic locks); portfolio races are
-// scheduling-dependent end to end and record no vector at all.
+// parallelism: a Par = 0 CDC-BnB solve (width-1 rounds on one worker) pins
+// every counter including the Steiner-DP ones; a Par >= 1 solve (the same
+// round loop at the parallel width on Par workers) pins its search shape but
+// not the Steiner cache traffic (route-cache hits depend on worker
+// interleaving, so steiner_solves/steiner_cells move run to run — the
+// deterministic set matches the projection TestParBnBDeterministicAcrossWorkers
+// locks); portfolio races are scheduling-dependent end to end and record no
+// vector at all.
 func benchWork(s BenchSpec, st core.SolveStats) map[string]int64 {
 	switch {
 	case s.Solver == "portfolio":

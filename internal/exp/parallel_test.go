@@ -81,7 +81,7 @@ func TestDeltaCostStudyDeterministic(t *testing.T) {
 }
 
 // TestDeltaCostStudyParDeterministic is the in-solve counterpart of the
-// worker-count golden above: the round-parallel BnB engine must leave the
+// worker-count golden above: the CDC-BnB's round loop must leave the
 // study output byte-identical between -par 1 and -par 8, per the engine's
 // determinism guarantee (fixed round width, total node order; see
 // core.SolveBnB). Scheduling-dependent telemetry (cache hits,
