@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"optrouter/internal/clip"
@@ -272,5 +273,32 @@ func shortest(g *rgraph.Graph, root int32, reverse bool, allowed func(int32) boo
 				dist[w], tree[w] = d, a
 			}
 		}
+	}
+}
+
+// TestCheckerOrdersEOLPairsBySide covers the one tie compareViolations
+// breaks past the old sort key: two SADP violations between the same nets
+// and vertices that differ only in an EOL side. Net 1 branches at (1,1,2)
+// off a via into both wire sides, which realizes an EOL on each side there.
+// Net 0's lo-side EOL at (1,2,2) conflicts with both; it is checked first
+// and finds the hi-side EOL (a facing spot) before the lo-side one (a
+// same-direction spot), so only the side comparison restores the
+// reference order.
+func TestCheckerOrdersEOLPairsBySide(t *testing.T) {
+	g := grid(t, tech.RuleConfig{SADPMinLayer: 2})
+	branch := append(path(t, g, [3]int{1, 1, 1}, [3]int{1, 1, 2}, [3]int{0, 1, 2}),
+		path(t, g, [3]int{1, 1, 2}, [3]int{2, 1, 2})...)
+	end := path(t, g, [3]int{0, 2, 2}, [3]int{1, 2, 2}, [3]int{1, 2, 1})
+	routes := [][]int32{end, branch}
+	got, want := NewChecker(g).Check(routes), refCheck(g, routes)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("checker %v\nreference %v", got, want)
+	}
+	sadp := ofKind(got, SADPEOL)
+	if len(sadp) != 2 || !slices.Equal(sadp[0].Verts, sadp[1].Verts) || !slices.Equal(sadp[0].Nets, sadp[1].Nets) {
+		t.Fatalf("want two EOL pairs on the same nets and vertices, got %v", sadp)
+	}
+	if sadp[0].EOLs[1].Side != 0 || sadp[1].EOLs[1].Side != 1 {
+		t.Fatalf("EOL pairs not ordered by side: %v", sadp)
 	}
 }
