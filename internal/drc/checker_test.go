@@ -2,6 +2,7 @@ package drc
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -94,6 +95,31 @@ func TestCheckerAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state Check allocates %.1f objects per %d routings, want 0", allocs, len(routings))
+	}
+}
+
+// TestCheckerStampWrap runs checks across the stamp counter's wraparound:
+// every check must still match the reference, and the counter must restart
+// before a check could reissue a stamp.
+func TestCheckerStampWrap(t *testing.T) {
+	rule, _ := tech.RuleByName("RULE8")
+	opt := clip.DefaultSynth(5)
+	opt.NX, opt.NY = 5, 6
+	g, err := rgraph.Build(clip.Synthesize(opt), rgraph.Options{Rule: rule})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := NewChecker(g)
+	for i, routes := range fuzzRoutings(g, rand.New(rand.NewSource(5))) {
+		ck.tick = math.MaxUint32 - uint32(i)
+		before := ck.tick
+		got, want := ck.Check(routes), refCheck(g, routes)
+		if !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
+			t.Fatalf("routing %d at stamp %d: checker %v, reference %v", i, before, got, want)
+		}
+		if ck.tick < before && ck.tick > uint32(4*len(routes)+5) {
+			t.Fatalf("routing %d: %d stamps drawn after the restart", i, ck.tick)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package drc
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"optrouter/internal/rgraph"
@@ -119,6 +120,7 @@ func Check(g *rgraph.Graph, netArcs [][]int32) []Violation {
 // consistent with flow direction) on SADP layers.
 func EOLs(g *rgraph.Graph, netArcs [][]int32) []EOL {
 	c := NewChecker(g)
+	c.reserve(len(netArcs))
 	c.extractEOLs(netArcs)
 	return slices.Clone(c.eols)
 }
@@ -221,18 +223,25 @@ func NewChecker(g *rgraph.Graph) *Checker {
 	return c
 }
 
-// next draws a fresh stamp. On wraparound every stamp array is cleared, so
-// no stale entry can match a reissued value.
+// next draws a fresh stamp.
 func (c *Checker) next() uint32 {
 	c.tick++
-	if c.tick == 0 {
-		for _, s := range [][]uint32{c.arcStamp, c.vertStamp, c.netVert, c.entryStamp,
-			c.ufStamp, c.siteStamp, c.arcUsed, c.emitStamp, c.spotStamp} {
-			clear(s)
-		}
-		c.tick = 1
-	}
 	return c.tick
+}
+
+// reserve makes room for a check of nNets nets, which draws 4*nNets+5
+// stamps at most: when the counter could wrap during the check, every stamp
+// array is cleared and the counter restarts, so no stale entry can match a
+// reissued stamp.
+func (c *Checker) reserve(nNets int) {
+	if c.tick <= math.MaxUint32-uint32(4*nNets+5) {
+		return
+	}
+	for _, s := range [][]uint32{c.arcStamp, c.vertStamp, c.netVert, c.entryStamp,
+		c.ufStamp, c.siteStamp, c.arcUsed, c.emitStamp, c.spotStamp} {
+		clear(s)
+	}
+	c.tick = 0
 }
 
 // Check validates a per-net arc assignment against all rules and returns
@@ -244,6 +253,7 @@ func (c *Checker) Check(netArcs [][]int32) []Violation {
 	if n := len(netArcs) * c.nV; len(c.netVert) < n {
 		c.netVert = make([]uint32, n)
 	}
+	c.reserve(len(netArcs))
 	c.checkArcCapacity(netArcs)
 	touched := c.checkVertices(netArcs)
 	c.checkConnectivity(netArcs)
