@@ -10,7 +10,7 @@ import (
 // buffers, ban sets, the DRC checker's scratch and the Lagrangian arrays are
 // per worker, so what remains per node is the node itself, its ban delta and
 // fingerprints, the route-cache entries it creates and the children it
-// keeps. Before those were pooled a node allocated about 45 KB.
+// keeps.
 func TestBnBAllocsPerNode(t *testing.T) {
 	const maxBytesPerNode = 6 << 10
 	g := treeGraph(t, 115, "RULE8")

@@ -63,10 +63,9 @@ type treeGolden struct {
 	routes                               string
 }
 
-// treeGoldens was computed before the node-throughput work (early-exit
-// Steiner kernel, scratch-array DRC checker, map-free ban bookkeeping, dense
-// Lagrangian), which must leave every entry unchanged. solves is -1 where it
-// is not pinned (see TestSearchTreeGolden).
+// treeGoldens holds the pinned searches. A change meant to make nodes
+// cheaper without changing the search must leave every entry unchanged.
+// solves is -1 where it is not pinned (see TestSearchTreeGolden).
 var treeGoldens = map[string]treeGolden{
 	"RULE1-par0-s254": {1, 3, 0, 0, 0, 0, 43, "7fdc8f8c18edd296"},
 	"RULE1-par0-s42":  {1, 3, 0, 0, 0, 0, 48, "c38d0ac82d1cc845"},
