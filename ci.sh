@@ -8,8 +8,7 @@
 # test oracle — execute inside it; obs is updated
 # from solver goroutines and hosts the sampling profiler's ticker goroutine;
 # calib's probes must stay race-clean because they run inside instrumented
-# bench sessions; xchg is the lock-free portfolio exchange both race engines
-# hammer concurrently), the full test suite in short mode, one iteration of
+# bench sessions), the full test suite in short mode, one iteration of
 # the full-design router's BenchmarkRoute and of the Steiner kernel's and
 # CDC-BnB's BenchmarkSteinerTree and BenchmarkBnBFlightOff (so they keep
 # building), a parallel end-to-end smoke run of both CLIs at -j 4, and a
@@ -28,7 +27,7 @@ else
 	echo "== shadow check skipped (analyzer not installed)"
 fi
 
-echo "== go test -race (sched, exp, core, ilp, lp, obs, calib, report, xchg)"
+echo "== go test -race (sched, exp, core, ilp, lp, obs, calib, report)"
 go test -race -short -timeout 20m \
 	./internal/sched/... \
 	./internal/exp/... \
@@ -37,8 +36,7 @@ go test -race -short -timeout 20m \
 	./internal/lp/... \
 	./internal/obs/... \
 	./internal/calib/... \
-	./internal/report/... \
-	./internal/xchg/...
+	./internal/report/...
 
 echo "== go test -short ./..."
 go test -short ./...

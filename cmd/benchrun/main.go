@@ -10,7 +10,7 @@
 //
 //	benchrun [-short] [-timeout 30s] [-j N] [-o file | -dir dir]
 //	benchrun [-baseline file [-max-regress R] [-max-work-regress R]]
-//	benchrun [-par N] [-portfolio] [-sample file [-sample-hz N]]
+//	benchrun [-par N] [-sample file [-sample-hz N]]
 //	benchrun [-trace file [-flight] [-flight-every N] [-trace-max-mb MB] [-trace-keep K]] ...
 //	benchrun -check file.json
 //	benchrun -calib
@@ -41,13 +41,11 @@
 // and streaming one JSONL record per case to the named file ("-" = stderr
 // summary only); -sample-hz tunes the rate (default 100).
 //
-// -par N runs every serial bnb and portfolio case with N in-solve workers
-// (the parallel engine is deterministic, so answers — and hence the -baseline
-// answer gate — are unaffected; pinned par twins keep their own worker
-// count); -portfolio additionally solves every bnb
-// case in portfolio mode under a "-portfolio" name suffix. Both are scaling
-// experiment knobs (the EXPERIMENTS.md 1/2/4/8-worker curve); committed
-// trajectory points use the pinned corpus unmodified.
+// -par N runs every serial bnb case with N in-solve workers (the parallel
+// engine is deterministic, so answers — and hence the -baseline answer gate —
+// are unaffected; pinned par twins keep their own worker count). It is a
+// scaling experiment knob (the EXPERIMENTS.md 1/2/4/8-worker curve);
+// committed trajectory points use the pinned corpus unmodified.
 package main
 
 import (
@@ -96,8 +94,7 @@ func run() (int, error) {
 		check   = flag.String("check", "", "validate an existing benchmark document and exit")
 		calOnly = flag.Bool("calib", false, "run the machine-calibration probe suite, print it, and exit")
 
-		par       = flag.Int("par", 0, "run serial bnb/portfolio cases with this many in-solve workers (0 = as pinned; pinned par twins keep their worker count)")
-		portfolio = flag.Bool("portfolio", false, "also solve every bnb case in portfolio mode (\"-portfolio\" name suffix)")
+		par = flag.Int("par", 0, "run serial bnb cases with this many in-solve workers (0 = as pinned; pinned par twins keep their worker count)")
 
 		baseline   = flag.String("baseline", "", "baseline benchmark document to compare the run against")
 		maxRegress = flag.Float64("max-regress", 0,
@@ -151,19 +148,6 @@ func run() (int, error) {
 			if specs[i].Solver != "ilp" && specs[i].Par == 0 {
 				specs[i].Par = *par
 			}
-		}
-	}
-	if *portfolio {
-		for _, s := range exp.BenchCorpus(*short) {
-			if s.Solver != "bnb" {
-				continue
-			}
-			s.Name += "-portfolio"
-			s.Solver = "portfolio"
-			if *par > 0 {
-				s.Par = *par
-			}
-			specs = append(specs, s)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "benchrun: %s corpus, %d cases, %d workers\n", corpus, len(specs), *jobs)

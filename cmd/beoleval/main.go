@@ -6,7 +6,7 @@
 // Usage:
 //
 //	beoleval [-tech N28-12T|N28-8T|N7-9T|all] [-full] [-timeout 10s] [-j N]
-//	         [-par N] [-portfolio]
+//	         [-par N]
 //	         [-rules] [-table2] [-fig8] [-fig10] [-validate] [-csv dir]
 //	         [-stats] [-quiet] [-converge out.jsonl]
 //	         [-trace out.jsonl [-flight] [-flight-every N] [-trace-max-mb MB] [-trace-keep K]]
@@ -16,8 +16,7 @@
 // (clip, rule) solves to N parallel workers (default: all CPUs); outputs are
 // assembled in study order, so CSVs and tables are byte-identical for any N.
 // -par N additionally parallelizes each solve's branch-and-bound tree over N
-// workers (the engine is deterministic: outputs are identical for any N),
-// and -portfolio races the CDC-BnB against the MILP engine per solve.
+// workers (the engine is deterministic: outputs are identical for any N).
 // -stats emits end-of-run metrics JSON (to <csvdir>/metrics.json when -csv
 // is set, stdout otherwise) and a live merged progress line on stderr
 // (done/in-flight/total across all workers; -quiet suppresses the line);
@@ -74,7 +73,6 @@ func run() error {
 		timeout    = flag.Duration("timeout", 10*time.Second, "per-clip solve budget")
 		jobs       = flag.Int("j", runtime.NumCPU(), "parallel solve workers (1 = serial; output is identical for any value)")
 		par        = flag.Int("par", 0, "parallel tree-search workers inside each solve (0 = serial engine; output is identical for any value)")
-		portfolio  = flag.Bool("portfolio", false, "race the CDC-BnB and MILP engines on every solve (first proof wins)")
 		rules      = flag.Bool("rules", false, "print Table 3 rule configurations")
 		table2     = flag.Bool("table2", false, "print Table 2 benchmark matrix")
 		fig8       = flag.Bool("fig8", false, "print Fig. 8 pin-cost distributions")
@@ -99,7 +97,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	solve := exp.SolveOptions{PerClipTimeout: *timeout, Workers: *jobs, Par: *par, Portfolio: *portfolio}
+	solve := exp.SolveOptions{PerClipTimeout: *timeout, Workers: *jobs, Par: *par}
 	var metrics *obs.Registry
 	if *stats || *pprofA != "" {
 		// /metrics needs a registry even without -stats; the end-of-run
@@ -110,9 +108,6 @@ func run() error {
 	var status *obs.Status
 	if *pprofA != "" {
 		status = obs.NewStatus()
-		if *portfolio {
-			status.EnableLP()
-		}
 		http.Handle("/metrics", obs.MetricsHandler(metrics))
 		http.Handle("/statusz", obs.StatusHandler(status))
 		go func() {

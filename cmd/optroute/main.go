@@ -3,17 +3,16 @@
 //
 // Usage:
 //
-//	optroute -clip clip.json [-rule RULE1|all] [-solver bnb|ilp|heur|portfolio]
+//	optroute -clip clip.json [-rule RULE1|all] [-solver bnb|ilp|heur]
 //	         [-par N] [-timeout 30s] [-j N] [-render] [-viashapes]
 //	         [-stats] [-quiet] [-converge out.jsonl] [-pprof addr]
 //	         [-trace out.jsonl [-flight] [-flight-every N] [-trace-max-mb MB] [-trace-keep K]]
 //	optroute -synth 7x10x4 -nets 5 -seed 3   (generate an instance instead)
 //
-// -solver portfolio races the exact engines (CDC-BnB vs MILP) through a
-// shared incumbent/bound exchange; the first optimality proof wins and
-// cancels the loser. -par N expands the CDC-BnB's fixed-width rounds of
-// open nodes on N workers (answers and routes are identical for every N;
-// see README "Parallel search & portfolio").
+// -solver bnb is the exact production path and -solver ilp its MILP oracle.
+// -par N expands the CDC-BnB's fixed-width rounds of open nodes on N workers
+// (answers and routes are identical for every N; see README "Parallel
+// search").
 //
 // -rule all sweeps the clip through every Table 3 rule configuration,
 // dispatching the independent solves to -j parallel workers (default: all
@@ -77,8 +76,8 @@ func run() (int, error) {
 		nets       = flag.Int("nets", 4, "net count for -synth")
 		seed       = flag.Int64("seed", 1, "seed for -synth")
 		ruleName   = flag.String("rule", "RULE1", "rule configuration (Table 3 name), or \"all\" to sweep every rule")
-		solver     = flag.String("solver", "bnb", "solver: bnb (exact), ilp (exact via MILP), portfolio (race both), heur")
-		par        = flag.Int("par", 0, "parallel tree-search workers inside each bnb/portfolio solve (0 = serial)")
+		solver     = flag.String("solver", "bnb", "solver: bnb (exact), ilp (exact via MILP), heur")
+		par        = flag.Int("par", 0, "parallel tree-search workers inside each bnb solve (0 = serial)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "solve budget (per rule with -rule all)")
 		jobsN      = flag.Int("j", runtime.NumCPU(), "parallel workers for -rule all")
 		render     = flag.Bool("render", false, "print an ASCII layer-by-layer rendering")
@@ -198,7 +197,7 @@ func run() (int, error) {
 		return 0, fmt.Errorf("need -clip or -synth; see -h")
 	}
 
-	if *solver == "ilp" || *solver == "portfolio" {
+	if *solver == "ilp" {
 		status.EnableLP()
 	}
 	sw := sweepEnv{
@@ -236,8 +235,6 @@ func run() (int, error) {
 		sol, err = core.SolveBnB(g, core.BnBOptions{TimeLimit: *timeout, Par: *par, Tracer: tracer, Flight: flightOpt})
 	case "ilp":
 		sol, err = core.SolveILP(g, ilp.Options{TimeLimit: *timeout, Tracer: tracer, Flight: flightOpt})
-	case "portfolio":
-		sol, err = core.SolvePortfolio(g, core.BnBOptions{TimeLimit: *timeout, Par: *par, Tracer: tracer, Flight: flightOpt})
 	case "heur":
 		sol = core.SolveHeuristic(g, core.HeuristicOptions{})
 	default:
@@ -351,9 +348,6 @@ func (e sweepEnv) runAllRules(c *clip.Clip) error {
 			case "ilp":
 				sol, err = core.SolveILP(g, ilp.Options{
 					TimeLimit: e.timeout, Tracer: e.tracer, Flight: e.flight, Ctx: jctx})
-			case "portfolio":
-				sol, err = core.SolvePortfolio(g, core.BnBOptions{
-					TimeLimit: e.timeout, Par: e.par, Tracer: e.tracer, Flight: e.flight, Ctx: jctx})
 			case "heur":
 				sol = core.SolveHeuristic(g, core.HeuristicOptions{})
 			default:
@@ -450,10 +444,6 @@ func printStats(sol *core.Solution) {
 	if st.Par > 0 {
 		fmt.Printf("       par=%d nodes_per_worker=%v steals=%d\n",
 			st.Par, st.NodesPerWorker, st.Steals)
-	}
-	if st.Winner != "" {
-		fmt.Printf("       portfolio: winner=%s incumbent_exchanges=%d\n",
-			st.Winner, st.IncumbentExchanges)
 	}
 	if st.LPCandidateHits > 0 || st.LPRefResets > 0 || st.LPDualBoundFlips > 0 {
 		fmt.Printf("       pricing: candidate_hits=%d ref_resets=%d dual_bound_flips=%d\n",

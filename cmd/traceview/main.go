@@ -159,11 +159,7 @@ func printSolve(i int, s *report.SolveTrace) {
 		fmt.Printf("  phases: %s (%.1fms attributed)\n", s.PhaseLine(), s.PhaseTotal())
 	}
 	if s.Par > 0 {
-		fmt.Printf("  par:    %d workers, %d steals, %d incumbent exchanges\n",
-			s.Par, s.Steals, s.IncumbentExchanges)
-	}
-	if s.Winner != "" {
-		fmt.Printf("  race:   winner=%s, %d incumbent exchanges\n", s.Winner, s.IncumbentExchanges)
+		fmt.Printf("  par:    %d workers, %d steals\n", s.Par, s.Steals)
 	}
 	if s.HasLPStats() {
 		fmt.Printf("  lp:     %s\n", s.PricingLine())

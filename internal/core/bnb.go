@@ -13,7 +13,6 @@ import (
 	"optrouter/internal/obs"
 	"optrouter/internal/rgraph"
 	"optrouter/internal/sched"
-	"optrouter/internal/xchg"
 )
 
 // BnBOptions tunes the conflict-driven combinatorial branch-and-bound.
@@ -60,13 +59,6 @@ type BnBOptions struct {
 	// the routes themselves and the deterministic search counters — is
 	// identical for every Par >= 1, including Par = 1.
 	Par int
-	// Exchange, if non-nil, connects the solve to a portfolio race (see
-	// SolvePortfolio): foreign incumbents tighten the pruning cutoff, local
-	// incumbents and bounds are published, and the solve terminates early
-	// when the race is decided. With an Exchange attached, Proven=true means
-	// the joint search completed — the returned solution is optimal only if
-	// its cost equals the exchange incumbent (SolvePortfolio composes this).
-	Exchange *xchg.Exchange
 }
 
 func (o BnBOptions) withDefaults() BnBOptions {
@@ -677,17 +669,14 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 // the expansion and the fold are all deterministic, the explored tree is
 // identical for every Par >= 1. Scheduling-dependent quantities (which
 // worker expanded which node, steals, cache hits, wall times) are outside
-// that guarantee. With a portfolio Exchange attached, foreign incumbents
-// tighten cutoffs at nondeterministic times, so cross-run determinism is
-// then also waived — exactness is not. A clip with a net of more sinks than
-// the Steiner kernel solves is an error, not an infeasible verdict.
+// that guarantee. A clip with a net of more sinks than the Steiner kernel
+// solves is an error, not an infeasible verdict.
 func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	start := time.Now()
 	if err := checkSinkLimit(g); err != nil {
 		return nil, err
 	}
 	opt = opt.withDefaults()
-	ex := opt.Exchange
 	nNets := len(g.Clip.Nets)
 	arena := opt.Arena
 	if arena == nil {
@@ -741,9 +730,6 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	}
 	setIncumbent := func(sol *Solution, node int, source string) {
 		best, bestCost = sol, int64(sol.Cost)
-		if ex.OfferIncumbent(bestCost) {
-			stats.IncumbentExchanges++
-		}
 		stats.Incumbents++
 		sample()
 		attrs := []obs.Attr{obs.A("cost", sol.Cost)}
@@ -822,25 +808,7 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 			stats.Termination = "cancelled"
 			break
 		}
-		if ex.Decided() {
-			// The portfolio race is settled: the exchange bound reached the
-			// exchange incumbent, so that incumbent is jointly proven optimal.
-			// This solve's own result is the optimum only if it holds it.
-			inc, _ := ex.Incumbent()
-			proven = best != nil && bestCost == inc
-			stats.Termination = "decided"
-			break
-		}
-		// Effective pruning cutoff: the local incumbent, tightened by any
-		// foreign incumbent published on the portfolio exchange. Pruning
-		// against a foreign incumbent keeps the search exact: a completed
-		// search then proves no solution cheaper than the exchange incumbent
-		// exists, which is exactly the proof SolvePortfolio composes.
 		cut := bestCost
-		if f, ok := ex.Incumbent(); ok && f < cut {
-			cut = f
-		}
-
 		// Pop the round; stop at the cutoff — best-first order means every
 		// node behind a dominated top is dominated too — and at the node
 		// budget.
@@ -855,12 +823,6 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 		}
 		if batch[0].lb > curBound {
 			curBound = batch[0].lb
-			// Publish the global lower bound: the round minimum bounds every
-			// open and dispatched node, and pruned subtrees prove no solution
-			// below the cutoff exists.
-			if b := min(curBound, cut); b > 0 {
-				ex.OfferBound(b)
-			}
 			// Leave headroom so incumbent/termination samples still fit when
 			// bound improvements alone would exhaust the trace cap.
 			if len(stats.BoundTrace) < maxTraceSamples-64 {
@@ -879,7 +841,7 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 			num := nodesBefore + i + 1
 			tasks = append(tasks, nodeTask{
 				nd: nd, num: num, cut: cut, bnd: curBound, inc: incumbent(),
-				lag:  (best != nil || cut < bestCost) && sinceProgress+i > 24,
+				lag:  best != nil && sinceProgress+i > 24,
 				dive: num == 1 || num%512 == 0,
 			})
 		}
@@ -1006,7 +968,6 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	span.SetAttr("steiner_solves", stats.SteinerSolves)
 	span.SetAttr("drc_checks", stats.DRCChecks)
 	span.SetAttr("steals", stats.Steals)
-	span.SetAttr("incumbent_exchanges", stats.IncumbentExchanges)
 	span.SetAttr("feasible", sol.Feasible)
 	span.SetAttr("proven", sol.Proven)
 	span.SetAttr("termination", stats.Termination)

@@ -76,10 +76,10 @@ func TestDifferentialILPvsBnB(t *testing.T) {
 }
 
 // TestDifferentialFourWay extends the cross-solver battery to the parallel
-// and portfolio paths: on every corpus instance, four independent solve
+// search and the unpresolved MILP: on every corpus instance, four solve
 // modes — serial CDC-BnB, serial MILP, the deterministic parallel BnB and
-// the portfolio race — must agree on feasibility and optimal cost whenever
-// they all carry proofs. A disagreement writes the clip as a JSON
+// the MILP with both presolves off — must agree on feasibility and optimal
+// cost whenever they all carry proofs. A disagreement writes the clip as a JSON
 // reproducer and fails with its path.
 func TestDifferentialFourWay(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -120,8 +120,8 @@ func TestDifferentialFourWay(t *testing.T) {
 					{"par4", func() (*Solution, error) {
 						return SolveBnB(g, BnBOptions{Par: 4, TimeLimit: 30 * time.Second})
 					}},
-					{"portfolio", func() (*Solution, error) {
-						return SolvePortfolio(g, BnBOptions{TimeLimit: 60 * time.Second})
+					{"ilp-nopresolve", func() (*Solution, error) {
+						return SolveILP(g, ilp.Options{NoPresolve: true, TimeLimit: 60 * time.Second})
 					}},
 				}
 				var ref *Solution

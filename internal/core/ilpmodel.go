@@ -554,16 +554,6 @@ func SolveILP(g *rgraph.Graph, opt ilp.Options) (*Solution, error) {
 		sol.Proven = true
 		return sol, nil
 	case ilp.Limit:
-		if res.Completed {
-			// Full tree explored under a foreign portfolio incumbent: no
-			// routing cheaper than that incumbent exists. Return the proof
-			// without a local solution (Feasible=false, Proven=true is here a
-			// one-sided optimality certificate, not an infeasibility claim —
-			// SolvePortfolio composes it with the incumbent holder's result).
-			sol.Feasible = false
-			sol.Proven = true
-			return sol, nil
-		}
 		return sol, fmt.Errorf("core: ILP limit reached with no solution")
 	case ilp.Feasible:
 		sol.Proven = false

@@ -160,67 +160,6 @@ func TestParBnBMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPortfolioSolve races the two engines over the differential corpus: the
-// portfolio must return the serial engine's proven optimum, name a winner,
-// and record incumbent traffic through the exchange.
-func TestPortfolioSolve(t *testing.T) {
-	seeds := []int64{1, 3, 5, 7}
-	if testing.Short() {
-		seeds = seeds[:2]
-	}
-	for _, seed := range seeds {
-		for _, rn := range []string{"RULE1", "RULE8"} {
-			t.Run(fmt.Sprintf("seed%d-%s", seed, rn), func(t *testing.T) {
-				g := synthGraph(t, seed, rn)
-				want, err := SolveBnB(g, BnBOptions{TimeLimit: 60 * time.Second})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := SolvePortfolio(g, BnBOptions{TimeLimit: 120 * time.Second})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !want.Proven || !got.Proven {
-					t.Skipf("no proof within budget (serial=%v portfolio=%v)", want.Proven, got.Proven)
-				}
-				if got.Feasible != want.Feasible {
-					t.Fatalf("feasibility disagreement: portfolio=%v serial=%v", got.Feasible, want.Feasible)
-				}
-				if want.Feasible && got.Cost != want.Cost {
-					t.Fatalf("optimal cost disagreement: portfolio=%d serial=%d", got.Cost, want.Cost)
-				}
-				if got.Stats.Winner != "bnb" && got.Stats.Winner != "ilp" {
-					t.Errorf("Stats.Winner = %q, want bnb or ilp", got.Stats.Winner)
-				}
-				if want.Feasible && got.Stats.IncumbentExchanges == 0 {
-					t.Errorf("feasible portfolio solve recorded no accepted incumbent exchanges")
-				}
-			})
-		}
-	}
-}
-
-// TestPortfolioParallel combines both tentpole layers: the portfolio with a
-// parallel BnB inside must still return the proven optimum.
-func TestPortfolioParallel(t *testing.T) {
-	g := synthGraph(t, 2, "RULE7")
-	want, err := SolveBnB(g, BnBOptions{TimeLimit: 60 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SolvePortfolio(g, BnBOptions{Par: 4, TimeLimit: 120 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Proven || !got.Proven {
-		t.Skipf("no proof within budget")
-	}
-	if got.Feasible != want.Feasible || (want.Feasible && got.Cost != want.Cost) {
-		t.Fatalf("portfolio+par disagrees: got (feasible=%v cost=%d), want (feasible=%v cost=%d)",
-			got.Feasible, got.Cost, want.Feasible, want.Cost)
-	}
-}
-
 // TestParBnBFlightRecorder runs the parallel engine with per-node recording:
 // workers emit node events concurrently, and the flight accounting
 // (seen = kept + dropped, kept = events in the trace) must still balance.

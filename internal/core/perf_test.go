@@ -234,40 +234,6 @@ func BenchmarkParallelBnB(b *testing.B) {
 	}
 }
 
-// BenchmarkPortfolioSolve races CDC-BnB against the MILP engine on one
-// instance; the baseline sub-benchmarks solve the same instance with each
-// engine alone, so the three columns show what the race costs (or saves)
-// over committing to either engine up front.
-func BenchmarkPortfolioSolve(b *testing.B) {
-	g := synthGraph(b, 10, "RULE1")
-	b.Run("race", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sol, err := SolvePortfolio(g, BnBOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !sol.Proven {
-				b.Fatal("race must end in a proof")
-			}
-		}
-	})
-	b.Run("bnb-alone", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := SolveBnB(g, BnBOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ilp-alone", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := SolveILP(g, ilp.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkSteinerTree measures one pooled exact Steiner arborescence solve
 // (the inner loop of every CDC-BnB node evaluation).
 func BenchmarkSteinerTree(b *testing.B) {

@@ -118,24 +118,19 @@ type SolveStats struct {
 	ModelCols int
 	ModelNNZ  int
 
-	// Parallel-search and portfolio telemetry.
-	Winner string // engine that produced the returned result: "bnb", "ilp", "" (serial solves)
-	Par    int    // BnBOptions.Par of the CDC-BnB (0 = width-1 serial rounds)
+	// Parallel-search telemetry.
+	Par int // BnBOptions.Par of the CDC-BnB (0 = width-1 serial rounds)
 	// NodesPerWorker[w] counts nodes expanded by worker w of a parallel
 	// search (nil when Par is 0). The split is scheduling-dependent (not
 	// deterministic across runs); the sum equals Nodes.
 	NodesPerWorker []int
-	// IncumbentExchanges counts incumbent offers accepted by the shared
-	// portfolio exchange (0 outside portfolio mode).
-	IncumbentExchanges int
 	// Steals counts scheduler work-stealing events during the parallel tree
 	// search (scheduling-dependent).
 	Steals int
 
 	Elapsed time.Duration // total wall time of the solve
 	// Termination says why the solve stopped: "optimal", "infeasible",
-	// "time-limit", "node-limit", "cancelled", "decided" (the portfolio
-	// exchange settled the race), or an LP failure reason.
+	// "time-limit", "node-limit", "cancelled", or an LP failure reason.
 	Termination string
 
 	// Phases attributes the solve's wall time to solver-internal phases.

@@ -30,11 +30,11 @@ type BenchSpec struct {
 	Nets       int
 	Sinks      int // MaxSinks
 	Rule       string
-	Solver     string // "bnb", "ilp" or "portfolio"
-	// Par is the in-solve worker count for bnb and portfolio cases (0 =
-	// serial engine). The parallel engine is deterministic, so a par twin of a
-	// serial case must report the identical answer — the corpus exploits this
-	// as a standing cross-check.
+	Solver     string // "bnb" or "ilp"
+	// Par is the in-solve worker count for bnb cases (0 = serial engine).
+	// The parallel engine is deterministic, so a par twin of a serial case
+	// must report the identical answer — the corpus exploits this as a
+	// standing cross-check.
 	Par int
 }
 
@@ -65,12 +65,11 @@ func BenchCorpus(short bool) []BenchSpec {
 	}
 	if short {
 		return []BenchSpec{
-			mk(6, 7, 4, 3, "RULE8", "bnb"),        // feasible, ~400-node search
-			mk(6, 7, 4, 8, "RULE7", "bnb"),        // feasible, ~100-node search
-			mk(5, 6, 3, 4, "RULE7", "bnb"),        // proven infeasible, ~1300 nodes
-			mk(4, 5, 3, 10, "RULE1", "ilp"),       // feasible, ~13k simplex iters
-			mkPar(6, 7, 4, 3, "RULE8", 8),         // par-8 twin of the first case
-			mk(4, 5, 3, 10, "RULE1", "portfolio"), // portfolio twin of the ilp case
+			mk(6, 7, 4, 3, "RULE8", "bnb"),  // feasible, ~400-node search
+			mk(6, 7, 4, 8, "RULE7", "bnb"),  // feasible, ~100-node search
+			mk(5, 6, 3, 4, "RULE7", "bnb"),  // proven infeasible, ~1300 nodes
+			mk(4, 5, 3, 10, "RULE1", "ilp"), // feasible, ~13k simplex iters
+			mkPar(6, 7, 4, 3, "RULE8", 8),   // par-8 twin of the first case
 		}
 	}
 	return []BenchSpec{
@@ -102,14 +101,6 @@ func BenchCorpus(short bool) []BenchSpec {
 		mkPar(6, 7, 4, 3, "RULE8", 8),
 		mkPar(7, 10, 4, 3, "RULE8", 8),
 		mkPar(5, 6, 3, 4, "RULE7", 8),
-		// Portfolio twins of the MILP trajectory points: the race should win
-		// by whichever engine proves first, pruning the loser via the shared
-		// exchange.
-		mk(4, 5, 3, 3, "RULE1", "portfolio"),
-		mk(4, 5, 3, 10, "RULE1", "portfolio"),
-		mk(5, 6, 3, 1, "RULE1", "portfolio"),
-		mk(5, 6, 3, 2, "RULE8", "portfolio"),
-		mk(5, 6, 3, 3, "RULE7", "portfolio"),
 	}
 }
 
@@ -156,12 +147,12 @@ func RunBenchCorpus(ctx context.Context, specs []BenchSpec, opt BenchRunOptions)
 			return nil, fmt.Errorf("exp: bench spec %q: unknown rule %s", s.Name, s.Rule)
 		}
 		switch s.Solver {
-		case "bnb", "ilp", "portfolio":
+		case "bnb", "ilp":
 		default:
 			return nil, fmt.Errorf("exp: bench spec %q: unknown solver %s", s.Name, s.Solver)
 		}
 		if s.Par != 0 && s.Solver == "ilp" {
-			return nil, fmt.Errorf("exp: bench spec %q: par applies to bnb/portfolio only", s.Name)
+			return nil, fmt.Errorf("exp: bench spec %q: par applies to bnb only", s.Name)
 		}
 	}
 
@@ -282,11 +273,6 @@ func runBenchCase(ctx context.Context, s BenchSpec, opt BenchRunOptions) (report
 			Tracer:    opt.Tracer,
 			Flight:    opt.Flight,
 		})
-	case "portfolio":
-		sol, err = core.SolvePortfolio(g, core.BnBOptions{
-			TimeLimit: opt.Timeout, Ctx: ctx, Par: s.Par,
-			Tracer: opt.Tracer, Flight: opt.Flight,
-		})
 	}
 
 	var m1 runtime.MemStats
@@ -314,7 +300,6 @@ func runBenchCase(ctx context.Context, s BenchSpec, opt BenchRunOptions) (report
 	bc.Feasible = sol.Feasible
 	bc.Proven = sol.Proven
 	bc.Cost = sol.Cost
-	bc.Winner = st.Winner
 	bc.WallMS = float64(st.Elapsed.Microseconds()) / 1000
 	bc.Nodes = st.Nodes
 	bc.MaxDepth = st.MaxDepth
@@ -326,8 +311,8 @@ func runBenchCase(ctx context.Context, s BenchSpec, opt BenchRunOptions) (report
 	bc.PhasesMS = st.Phases.MS()
 	bc.LPPhasesMS = st.LPPhases.MS()
 	bc.Work = benchWork(s, st)
-	// Pricing/presolve telemetry rides only on ilp cases (the portfolio race
-	// is scheduling-dependent) and only when any counter is nonzero.
+	// Pricing/presolve telemetry rides only on ilp cases and only when any
+	// counter is nonzero.
 	if s.Solver == "ilp" && (st.LPCandidateHits > 0 || st.LPRefResets > 0 ||
 		st.LPDualBoundFlips > 0 || st.PresolveRows > 0 || st.PresolveCols > 0 ||
 		st.LPRefactorEtaLen > 0 || st.LPRefactorFill > 0 ||
@@ -358,19 +343,16 @@ func runBenchCase(ctx context.Context, s BenchSpec, opt BenchRunOptions) (report
 }
 
 // benchWork assembles the case's deterministic work vector from the solve
-// stats. Three counter sets exist because determinism shrinks with
-// parallelism: a Par = 0 CDC-BnB solve (width-1 rounds on one worker) pins
-// every counter including the Steiner-DP ones; a Par >= 1 solve (the same
+// stats. The MILP has one counter set and the CDC-BnB two, because its
+// determinism shrinks with parallelism: a Par = 0 solve (width-1 rounds on
+// one worker) pins every counter including the Steiner-DP ones; a Par >= 1 solve (the same
 // round loop at the parallel width on Par workers) pins its search shape but
 // not the Steiner cache traffic (route-cache hits depend on worker
 // interleaving, so steiner_solves/steiner_cells move run to run — the
 // deterministic set matches the projection TestParBnBDeterministicAcrossWorkers
-// locks); portfolio races are scheduling-dependent end to end and record no
-// vector at all.
+// locks).
 func benchWork(s BenchSpec, st core.SolveStats) map[string]int64 {
 	switch {
-	case s.Solver == "portfolio":
-		return nil
 	case s.Solver == "ilp":
 		return map[string]int64{
 			"nodes":         int64(st.Nodes),

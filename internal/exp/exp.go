@@ -198,16 +198,9 @@ type SolveOptions struct {
 	// in fixed-width rounds on Par workers. 0 runs the same loop in width-1
 	// rounds on the solve's own goroutine, the serial search. The search is
 	// deterministic by construction — routes and objective are identical for
-	// every Par >= 1 (see README "Parallel search & portfolio") — so study
-	// outputs do not depend on which Par >= 1 is chosen.
+	// every Par >= 1 (see README "Parallel search") — so study outputs do
+	// not depend on which Par >= 1 is chosen.
 	Par int
-	// Portfolio races the CDC-BnB (with Par workers when Par > 0) against the
-	// MILP engine on every solve, coupled through a shared incumbent/bound
-	// exchange; the first optimality proof wins and cancels the loser. The
-	// objective is exactness-preserving but which engine's routes are returned
-	// is a race outcome, so route CSVs are only stable across runs for clips
-	// where both engines agree arc-for-arc.
-	Portfolio bool
 
 	// Progress, if non-nil, receives per-clip lifecycle events ("start",
 	// "progress" during the solve, "done") — the source of cmd/beoleval's
@@ -492,11 +485,7 @@ func solveClipCtx(ctx context.Context, c *clip.Clip, rule tech.RuleConfig, opt S
 			})
 		}
 	}
-	solve := core.SolveBnB
-	if opt.Portfolio {
-		solve = core.SolvePortfolio
-	}
-	sol, err := solve(g, bnbOpt)
+	sol, err := core.SolveBnB(g, bnbOpt)
 	if err != nil {
 		return ClipRuleResult{}, err
 	}

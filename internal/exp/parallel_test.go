@@ -151,60 +151,6 @@ func TestDeltaCostStudyParDeterministic(t *testing.T) {
 	}
 }
 
-// TestPortfolioStudyAnswers: the portfolio mode must leave study answers
-// (feasibility, proof, cost) identical to the plain study — routes and
-// engine-specific telemetry are race outcomes, but the objective is exact.
-func TestPortfolioStudyAnswers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("portfolio study races both engines per cell; skip in -short")
-	}
-	tb := quickTB(t, tech.N28T12())
-	clips := tb.Top
-	if len(clips) > 1 {
-		clips = clips[:1]
-	}
-	opt := SolveOptions{PerClipTimeout: 60 * time.Second, Workers: 1}
-	curves, res, err := DeltaCostStudy(tb.Tech, clips, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Portfolio = true
-	pcurves, pres, err := DeltaCostStudy(tb.Tech, clips, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(pres) {
-		t.Fatalf("result counts differ: %d vs %d", len(res), len(pres))
-	}
-	for i := range res {
-		a, b := res[i], pres[i]
-		if !a.Proven || !b.Proven {
-			t.Logf("cell %d (%s/%s) unproven (plain=%v portfolio=%v); answers not comparable",
-				i, a.Clip, a.Rule, a.Proven, b.Proven)
-			continue
-		}
-		if a.Feasible != b.Feasible || (a.Feasible && a.Cost != b.Cost) {
-			t.Errorf("cell %d (%s/%s): plain (feasible=%v cost=%d) vs portfolio (feasible=%v cost=%d)",
-				i, a.Clip, a.Rule, a.Feasible, a.Cost, b.Feasible, b.Cost)
-		}
-		if b.Stats.Winner == "" {
-			t.Errorf("cell %d: portfolio result names no winner", i)
-		}
-	}
-	if !reflect.DeepEqual(curveDeltas(curves), curveDeltas(pcurves)) {
-		t.Errorf("delta curves differ between plain and portfolio studies")
-	}
-}
-
-// curveDeltas projects curves onto their sorted delta values only.
-func curveDeltas(curves []RuleCurve) [][]float64 {
-	out := make([][]float64, len(curves))
-	for i, cu := range curves {
-		out[i] = cu.Deltas
-	}
-	return out
-}
-
 // TestProgressAccounting pins the progress contract of the parallel study:
 // the callback is never invoked concurrently with itself, Index/Total are
 // the solve's fixed study-order position (rule-major over clips) rather

@@ -16,7 +16,6 @@ import (
 
 	"optrouter/internal/lp"
 	"optrouter/internal/obs"
-	"optrouter/internal/xchg"
 )
 
 // Status is the outcome of a MILP solve.
@@ -104,10 +103,12 @@ func (m *Model) NumIntegerVars() int {
 type Options struct {
 	// MaxNodes bounds explored nodes; 0 means effectively unlimited.
 	MaxNodes int
-	// TimeLimit stops the search after the given wall time; 0 = none.
+	// TimeLimit stops the search after the given wall time; 0 = none. It
+	// and Ctx reach into the node LPs (lp.Options.Ctx), so a long root LP
+	// cannot outlast them.
 	TimeLimit time.Duration
-	// Ctx, if non-nil, cancels the search between nodes (termination
-	// TermCancelled). Used by the parallel scheduler to abort a sweep.
+	// Ctx, if non-nil, cancels the search (termination TermCancelled). Used
+	// by the parallel scheduler to abort a sweep.
 	Ctx context.Context
 	// Incumbent optionally provides a known integer-feasible solution
 	// (a warm start); it must satisfy all constraints.
@@ -139,13 +140,6 @@ type Options struct {
 	// Flight configures per-node search-event recording onto the solve span
 	// (see obs.FlightOptions). Disabled by default.
 	Flight obs.FlightOptions
-	// Exchange, if non-nil, connects the solve to a portfolio race: foreign
-	// incumbents tighten the pruning cutoff (the search stays exact — see
-	// Result.Completed), local incumbents and the root bound are published,
-	// and the solve stops early once the race is decided. Offers require
-	// IntegralObjective (the exchange carries integral costs); without it the
-	// exchange is read-only.
-	Exchange *xchg.Exchange
 }
 
 func (o Options) withDefaults() Options {
@@ -174,7 +168,6 @@ const (
 	TermLPIterLimit TerminationReason = "lp-iter-limit" // LP subsolver gave up
 	TermUnbounded   TerminationReason = "lp-unbounded"  // relaxation unbounded
 	TermCancelled   TerminationReason = "cancelled"     // Options.Ctx cancelled
-	TermDecided     TerminationReason = "decided"       // portfolio race settled
 )
 
 // BoundPoint is one sample of the best-bound / incumbent gap over time.
@@ -281,13 +274,6 @@ type Result struct {
 	LPIters   int       // total simplex iterations
 	BestBound float64   // proven lower bound on the optimum
 	Stats     Stats     // detailed per-solve statistics
-	// Completed reports that the tree was fully explored (no limit stopped
-	// the search). With a portfolio Exchange attached this carries proof
-	// weight beyond Status: a completed search that found nothing better than
-	// a *foreign* incumbent (Status Feasible or Limit) proves that incumbent
-	// optimal, because pruning only ever discarded subtrees that cannot beat
-	// it. SolvePortfolio composes these one-sided proofs.
-	Completed bool
 }
 
 // boundChange records one branching decision for undo.
@@ -307,7 +293,6 @@ type node struct {
 func (m *Model) Solve(opt Options) Result {
 	opt = opt.withDefaults()
 	start := time.Now()
-	ex := opt.Exchange // nil-safe: all xchg methods accept a nil receiver
 
 	var (
 		bestX    []float64
@@ -412,52 +397,49 @@ func (m *Model) Solve(opt Options) Result {
 		flt.Event("node", append(attrs, extra...)...)
 	}
 
-	// offerIncumbent publishes a local incumbent to the portfolio exchange.
-	// Gated on IntegralObjective: the exchange carries exact integral costs.
-	offerIncumbent := func(obj float64) {
-		if opt.IntegralObjective {
-			ex.OfferIncumbent(int64(math.Round(obj)))
-		}
-	}
-
 	if opt.Incumbent != nil {
 		if ok, obj := m.CheckFeasible(opt.Incumbent, opt.IntTol); ok {
 			bestX = append([]float64(nil), opt.Incumbent...)
 			bestObj = obj
 			haveInc = true
 			stats.Incumbents++
-			offerIncumbent(obj)
 			span.Event("incumbent", obs.A("obj", obj), obs.A("source", "warm-start"))
 		}
 	}
 
-	// incVal is the effective incumbent: the local one, tightened by any
-	// foreign incumbent on the portfolio exchange (+Inf when neither exists).
-	incVal := func() float64 {
-		v := math.Inf(1)
-		if haveInc {
-			v = bestObj
-		}
-		if f, ok := ex.Incumbent(); ok && float64(f) < v {
-			v = float64(f)
-		}
-		return v
-	}
-
-	// cutoff returns the pruning threshold given the effective incumbent.
-	// Pruning against a foreign incumbent keeps the search exact: a completed
-	// tree then proves nothing cheaper than that incumbent exists (see
-	// Result.Completed).
+	// cutoff returns the pruning threshold given the incumbent (+Inf while
+	// there is none).
 	cutoff := func() float64 {
-		v := incVal()
-		if math.IsInf(v, 1) {
-			return v
+		if !haveInc {
+			return math.Inf(1)
 		}
 		if opt.IntegralObjective {
-			// Any strictly better integral solution is <= v - 1.
-			return v - 1 + 1e-7
+			// Any strictly better integral solution is <= bestObj - 1.
+			return bestObj - 1 + 1e-7
 		}
-		return v - 1e-7
+		return bestObj - 1e-7
+	}
+
+	// budget reports which of the time limit and the caller's context has
+	// stopped the solve ("" while neither has). The node LPs poll lpCtx,
+	// which is done only once budget is not "".
+	budget := func() TerminationReason {
+		if opt.TimeLimit > 0 && time.Since(start) >= opt.TimeLimit {
+			return TermTimeLimit
+		}
+		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+			return TermCancelled
+		}
+		return ""
+	}
+	lpCtx := opt.Ctx
+	if opt.TimeLimit > 0 {
+		if lpCtx == nil {
+			lpCtx = context.Background()
+		}
+		var cancel context.CancelFunc
+		lpCtx, cancel = context.WithDeadline(lpCtx, start.Add(opt.TimeLimit))
+		defer cancel()
 	}
 
 	// Save root bounds for restoration.
@@ -554,21 +536,9 @@ func (m *Model) Solve(opt Options) Result {
 			term = TermNodeLimit
 			break
 		}
-		if opt.TimeLimit > 0 && time.Since(start) > opt.TimeLimit {
+		if t := budget(); t != "" {
 			hitLimit = true
-			term = TermTimeLimit
-			break
-		}
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			hitLimit = true
-			term = TermCancelled
-			break
-		}
-		if ex.Decided() {
-			// The portfolio race is settled elsewhere; the composed proof is
-			// the exchange's, so this engine stops as a limited search.
-			hitLimit = true
-			term = TermDecided
+			term = t
 			break
 		}
 		openLen = len(stack)
@@ -610,6 +580,7 @@ func (m *Model) Solve(opt Options) Result {
 		// The structural reduction already ran above (or was disabled);
 		// per-node LP presolve would be pure overhead.
 		lpOpt.Presolve = lp.PresolveOff
+		lpOpt.Ctx = lpCtx
 		if stats.LPSolves == 0 && lpOpt.Algorithm == lp.AlgorithmAuto {
 			// The root LP has no warm basis to restore; the dual simplex
 			// from the all-slack basis with exact steepest-edge pricing is
@@ -676,7 +647,9 @@ func (m *Model) Solve(opt Options) Result {
 			continue
 		case lp.IterLimit:
 			hitLimit = true
-			if term == "" {
+			if t := budget(); t != "" {
+				term = t // the LP stopped on lpCtx; the loop head stops too
+			} else if term == "" {
 				term = TermLPIterLimit
 			}
 			nodeEvent("lp-limit", nd.depth, lpAttrs...)
@@ -690,11 +663,6 @@ func (m *Model) Solve(opt Options) Result {
 		if !rootBoundSet {
 			bestBnd = lb
 			rootBoundSet = true
-			// The root relaxation is a global lower bound; publish it so the
-			// portfolio race can settle without a full second proof.
-			if opt.IntegralObjective && !math.IsInf(lb, -1) && lb > 0 {
-				ex.OfferBound(int64(math.Round(lb)))
-			}
 			sample()
 		}
 		if lb > cutoff() {
@@ -731,7 +699,6 @@ func (m *Model) Solve(opt Options) Result {
 				bestX = full
 				haveInc = true
 				stats.Incumbents++
-				offerIncumbent(obj)
 				sample()
 				span.Event("incumbent", obs.A("obj", obj), obs.A("node", nodes))
 				progress()
@@ -755,7 +722,6 @@ func (m *Model) Solve(opt Options) Result {
 				haveInc = true
 				stats.Incumbents++
 				stats.HeuristicHits++
-				offerIncumbent(obj)
 				sample()
 				span.Event("incumbent", obs.A("obj", obj), obs.A("node", nodes), obs.A("source", "rounding"))
 				progress()
@@ -790,35 +756,18 @@ func (m *Model) Solve(opt Options) Result {
 	}
 
 	r := Result{Nodes: nodes, LPIters: lpIters, BestBound: bestBnd}
-	r.Completed = !hitLimit && len(stack) == 0
-	foreign, haveForeign := ex.Incumbent()
-	if r.Completed && opt.IntegralObjective {
-		// A completed tree proves no solution cheaper than the effective
-		// incumbent exists; publishing that as the bound settles the race.
-		if v := incVal(); !math.IsInf(v, 1) {
-			ex.OfferBound(int64(math.Round(v)))
-		}
-	}
 	switch {
-	case haveInc && r.Completed && (!haveForeign || bestObj <= float64(foreign)+1e-9):
+	case haveInc && !hitLimit:
 		r.Status = Optimal
 		r.Obj = bestObj
 		r.X = bestX
 		r.BestBound = bestObj
 		bestBnd = bestObj
 	case haveInc:
-		// Feasible covers both a limited search and a completed one whose
-		// pruning cutoff came from a cheaper foreign incumbent (the local
-		// incumbent is then not optimal; the foreign one is).
 		r.Status = Feasible
 		r.Obj = bestObj
 		r.X = bestX
 	case hitLimit:
-		r.Status = Limit
-	case r.Completed && haveForeign:
-		// Full tree explored, every branch pruned by the foreign incumbent:
-		// feasibility is witnessed elsewhere, so this is NOT infeasibility —
-		// it is a proof that the foreign incumbent is optimal.
 		r.Status = Limit
 	default:
 		r.Status = Infeasible

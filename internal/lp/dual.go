@@ -206,7 +206,7 @@ func (s *simplex) dualRestore() (Status, bool) {
 
 	maxIters := s.dualIterCap()
 	for it := 0; ; it++ {
-		if it >= maxIters || s.iters >= s.opt.MaxIters {
+		if it >= maxIters || s.iters >= s.opt.MaxIters || s.ctxDone() {
 			return 0, false
 		}
 		s.clock.Enter(PhasePricing)

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"context"
+	"math"
+)
 
 // This file implements the sparse LU factorization behind the simplex
 // engine's linear algebra. The basis matrix B — flow-conservation rows,
@@ -59,6 +62,11 @@ type luFactor struct {
 	factorNNZ int // nonzeros of L + U (incl. pivots) at the last factorization
 
 	ft ftState // Forrest-Tomlin update state (ft.go)
+
+	// ctx, if non-nil, is polled every ctxPollIters elimination steps; once
+	// it is done factorize gives up as if the basis were singular. A large
+	// basis takes longer to factorize than many simplex iterations.
+	ctx context.Context
 
 	// Test hooks (ft_test.go): force every update to be rejected, and make
 	// the next factorize report the basis singular, exercising the recovery
@@ -157,8 +165,15 @@ func (f *luFactor) factorize(m int, basis []int, colIdx [][]int32, colVal [][]fl
 	}
 	f.basisNNZ = nnz
 
+	lo := 0 // rows below lo are all eliminated
 	for step := 0; step < m; step++ {
-		pr, pk, ok := f.selectPivot(m)
+		if f.ctx != nil && step%ctxPollIters == 0 && f.ctx.Err() != nil {
+			return false
+		}
+		for f.rowDone[lo] {
+			lo++
+		}
+		pr, pk, ok := f.selectPivot(lo, m)
 		if !ok {
 			return false
 		}
@@ -169,15 +184,17 @@ func (f *luFactor) factorize(m int, basis []int, colIdx [][]int32, colVal [][]fl
 	return true
 }
 
-// selectPivot scans the active rows for the entry minimizing the Markowitz
-// count (rowLen-1)*(colCnt-1) among entries passing the relative stability
-// threshold, breaking ties toward the larger magnitude. Returns the row and
-// the entry's index within it.
-func (f *luFactor) selectPivot(m int) (pr int, pk int, ok bool) {
+// selectPivot scans the active rows, from the first one (lo), for the entry
+// minimizing the Markowitz count (rowLen-1)*(colCnt-1) among entries passing
+// the relative stability threshold, breaking ties toward the larger
+// magnitude. Returns the row and the entry's index within it. Starting at lo
+// rather than row 0 keeps a factorization of singletons (the all-slack
+// basis) linear in the row count.
+func (f *luFactor) selectPivot(lo, m int) (pr int, pk int, ok bool) {
 	bestCost := int64(math.MaxInt64)
 	bestAbs := 0.0
 	pr, pk = -1, -1
-	for i := 0; i < m; i++ {
+	for i := lo; i < m; i++ {
 		if f.rowDone[i] {
 			continue
 		}

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -135,6 +136,22 @@ func TestLUFactorizeSolves(t *testing.T) {
 				t.Fatalf("trial %d m=%d: BTRAN residual %g at position %d", trial, m, dot-c[pos], pos)
 			}
 		}
+	}
+}
+
+// TestFactorizeStopsOnDoneCtx: a done context fails the factorization as a
+// singular basis would, and the same scratch factorizes once it is cleared.
+func TestFactorizeStopsOnDoneCtx(t *testing.T) {
+	colIdx, colVal, basis := randBasisColumns(rand.New(rand.NewSource(3)), 200, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	f := &luFactor{ctx: ctx}
+	if f.factorize(200, basis, colIdx, colVal) {
+		t.Fatal("factorize under a done context succeeded")
+	}
+	f.ctx = nil
+	if !f.factorize(200, basis, colIdx, colVal) {
+		t.Fatal("factorize after the context was cleared failed")
 	}
 }
 

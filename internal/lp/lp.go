@@ -20,6 +20,7 @@
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -401,7 +402,16 @@ type Options struct {
 	Algorithm Algorithm
 	// WantDuals populates Result.Duals on optimal solves (one extra BTRAN).
 	WantDuals bool
+	// Ctx, if non-nil, is polled every ctxPollIters simplex iterations and
+	// basis-factorization steps; once it is done the solve stops with
+	// IterLimit. It carries the MILP's time budget and cancellation into a
+	// long LP.
+	Ctx context.Context
 }
+
+// ctxPollIters is the iteration (and elimination-step) interval at which
+// Options.Ctx is polled.
+const ctxPollIters = 64
 
 func (o Options) withDefaults(m, n int) Options {
 	if o.MaxIters == 0 {

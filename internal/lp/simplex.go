@@ -551,12 +551,17 @@ func (s *simplex) priceDantzig(cost []float64) (int, float64) {
 	return enter, enterDir
 }
 
+// ctxDone polls Options.Ctx every ctxPollIters iterations.
+func (s *simplex) ctxDone() bool {
+	return s.opt.Ctx != nil && s.iters%ctxPollIters == 0 && s.opt.Ctx.Err() != nil
+}
+
 // iterate runs primal simplex iterations under the given cost vector until
-// optimality, unboundedness or the iteration limit.
+// optimality, unboundedness, the iteration limit or a done Options.Ctx.
 func (s *simplex) iterate(cost []float64) Status {
 	tol := s.opt.Tol
 	for {
-		if s.iters >= s.opt.MaxIters {
+		if s.iters >= s.opt.MaxIters || s.ctxDone() {
 			return IterLimit
 		}
 		s.iters++
@@ -749,6 +754,7 @@ func (s *simplex) refresh() {
 func (s *simplex) refactorize() bool {
 	s.stats.Refactorizations++
 	s.clock.Enter(PhaseRefactorize)
+	s.lu.ctx = s.opt.Ctx
 	if !s.lu.factorize(s.m, s.basis, s.colIdx, s.colVal) {
 		return false
 	}

@@ -16,7 +16,9 @@ import (
 // v3 added Go runtime stats: per-case allocation/GC deltas and a document
 // level Runtime block (GOMAXPROCS, total allocations, GC pauses, peak heap).
 // v4 added the "portfolio" solver and the per-case Par/Winner fields for
-// parallel-BnB and portfolio-race cases.
+// parallel-BnB and portfolio-race cases. The portfolio race is gone; its
+// cases are read-only history in BENCH_3–BENCH_9, and the reader keeps the
+// portfolio rules below so those documents still validate and gate.
 // v5 added the document-level calibration block (machine-drift probes), the
 // per-case deterministic work vector (primary regression-gate signal) and the
 // optional per-case sampling profile.
@@ -30,11 +32,11 @@ const BenchMinSchemaVersion = 1
 type BenchCase struct {
 	Name   string `json:"name"`   // corpus case name ("seed3-RULE7" style)
 	Rule   string `json:"rule"`   // rule configuration solved under
-	Solver string `json:"solver"` // "bnb", "ilp" or "portfolio" (v4+)
+	Solver string `json:"solver"` // "bnb" or "ilp"; "portfolio" (v4+) in BENCH_3–BENCH_9 only
 
 	// Par is the in-solve worker count of the deterministic parallel BnB (0 =
 	// serial engine); Winner names the engine ("bnb"/"ilp") whose result a
-	// portfolio case returned. Schema v4+.
+	// portfolio case of BENCH_3–BENCH_9 returned. Schema v4+.
 	Par    int    `json:"par,omitempty"`
 	Winner string `json:"winner,omitempty"`
 
@@ -81,8 +83,9 @@ type BenchCase struct {
 	// Work is the case's deterministic work vector (schema v5+): cost
 	// counters pinned byte-identical for a given (case, solver, par) key —
 	// nodes, simplex iterations, FTRAN/BTRAN nonzeros, Steiner DP cells,
-	// DRC checks. Required on successful non-portfolio cases; portfolio
-	// cases omit it (the race is scheduling-dependent), and parallel-BnB
+	// DRC checks. Required on successful non-portfolio cases; the legacy
+	// portfolio cases of BENCH_3–BENCH_9 omit it (the race was
+	// scheduling-dependent), and parallel-BnB
 	// cases carry only the counters deterministic under work stealing.
 	Work map[string]int64 `json:"work,omitempty"`
 
@@ -282,9 +285,9 @@ func ValidateBench(data []byte) (*BenchDoc, error) {
 			return nil, fmt.Errorf("bench: duplicate case %q", key)
 		case c.WallMS < 0:
 			return nil, fmt.Errorf("bench: case %q: negative wall_ms", c.Name)
-		// Portfolio wins are exempt from the node floor: a race decided
-		// through the exchange (foreign bound meets local incumbent) can
-		// return a winner that never popped a node of its own.
+		// Legacy portfolio cases are exempt from the node floor: a race
+		// decided through the exchange (foreign bound meets local incumbent)
+		// could return a winner that never popped a node of its own.
 		case c.Err == "" && c.Feasible && c.Nodes <= 0 && c.Solver != "portfolio":
 			return nil, fmt.Errorf("bench: case %q: no nodes recorded", c.Name)
 		case c.Err == "" && len(c.PhasesMS) == 0:
@@ -299,8 +302,8 @@ func ValidateBench(data []byte) (*BenchDoc, error) {
 		case c.GCPauseMS > 0 && c.NumGC == 0:
 			return nil, fmt.Errorf("bench: case %q: gc_pause_ms %g without num_gc (pause totals only grow when a cycle completes)", c.Name, c.GCPauseMS)
 		// Work-vector rules (schema v5+): required on successful
-		// non-portfolio cases, forbidden on portfolio cases (the race is
-		// scheduling-dependent), counters non-negative.
+		// non-portfolio cases, forbidden on the legacy portfolio cases (the
+		// race was scheduling-dependent), counters non-negative.
 		case doc.SchemaVersion >= 5 && c.Err == "" && c.Solver != "portfolio" && len(c.Work) == 0:
 			return nil, fmt.Errorf("bench: case %q: missing work vector (schema v5)", c.Name)
 		case c.Solver == "portfolio" && len(c.Work) > 0:

@@ -41,8 +41,9 @@ type BenchComparison struct {
 	// Work counters are deterministic, so unlike wall time they carry no
 	// jitter: the gate compares the WORST single case (WorkMax) against a
 	// tight threshold instead of a geomean that would dilute a one-case
-	// regression across the corpus. Portfolio cases are excluded (their
-	// race is scheduling-dependent); pre-v5 baselines contribute a legacy
+	// regression across the corpus. Portfolio cases, read-only history from
+	// BENCH_3–BENCH_9, are excluded (the race was scheduling-dependent);
+	// pre-v5 baselines contribute a legacy
 	// vector derived from the nodes/lp_solves/simplex_iters fields.
 	WorkCases   int     // matched cases contributing work ratios
 	WorkRatio   float64 // geomean of per-case work ratios (1 when no work cases)
@@ -257,8 +258,9 @@ func workVector(c BenchCase) (map[string]int64, bool) {
 // legitimately reports as zero cannot blow up the ratio. When both sides
 // carry explicit vectors the keys are the union (a counter vanishing or
 // appearing is itself signal); when either side is legacy-derived only the
-// shared keys are comparable. Portfolio cases return ok=false — their race
-// outcome is scheduling-dependent, so no counter is pinned.
+// shared keys are comparable. Portfolio cases, read-only history from
+// BENCH_3–BENCH_9, return ok=false — the race outcome was
+// scheduling-dependent, so no counter is pinned.
 func caseWorkRatio(b, c BenchCase) (ratio float64, keys []string, ok bool) {
 	if b.Solver == "portfolio" || c.Solver == "portfolio" {
 		return 0, nil, false

@@ -159,6 +159,23 @@ func TestCompareBenchWorkRatios(t *testing.T) {
 	if d := byCounter["drc_checks"]; d.Base != 2000 || d.Cur != 3000 {
 		t.Errorf("drc_checks delta = %+v, want 2000 -> 3000", d)
 	}
+
+	// A legacy baseline (BENCH_3–BENCH_9) still carries portfolio cases that
+	// no current run produces: they land in OnlyBase and the gate passes.
+	legacy := mk("race", "portfolio", nil)
+	legacy.Winner = "bnb"
+	base = &BenchDoc{Cases: []BenchCase{base.Cases[0], legacy}}
+	cur = &BenchDoc{Cases: []BenchCase{cur.Cases[0]}}
+	cmp = CompareBench(base, cur)
+	if want := []string{"race/portfolio"}; !reflect.DeepEqual(cmp.OnlyBase, want) {
+		t.Fatalf("OnlyBase = %v, want %v", cmp.OnlyBase, want)
+	}
+	if cmp.Matched != 1 || cmp.WorkCases != 1 {
+		t.Fatalf("Matched = %d, WorkCases = %d, want 1 and 1", cmp.Matched, cmp.WorkCases)
+	}
+	if outcome, verdict := cmp.Gate(1.02, 1.2); outcome != GateOK {
+		t.Fatalf("gate = %s (%s), want ok", outcome, verdict)
+	}
 }
 
 // TestCaseWorkRatioKeyLogic: the union applies when both vectors are

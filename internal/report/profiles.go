@@ -15,7 +15,7 @@ import (
 type ProfileRecord struct {
 	Clip    string            `json:"clip"`
 	Rule    string            `json:"rule"`
-	Solver  string            `json:"solver"` // "bnb", "ilp" or "portfolio"
+	Solver  string            `json:"solver"` // "bnb" or "ilp"
 	WallMS  float64           `json:"wall_ms"`
 	Hz      int               `json:"hz"`
 	Samples int64             `json:"samples"`

@@ -21,17 +21,13 @@ import (
 // flight-recorder node events beneath it.
 type SolveTrace struct {
 	Span   *obs.TraceNode
-	Solver string // "bnb", "ilp" or "portfolio", from the span name
+	Solver string // "bnb" or "ilp", from the span name
 	Clip   string // clip attr ("" when the producer predates it)
 
-	// Parallel-search attribution (zero/empty on serial solves): Par is the
-	// in-solve worker count, Steals the scheduler's work-steal count, and
-	// IncumbentExchanges the incumbents the solve pushed through a portfolio
-	// exchange. Winner names the engine a portfolio race returned.
-	Par                int
-	Steals             int64
-	IncumbentExchanges int64
-	Winner             string
+	// Parallel-search attribution (zero on serial solves): Par is the
+	// in-solve worker count, Steals the scheduler's work-steal count.
+	Par    int
+	Steals int64
 
 	// LP engine telemetry from ilp solves (zero on bnb solves or traces
 	// predating the pricing layer): total simplex iterations, candidate-list
@@ -88,9 +84,8 @@ type NodeEvent struct {
 
 // solveSpanNames are the span names the two exact engines open per solve.
 var solveSpanNames = map[string]string{
-	"bnb.solve":       "bnb",
-	"ilp.solve":       "ilp",
-	"portfolio.solve": "portfolio",
+	"bnb.solve": "bnb",
+	"ilp.solve": "ilp",
 }
 
 // ExtractSolves finds every solver invocation in the tree, in start order.
@@ -101,20 +96,12 @@ func ExtractSolves(tree *obs.TraceTree) []SolveTrace {
 		if !ok || n.Event {
 			return
 		}
-		st := SolveTrace{Span: n, Solver: solver, Clip: n.AttrString("clip"),
-			Winner: n.AttrString("winner")}
+		st := SolveTrace{Span: n, Solver: solver, Clip: n.AttrString("clip")}
 		if v, ok := n.AttrFloat("par"); ok {
 			st.Par = int(v)
 		}
 		if v, ok := n.AttrFloat("steals"); ok {
 			st.Steals = int64(v)
-		}
-		if v, ok := n.AttrFloat("incumbent_exchanges"); ok {
-			st.IncumbentExchanges = int64(v)
-		} else if v, ok := n.AttrFloat("exchange_accepted"); ok {
-			// portfolio.solve spans stamp the exchange's accepted-offer count
-			// under this name.
-			st.IncumbentExchanges = int64(v)
 		}
 		if v, ok := n.AttrFloat("lp_iters"); ok {
 			st.LPIters = int64(v)
