@@ -9,9 +9,10 @@
 # from solver goroutines and hosts the sampling profiler's ticker goroutine;
 # calib's probes must stay race-clean because they run inside instrumented
 # bench sessions), the full test suite in short mode, one iteration of
-# the full-design router's BenchmarkRoute and of the Steiner kernel's and
-# CDC-BnB's BenchmarkSteinerTree and BenchmarkBnBFlightOff (so they keep
-# building), a parallel end-to-end smoke run of both CLIs at -j 4, and a
+# the full-design router's BenchmarkRoute, of the Steiner kernel's and
+# CDC-BnB's BenchmarkSteinerTree and BenchmarkBnBFlightOff, and of the LP
+# factorization's BenchmarkFactorize and BenchmarkFactorizeLarge (so they
+# keep building), a parallel end-to-end smoke run of both CLIs at -j 4, and a
 # traced -par 2 solve whose phase breakdown traceview checks against the
 # solve span's duration.
 set -eu
@@ -46,6 +47,9 @@ go test -run '^$' -bench BenchmarkRoute -benchtime 1x ./internal/route
 
 echo "== bench: Steiner kernel and CDC-BnB benchmarks build and run once"
 go test -run '^$' -bench 'BenchmarkSteinerTree$|BenchmarkBnBFlightOff$' -benchtime 1x ./internal/core
+
+echo "== bench: LP factorization benchmarks build and run once"
+go test -run '^$' -bench 'BenchmarkFactorize' -benchtime 1x ./internal/lp
 
 smoke_tmp=$(mktemp -d)
 bench_tmp=$(mktemp -d)

@@ -645,10 +645,11 @@ func (m *Model) Solve(opt Options) Result {
 				term = TermUnbounded
 			}
 			continue
-		case lp.IterLimit:
+		case lp.Stopped, lp.IterLimit:
 			hitLimit = true
-			if t := budget(); t != "" {
-				term = t // the LP stopped on lpCtx; the loop head stops too
+			if res.Status == lp.Stopped {
+				// lpCtx is done only once the budget is; the loop head stops too.
+				term = budget()
 			} else if term == "" {
 				term = TermLPIterLimit
 			}

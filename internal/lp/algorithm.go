@@ -54,9 +54,10 @@ func dualSolve(p *Problem, opt Options) (Result, *simplex, bool) {
 		return Result{}, nil, false
 	}
 	if st != Optimal {
-		if st == Infeasible && nab == 0 {
-			// The certificate was derived under the true bounds: trust it.
-			return s.result(Infeasible), s, true
+		if st == Stopped || (st == Infeasible && nab == 0) {
+			// Stopped by Options.Ctx, or infeasible by a certificate derived
+			// under the true bounds: report it.
+			return s.result(st), s, true
 		}
 		s.clock.Stop()
 		return Result{}, nil, false

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 
 	"optrouter/internal/obs"
 )
@@ -93,6 +94,9 @@ func warmSolve(p *Problem, opt Options) (Result, bool) {
 	s.clock.Enter(PhaseBuild)
 	s.buildColumns()
 	if !s.loadBasis(bs) {
+		if s.lu != nil && s.lu.stopped {
+			return s.result(Stopped), true
+		}
 		s.clock.Stop()
 		return Result{}, false
 	}
@@ -171,8 +175,9 @@ func (s *simplex) loadBasis(bs *Basis) bool {
 // true) when a tableau row certifies that no solution exists — the row's
 // basic variable violates a bound and no nonbasic movement can reduce the
 // violation, a Farkas-style certificate that needs no dual feasibility —
-// and ok=false when the path must fall back (pivot cap, singular basis,
-// or an infeasibility verdict resting on borderline pivot magnitudes).
+// (Stopped, true) when Options.Ctx stopped it, and ok=false when the path
+// must fall back (pivot cap, singular basis, or an infeasibility verdict
+// resting on borderline pivot magnitudes).
 //
 // The restore is only basis steering — the final primal pass in
 // reSolve/warmSolve/dualSolve certifies every answer — so it is built for
@@ -204,30 +209,21 @@ func (s *simplex) dualRestore() (Status, bool) {
 		s.resyncPricing(cost)
 	}
 
+	s.viol.fill(m)
+
 	maxIters := s.dualIterCap()
 	for it := 0; ; it++ {
-		if it >= maxIters || s.iters >= s.opt.MaxIters || s.ctxDone() {
+		if it >= maxIters || s.iters >= s.opt.MaxIters {
 			return 0, false
+		}
+		if s.ctxDone() {
+			return Stopped, true
 		}
 		s.clock.Enter(PhasePricing)
 
-		// Leaving row: the largest weighted bound violation.
-		r := -1
-		worst := 0.0
-		above := false
-		viol := 0.0
-		for i := 0; i < m; i++ {
-			bj := s.basis[i]
-			if v := s.xB[i] - s.hi[bj]; v > tol {
-				if sc := v * v / dw[i]; sc > worst {
-					worst, r, above, viol = sc, i, true, v
-				}
-			}
-			if v := s.lo[bj] - s.xB[i]; v > tol {
-				if sc := v * v / dw[i]; sc > worst {
-					worst, r, above, viol = sc, i, false, v
-				}
-			}
+		r, above, viol := s.leavingRow()
+		if s.testLeaving != nil {
+			s.testLeaving(r, above, viol)
 		}
 		if r == -1 {
 			return Optimal, true // primal feasible
@@ -351,7 +347,7 @@ func (s *simplex) dualRestore() (Status, bool) {
 			// rebuild the inverse and retry the row (no flips applied yet).
 			s.stats.RefactorPivotQuality++
 			if !s.refactorize() {
-				return 0, false
+				return s.restoreFailed()
 			}
 			continue
 		}
@@ -392,6 +388,7 @@ func (s *simplex) dualRestore() (Status, bool) {
 		enterVal := s.nbValue(enter) + dx
 		for _, i := range s.wv.ind {
 			s.xB[i] -= s.w[i] * dx
+			s.viol.add(int(i))
 		}
 		s.stats.Pivots++
 		if above {
@@ -401,9 +398,9 @@ func (s *simplex) dualRestore() (Status, bool) {
 		}
 		s.basis[r] = enter
 		s.state[enter] = stBasic
-		s.xB[r] = enterVal
+		s.xB[r] = enterVal // r is in wv.ind (w[r] is the pivot), so in s.viol
 		if !s.updateBasisRep(r) {
-			return 0, false
+			return s.restoreFailed()
 		}
 		if s.iters%256 == 0 {
 			s.refresh()
@@ -446,7 +443,59 @@ func (s *simplex) applyBoundFlips() {
 	s.clockBack(prev)
 	for _, i := range s.fv.ind {
 		s.xB[i] -= s.fv.val[i]
+		s.viol.add(int(i))
 	}
+}
+
+// leavingRow picks the dual restore's leaving row: the largest weighted
+// bound violation v*v/dw over the rows whose basic value violates a bound by
+// more than tol, ties to the lowest row; r = -1 when every basic value is
+// within its bounds. It walks only the rows in s.viol, which holds every row
+// whose basic value or basic variable changed since it was last found
+// feasible (the restore's pivots and bound flips add their touched rows, and
+// refresh adds all), and drops the rows it finds feasible. The choice is
+// that of a scan of every row (the test oracle in dual_test.go).
+func (s *simplex) leavingRow() (r int, above bool, viol float64) {
+	tol := s.opt.Tol
+	r = -1
+	worst := 0.0
+	set := &s.viol
+	for wi := set.lo; wi < len(set.w); wi++ {
+		for word := set.w[wi]; word != 0; word &= word - 1 {
+			i := wi<<6 + bits.TrailingZeros64(word)
+			bj := s.basis[i]
+			over := s.xB[i] - s.hi[bj]
+			under := s.lo[bj] - s.xB[i]
+			if over <= tol && under <= tol {
+				set.w[wi] &^= 1 << uint(i&63)
+				continue
+			}
+			if over > tol {
+				if sc := over * over / s.dw[i]; sc > worst {
+					worst, r, above, viol = sc, i, true, over
+				}
+			}
+			if under > tol {
+				if sc := under * under / s.dw[i]; sc > worst {
+					worst, r, above, viol = sc, i, false, under
+				}
+			}
+		}
+		if wi == set.lo && set.w[wi] == 0 {
+			set.lo++
+		}
+	}
+	return r, above, viol
+}
+
+// restoreFailed is dualRestore's exit when the basis could not be
+// refactorized: Stopped when the factorization gave up on Options.Ctx,
+// otherwise a fallback to the cold solve.
+func (s *simplex) restoreFailed() (Status, bool) {
+	if s.lu.stopped {
+		return Stopped, true
+	}
+	return 0, false
 }
 
 // dualWeightUpdate maintains the dual pricing weights across the exchange on

@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"math"
+	"math/bits"
 )
 
 // This file implements the sparse LU factorization behind the simplex
@@ -64,9 +65,10 @@ type luFactor struct {
 	ft ftState // Forrest-Tomlin update state (ft.go)
 
 	// ctx, if non-nil, is polled every ctxPollIters elimination steps; once
-	// it is done factorize gives up as if the basis were singular. A large
-	// basis takes longer to factorize than many simplex iterations.
-	ctx context.Context
+	// it is done factorize gives up and sets stopped. A large basis takes
+	// longer to factorize than many simplex iterations.
+	ctx     context.Context
+	stopped bool // the last factorize gave up on ctx, not on a singular basis
 
 	// Test hooks (ft_test.go): force every update to be rejected, and make
 	// the next factorize report the basis singular, exercising the recovery
@@ -86,6 +88,12 @@ type luFactor struct {
 	oldMark []int32
 	accList []int32
 	epoch   int32
+
+	// cand holds every active row that might hold a zero-count pivot or be
+	// singular (selectPivot). examined counts the rows selectPivot checked
+	// in the last factorize (factor_test.go pins it linear).
+	cand     rowSet
+	examined int
 }
 
 // reset prepares the factor for a basis of m rows, clearing prior state.
@@ -131,17 +139,42 @@ func (f *luFactor) refactorDue() refactorReason {
 // factorize rebuilds the LU factorization from the basis columns (basis[pos]
 // names the column basic at position pos; colIdx/colVal are the column
 // nonzeros by row). Returns false when the basis matrix is numerically
-// singular. The update state is cleared — the factorization alone
-// represents the basis afterwards.
+// singular or ctx stopped the factorization (stopped tells the two apart).
+// The update state is cleared — the factorization alone represents the
+// basis afterwards.
 func (f *luFactor) factorize(m int, basis []int, colIdx [][]int32, colVal [][]float64) bool {
+	f.stopped = false
 	if f.testFailFactorize {
 		f.testFailFactorize = false
 		return false
 	}
+	f.assemble(m, basis, colIdx, colVal)
+	lo := 0 // rows below lo are all eliminated
+	for step := 0; step < m; step++ {
+		if f.ctx != nil && step%ctxPollIters == 0 && f.ctx.Err() != nil {
+			f.stopped = true
+			return false
+		}
+		for f.rowDone[lo] {
+			lo++
+		}
+		pr, pk, ok := f.selectPivot(lo, m)
+		if !ok {
+			return false
+		}
+		f.eliminate(pr, pk)
+	}
+	f.ftInit(m)
+	f.factorNNZ = len(f.lVal) + len(f.urVal) + m
+	return true
+}
+
+// assemble clears the factor and loads the basis matrix into the working
+// rows (col = basis position) and column lists. Every row starts as a pivot
+// candidate.
+func (f *luFactor) assemble(m int, basis []int, colIdx [][]int32, colVal [][]float64) {
 	f.reset(m)
 	f.growScratch(m)
-
-	// Assemble the working rows (col = basis position).
 	nnz := 0
 	for i := 0; i < m; i++ {
 		f.rwIdx[i] = f.rwIdx[i][:0]
@@ -164,33 +197,49 @@ func (f *luFactor) factorize(m int, basis []int, colIdx [][]int32, colVal [][]fl
 		}
 	}
 	f.basisNNZ = nnz
-
-	lo := 0 // rows below lo are all eliminated
-	for step := 0; step < m; step++ {
-		if f.ctx != nil && step%ctxPollIters == 0 && f.ctx.Err() != nil {
-			return false
-		}
-		for f.rowDone[lo] {
-			lo++
-		}
-		pr, pk, ok := f.selectPivot(lo, m)
-		if !ok {
-			return false
-		}
-		f.eliminate(pr, pk)
-	}
-	f.ftInit(m)
-	f.factorNNZ = len(f.lVal) + len(f.urVal) + m
-	return true
+	f.cand.fill(m)
+	f.examined = 0
 }
 
-// selectPivot scans the active rows, from the first one (lo), for the entry
-// minimizing the Markowitz count (rowLen-1)*(colCnt-1) among entries passing
-// the relative stability threshold, breaking ties toward the larger
-// magnitude. Returns the row and the entry's index within it. Starting at lo
-// rather than row 0 keeps a factorization of singletons (the all-slack
-// basis) linear in the row count.
+// selectPivot picks the entry minimizing the Markowitz count
+// (rowLen-1)*(colCnt-1) among entries passing the relative stability
+// threshold, breaking ties toward the larger magnitude and then the lower
+// row and the earlier entry. Returns the row and the entry's index within
+// it; ok=false declares the basis singular.
+//
+// A zero-count pivot (a row or column singleton) cannot be beaten, so the
+// search first walks the candidate rows (f.cand) in index order, checks
+// each exactly and drops it when it holds no zero-count entry: the first
+// that holds one gives the pivot, its largest such entry; a singular row
+// met first fails the step. Every active row that holds a zero-count entry
+// or is singular is a candidate, because its status changes only when
+// mergeRow rewrites it or a count of one of its columns drops to 1, and
+// both add it back. So the walk makes the choice of a scan of every active
+// row that stops at the first zero-count row (the test oracle in
+// factor_test.go) without rescanning the rows it has already cleared. Only
+// when no candidate is left does it scan every active row from lo.
 func (f *luFactor) selectPivot(lo, m int) (pr int, pk int, ok bool) {
+	set := &f.cand
+	for wi := set.lo; wi < len(set.w); wi++ {
+		for word := set.w[wi]; word != 0; word &= word - 1 {
+			i := wi<<6 + bits.TrailingZeros64(word)
+			set.w[wi] &^= 1 << uint(i&63)
+			if f.rowDone[i] {
+				continue
+			}
+			f.examined++
+			k, cost, _, singular := f.rowPivot(i)
+			if singular {
+				return -1, -1, false
+			}
+			if cost == 0 {
+				return i, k, true
+			}
+		}
+		if wi == set.lo {
+			set.lo++ // every member of word wi was checked and cleared
+		}
+	}
 	bestCost := int64(math.MaxInt64)
 	bestAbs := 0.0
 	pr, pk = -1, -1
@@ -198,36 +247,59 @@ func (f *luFactor) selectPivot(lo, m int) (pr int, pk int, ok bool) {
 		if f.rowDone[i] {
 			continue
 		}
-		row := f.rwVal[i]
-		if len(row) == 0 {
-			return -1, -1, false // empty active row: structurally singular
-		}
-		rmax := 0.0
-		for _, v := range row {
-			if a := math.Abs(v); a > rmax {
-				rmax = a
-			}
-		}
-		if rmax < pivotFloor {
+		f.examined++
+		k, cost, a, singular := f.rowPivot(i)
+		if singular {
 			return -1, -1, false
 		}
-		floor := markowitzThreshold * rmax
-		rl := int64(len(row) - 1)
-		for k, v := range row {
-			a := math.Abs(v)
-			if a < floor || a < pivotFloor {
-				continue
-			}
-			cost := rl * int64(f.colCnt[f.rwIdx[i][k]]-1)
-			if cost < bestCost || (cost == bestCost && a > bestAbs) {
-				bestCost, bestAbs, pr, pk = cost, a, i, k
-			}
-		}
-		if bestCost == 0 {
-			break // a zero-fill pivot (row or column singleton) cannot be beaten
+		if cost < bestCost || (cost == bestCost && a > bestAbs) {
+			bestCost, bestAbs, pr, pk = cost, a, i, k
 		}
 	}
 	return pr, pk, pr >= 0
+}
+
+// rowPivot returns active row i's best pivot entry under selectPivot's
+// order — its index k, Markowitz count and magnitude — or singular when the
+// row is empty or its largest entry is below pivotFloor.
+func (f *luFactor) rowPivot(i int) (k int, cost int64, a float64, singular bool) {
+	row := f.rwVal[i]
+	if len(row) == 0 {
+		return -1, 0, 0, true // empty active row: structurally singular
+	}
+	rmax := 0.0
+	for _, v := range row {
+		if av := math.Abs(v); av > rmax {
+			rmax = av
+		}
+	}
+	if rmax < pivotFloor {
+		return -1, 0, 0, true
+	}
+	floor := markowitzThreshold * rmax
+	rl := int64(len(row) - 1)
+	k, cost = -1, math.MaxInt64
+	for kk, v := range row {
+		av := math.Abs(v)
+		if av < floor || av < pivotFloor {
+			continue
+		}
+		c := rl * int64(f.colCnt[f.rwIdx[i][kk]]-1)
+		if c < cost || (c == cost && av > a) {
+			k, cost, a = kk, c, av
+		}
+	}
+	return k, cost, a, false
+}
+
+// flagColumn makes the active rows of column c pivot candidates: its count
+// has just dropped to 1, so its last active entry is a column singleton.
+func (f *luFactor) flagColumn(c int32) {
+	for _, r := range f.colRows[c] {
+		if !f.rowDone[r] {
+			f.cand.add(int(r))
+		}
+	}
 }
 
 // eliminate performs one elimination step with pivot entry pk of row pr:
@@ -242,15 +314,18 @@ func (f *luFactor) eliminate(pr, pk int) {
 	f.prow = append(f.prow, int32(pr))
 	f.pcol = append(f.pcol, pc)
 	f.upiv = append(f.upiv, pv)
+	f.rowDone[pr] = true
 	for k, c := range prowIdx {
+		f.colCnt[c]--
 		if k != pk {
 			f.urInd = append(f.urInd, c)
 			f.urVal = append(f.urVal, prowVal[k])
+			if f.colCnt[c] == 1 {
+				f.flagColumn(c)
+			}
 		}
-		f.colCnt[c]--
 	}
 	f.urPtr = append(f.urPtr, int32(len(f.urInd)))
-	f.rowDone[pr] = true
 
 	uLo := f.urPtr[len(f.urPtr)-2]
 	uHi := f.urPtr[len(f.urPtr)-1]
@@ -282,8 +357,10 @@ func (f *luFactor) eliminate(pr, pk int) {
 
 // mergeRow applies row_i -= mult * pivotRow (off-pivot part in urInd/urVal
 // [uLo,uHi)), dropping the pivot-column entry kk, via the epoch-stamped
-// dense accumulator. Column counts and candidate lists track fill-in.
+// dense accumulator. Column counts and candidate lists track fill-in, and
+// the rewritten row becomes a pivot candidate.
 func (f *luFactor) mergeRow(i, kk int, mult float64, uLo, uHi int32) {
+	f.cand.add(i)
 	f.epoch++
 	if f.epoch == math.MaxInt32 {
 		for j := range f.accMark {
@@ -329,6 +406,9 @@ func (f *luFactor) mergeRow(i, kk int, mult float64, uLo, uHi int32) {
 			f.colRows[c] = append(f.colRows[c], int32(i))
 		case !keep && was: // cancellation
 			f.colCnt[c]--
+			if f.colCnt[c] == 1 {
+				f.flagColumn(c)
+			}
 		}
 		if keep {
 			idx = append(idx, c)

@@ -155,6 +155,279 @@ func TestFactorizeStopsOnDoneCtx(t *testing.T) {
 	}
 }
 
+// markowitzScan is selectPivot's test oracle: the Markowitz search as a scan
+// of every active row from lo, stopping at the first row that holds a
+// zero-count pivot and failing at the first singular row.
+func (f *luFactor) markowitzScan(lo, m int) (pr int, pk int, ok bool) {
+	bestCost := int64(math.MaxInt64)
+	bestAbs := 0.0
+	pr, pk = -1, -1
+	for i := lo; i < m; i++ {
+		if f.rowDone[i] {
+			continue
+		}
+		row := f.rwVal[i]
+		if len(row) == 0 {
+			return -1, -1, false
+		}
+		rmax := 0.0
+		for _, v := range row {
+			if a := math.Abs(v); a > rmax {
+				rmax = a
+			}
+		}
+		if rmax < pivotFloor {
+			return -1, -1, false
+		}
+		floor := markowitzThreshold * rmax
+		rl := int64(len(row) - 1)
+		for k, v := range row {
+			a := math.Abs(v)
+			if a < floor || a < pivotFloor {
+				continue
+			}
+			cost := rl * int64(f.colCnt[f.rwIdx[i][k]]-1)
+			if cost < bestCost || (cost == bestCost && a > bestAbs) {
+				bestCost, bestAbs, pr, pk = cost, a, i, k
+			}
+		}
+		if bestCost == 0 {
+			break
+		}
+	}
+	return pr, pk, pr >= 0
+}
+
+// trickyBasisColumns builds an m-column basis row by row from a palette of
+// magnitudes around the stability threshold (5% of the row maximum) and the
+// pivot floor, with some rows exact power-of-two multiples of earlier rows
+// (elimination cancels them to an empty row, or to a singleton when one
+// entry is added) and some rows all below the floor. Most such bases are
+// singular; the rest pivot through near-threshold entries.
+func trickyBasisColumns(rng *rand.Rand, m int) (colIdx [][]int32, colVal [][]float64, basis []int) {
+	palette := []float64{1, 0.5, 3, 0.05, 0.05 * (1 - 1e-12), 0.05 * (1 + 1e-12), 2e-11, 0.9e-11}
+	rows := make([][]int32, m)
+	vals := make([][]float64, m)
+	put := func(i int, c int32, v float64) {
+		for k, e := range rows[i] {
+			if e == c {
+				vals[i][k] = v
+				return
+			}
+		}
+		rows[i] = append(rows[i], c)
+		vals[i] = append(vals[i], v)
+	}
+	for i := 0; i < m; i++ {
+		switch kind := rng.Intn(8); {
+		case kind < 2 && i > 0: // exact multiple of an earlier row (+1 entry)
+			src := rng.Intn(i)
+			scale := math.Ldexp(1, rng.Intn(5)-2)
+			for k, c := range rows[src] {
+				put(i, c, vals[src][k]*scale)
+			}
+			if kind == 1 {
+				put(i, int32(rng.Intn(m)), 1)
+			}
+		case kind == 2: // every entry below the pivot floor
+			for k := 0; k < 1+rng.Intn(3); k++ {
+				put(i, int32(rng.Intn(m)), 0.5e-11)
+			}
+		default:
+			put(i, int32(i), 1)
+			for k := 0; k < rng.Intn(4); k++ {
+				v := palette[rng.Intn(len(palette))]
+				if rng.Intn(2) == 0 {
+					v = -v
+				}
+				put(i, int32(rng.Intn(m)), v)
+			}
+		}
+	}
+	colIdx = make([][]int32, m)
+	colVal = make([][]float64, m)
+	for i := range rows {
+		for k, c := range rows[i] {
+			colIdx[c] = append(colIdx[c], int32(i))
+			colVal[c] = append(colVal[c], vals[i][k])
+		}
+	}
+	basis = make([]int, m)
+	for i := range basis {
+		basis[i] = i
+	}
+	return colIdx, colVal, basis
+}
+
+// smallIntBasisColumns builds an m-column basis with 2-3 entries per row,
+// each 1 or 2: eliminations cancel single entries exactly, which turns
+// entries of rows that are not being merged into column singletons.
+func smallIntBasisColumns(rng *rand.Rand, m int) (colIdx [][]int32, colVal [][]float64, basis []int) {
+	colIdx = make([][]int32, m)
+	colVal = make([][]float64, m)
+	for i := 0; i < m; i++ {
+		used := map[int]bool{}
+		for k := 0; k < 2+rng.Intn(2); k++ {
+			c := rng.Intn(m)
+			if used[c] {
+				continue
+			}
+			used[c] = true
+			colIdx[c] = append(colIdx[c], int32(i))
+			colVal[c] = append(colVal[c], float64(1+rng.Intn(2)))
+		}
+	}
+	basis = make([]int, m)
+	for i := range basis {
+		basis[i] = i
+	}
+	return colIdx, colVal, basis
+}
+
+// pathBasisColumns builds the worst case of a rescanning Markowitz search:
+// a path-structured (bidiagonal) basis of m rows. Path row p holds columns
+// p and p+1, the last path row only column m-1 (a row singleton), and
+// column 0 appears only in path row 0 (a column singleton). The
+// row-singleton end is numbered m-2, m-3, ..., 0 inwards and path row 0 is
+// m-1, so the two frontier rows of the elimination always carry the
+// highest active indices: a scan from the first active row visits every
+// active row on every step, about m*m/2 rows in all.
+func pathBasisColumns(m int) (colIdx [][]int32, colVal [][]float64, basis []int) {
+	rowOf := func(p int) int32 {
+		if p == 0 {
+			return int32(m - 1)
+		}
+		return int32(p - 1)
+	}
+	colIdx = make([][]int32, m)
+	colVal = make([][]float64, m)
+	for c := 0; c < m; c++ {
+		if c > 0 {
+			colIdx[c] = append(colIdx[c], rowOf(c-1))
+			colVal[c] = append(colVal[c], 0.5)
+		}
+		colIdx[c] = append(colIdx[c], rowOf(c))
+		colVal[c] = append(colVal[c], 1)
+	}
+	basis = make([]int, m)
+	for i := range basis {
+		basis[i] = i
+	}
+	return colIdx, colVal, basis
+}
+
+// TestMarkowitzMatchesScan runs the elimination with selectPivot and, before
+// every step, its oracle markowitzScan on the same state: both must name the
+// same pivot row and entry and give the same singular verdict. The
+// production factorize must then produce the same prow/pcol/upiv sequence
+// and verdict. Bases: diagonally dominant random ones at several m, bases
+// built around the stability threshold, the pivot floor and exact
+// cancellation (mostly singular), small-integer bases whose cancellations
+// make column singletons, and the path basis.
+func TestMarkowitzMatchesScan(t *testing.T) {
+	type basisCase struct {
+		name            string
+		m               int
+		colIdx          [][]int32
+		colVal          [][]float64
+		basis           []int
+		wantNonsingular bool
+	}
+	rng := rand.New(rand.NewSource(17))
+	var cases []basisCase
+	for _, m := range []int{1, 2, 5, 20, 100, 400} {
+		for trial := 0; trial < 4; trial++ {
+			ci, cv, b := randBasisColumns(rng, m, 0)
+			cases = append(cases, basisCase{"dominant", m, ci, cv, b, true})
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		m := 1 + rng.Intn(30)
+		ci, cv, b := trickyBasisColumns(rng, m)
+		cases = append(cases, basisCase{"tricky", m, ci, cv, b, false})
+	}
+	for trial := 0; trial < 1000; trial++ {
+		m := 3 + rng.Intn(12)
+		ci, cv, b := smallIntBasisColumns(rng, m)
+		cases = append(cases, basisCase{"small-int", m, ci, cv, b, false})
+	}
+	ci, cv, b := pathBasisColumns(300)
+	cases = append(cases, basisCase{"path", 300, ci, cv, b, true})
+
+	var zeroCost, scanned, singular, nonsingular int
+	for n, tc := range cases {
+		f := &luFactor{}
+		f.assemble(tc.m, tc.basis, tc.colIdx, tc.colVal)
+		ok := true
+		lo := 0
+		for step := 0; step < tc.m && ok; step++ {
+			for f.rowDone[lo] {
+				lo++
+			}
+			wr, wk, wok := f.markowitzScan(lo, tc.m)
+			pr, pk, gok := f.selectPivot(lo, tc.m)
+			if pr != wr || pk != wk || gok != wok {
+				t.Fatalf("case %d (%s, m=%d) step %d: selectPivot (%d,%d,%v), scan (%d,%d,%v)",
+					n, tc.name, tc.m, step, pr, pk, gok, wr, wk, wok)
+			}
+			ok = gok
+			if !ok {
+				break
+			}
+			if len(f.rwIdx[pr]) == 1 || f.colCnt[f.rwIdx[pr][pk]] == 1 {
+				zeroCost++
+			} else {
+				scanned++
+			}
+			f.eliminate(pr, pk)
+		}
+		if ok {
+			nonsingular++
+		} else {
+			singular++
+		}
+		if tc.wantNonsingular && !ok {
+			t.Fatalf("case %d (%s, m=%d): declared singular", n, tc.name, tc.m)
+		}
+
+		g := &luFactor{}
+		if got := g.factorize(tc.m, tc.basis, tc.colIdx, tc.colVal); got != ok {
+			t.Fatalf("case %d (%s, m=%d): factorize %v, stepwise %v", n, tc.name, tc.m, got, ok)
+		}
+		if !ok {
+			continue
+		}
+		for k := range f.prow {
+			if g.prow[k] != f.prow[k] || g.pcol[k] != f.pcol[k] || g.upiv[k] != f.upiv[k] {
+				t.Fatalf("case %d (%s, m=%d): step %d pivots (%d,%d,%g), stepwise (%d,%d,%g)",
+					n, tc.name, tc.m, k, g.prow[k], g.pcol[k], g.upiv[k], f.prow[k], f.pcol[k], f.upiv[k])
+			}
+		}
+	}
+	t.Logf("%d zero-count steps, %d full-scan steps, %d singular and %d nonsingular bases",
+		zeroCost, scanned, singular, nonsingular)
+	if zeroCost == 0 || scanned == 0 || singular == 0 || nonsingular == 0 {
+		t.Fatalf("coverage: %d zero-count steps, %d full-scan steps, %d singular and %d nonsingular bases",
+			zeroCost, scanned, singular, nonsingular)
+	}
+}
+
+// TestFactorizeLinearWork pins the Markowitz search's work on the path
+// basis, where a scan of every active row per step visits about m*m/2
+// rows: selectPivot must examine at most 2*(m+nnz) rows in all.
+func TestFactorizeLinearWork(t *testing.T) {
+	const m = 20000
+	colIdx, colVal, basis := pathBasisColumns(m)
+	f := &luFactor{}
+	if !f.factorize(m, basis, colIdx, colVal) {
+		t.Fatal("path basis declared singular")
+	}
+	t.Logf("m=%d nnz=%d: selectPivot examined %d rows", m, f.basisNNZ, f.examined)
+	if limit := 2 * (m + f.basisNNZ); f.examined > limit {
+		t.Fatalf("selectPivot examined %d rows, want <= %d (2*(m+nnz))", f.examined, limit)
+	}
+}
+
 // TestFTUpdateMatchesRefactorize performs a chain of basis exchanges
 // through Forrest-Tomlin updates and, after every step, compares FTRAN and
 // BTRAN through the updated factorization against a fresh factorization of
@@ -294,6 +567,22 @@ func BenchmarkFactorize(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	const m = 200
 	colIdx, colVal, basis := randBasisColumns(rng, m, 0)
+	f := &luFactor{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !f.factorize(m, basis, colIdx, colVal) {
+			b.Fatal("singular")
+		}
+	}
+}
+
+// BenchmarkFactorizeLarge measures one factorization of the m=20000 path
+// basis of TestFactorizeLinearWork: linear in m only if the Markowitz search
+// finds each step's singleton without rescanning the active rows.
+func BenchmarkFactorizeLarge(b *testing.B) {
+	const m = 20000
+	colIdx, colVal, basis := pathBasisColumns(m)
 	f := &luFactor{}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -69,6 +69,8 @@ const (
 	Unbounded
 	// IterLimit means the iteration limit was exhausted before convergence.
 	IterLimit
+	// Stopped means Options.Ctx was done before the solve finished.
+	Stopped
 )
 
 func (s Status) String() string {
@@ -81,6 +83,8 @@ func (s Status) String() string {
 		return "unbounded"
 	case IterLimit:
 		return "iteration-limit"
+	case Stopped:
+		return "stopped"
 	}
 	return "?"
 }
@@ -403,9 +407,9 @@ type Options struct {
 	// WantDuals populates Result.Duals on optimal solves (one extra BTRAN).
 	WantDuals bool
 	// Ctx, if non-nil, is polled every ctxPollIters simplex iterations and
-	// basis-factorization steps; once it is done the solve stops with
-	// IterLimit. It carries the MILP's time budget and cancellation into a
-	// long LP.
+	// basis-factorization steps; once it is done the solve returns at once
+	// with Stopped, on every path (warm, dual and primal). It carries the
+	// MILP's time budget and cancellation into a long LP.
 	Ctx context.Context
 }
 

@@ -52,8 +52,9 @@ type simplex struct {
 	tauv spVec     // dual steepest-edge tau = B^{-1} rho workspace (dual.go)
 	fv   spVec     // bound-flip combined-column FTRAN workspace (dual.go)
 
-	pr pricer    // maintained pricing state (pricing.go)
-	dw []float64 // dual pricing weights per row (dual.go)
+	pr   pricer    // maintained pricing state (pricing.go)
+	dw   []float64 // dual pricing weights per row (dual.go)
+	viol rowSet    // rows whose basic value may violate a bound (dual.go)
 
 	// Pooled bound-flipping ratio test breakpoint arrays (dual.go).
 	bfJ     []int32
@@ -78,6 +79,10 @@ type simplex struct {
 	// dualWeightUpdate instead of the devex-style approximation.
 	dualCap int
 	dualDSE bool
+
+	// Test hook (dual_test.go): called with every leaving-row choice of the
+	// dual restore, to check it against a scan of every row.
+	testLeaving func(r int, above bool, viol float64)
 }
 
 // dualIterCap is the dual-restore pivot budget: short for warm restores
@@ -398,8 +403,8 @@ func (s *simplex) solve() Result {
 		}
 		st := s.iterate(phase1)
 		s.stats.Phase1Iters = s.iters
-		if st == IterLimit {
-			return s.result(IterLimit)
+		if st == IterLimit || st == Stopped {
+			return s.result(st)
 		}
 		infeas := 0.0
 		for i, j := range s.basis {
@@ -556,13 +561,26 @@ func (s *simplex) ctxDone() bool {
 	return s.opt.Ctx != nil && s.iters%ctxPollIters == 0 && s.opt.Ctx.Err() != nil
 }
 
+// stopOr is the status of a solve whose basis could not be refactorized:
+// Stopped when the factorization gave up on Options.Ctx, otherwise st.
+func (s *simplex) stopOr(st Status) Status {
+	if s.lu != nil && s.lu.stopped {
+		return Stopped
+	}
+	return st
+}
+
 // iterate runs primal simplex iterations under the given cost vector until
-// optimality, unboundedness, the iteration limit or a done Options.Ctx.
+// optimality, unboundedness, the iteration limit (IterLimit) or a done
+// Options.Ctx (Stopped).
 func (s *simplex) iterate(cost []float64) Status {
 	tol := s.opt.Tol
 	for {
-		if s.iters >= s.opt.MaxIters || s.ctxDone() {
+		if s.iters >= s.opt.MaxIters {
 			return IterLimit
+		}
+		if s.ctxDone() {
+			return Stopped
 		}
 		s.iters++
 		s.clock.Enter(PhasePricing)
@@ -695,7 +713,7 @@ func (s *simplex) iterate(cost []float64) Status {
 			}
 			s.stats.RefactorPivotQuality++
 			if !s.refactorize() {
-				return IterLimit
+				return s.stopOr(IterLimit)
 			}
 			continue
 		}
@@ -719,7 +737,7 @@ func (s *simplex) iterate(cost []float64) Status {
 		s.state[enter] = stBasic
 		s.xB[leave] = enterVal
 		if !s.updateBasisRep(leave) {
-			return IterLimit
+			return s.stopOr(IterLimit)
 		}
 
 		if s.iters%256 == 0 {
@@ -730,8 +748,10 @@ func (s *simplex) iterate(cost []float64) Status {
 }
 
 // refresh recomputes basic values from the basis representation to curb
-// drift: xB = B^{-1} (b - N x_N), a dense FTRAN.
+// drift: xB = B^{-1} (b - N x_N), a dense FTRAN. Every row may now violate a
+// bound, so all rejoin the dual restore's leaving-row candidates.
 func (s *simplex) refresh() {
+	s.viol.fill(s.m)
 	resid := s.residScratch()
 	for j := 0; j < s.ncols; j++ {
 		if s.state[j] == stBasic {
@@ -749,8 +769,9 @@ func (s *simplex) refresh() {
 }
 
 // refactorize rebuilds the sparse LU factorization (Markowitz pivoting) from
-// the current basis. Returns false if the basis is singular. The basic values
-// are refreshed from the new factorization.
+// the current basis. Returns false if the basis is singular or Options.Ctx
+// stopped the factorization (s.lu.stopped). The basic values are refreshed
+// from the new factorization.
 func (s *simplex) refactorize() bool {
 	s.stats.Refactorizations++
 	s.clock.Enter(PhaseRefactorize)
