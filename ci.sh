@@ -8,7 +8,9 @@
 # test oracle — execute inside it; obs is updated
 # from solver goroutines and hosts the sampling profiler's ticker goroutine;
 # calib's probes must stay race-clean because they run inside instrumented
-# bench sessions), the full test suite in short mode, one iteration of
+# bench sessions), the full test suite in short mode, the CDC-BnB
+# search-tree golden over all 120 of its pinned solves (short mode pins only
+# 5; it gates every change meant to keep the search tree), one iteration of
 # the full-design router's BenchmarkRoute, of the Steiner kernel's and
 # CDC-BnB's BenchmarkSteinerTree and BenchmarkBnBFlightOff, and of the LP
 # factorization's BenchmarkFactorize and BenchmarkFactorizeLarge (so they
@@ -41,6 +43,9 @@ go test -race -short -timeout 20m \
 
 echo "== go test -short ./..."
 go test -short ./...
+
+echo "== search-tree golden: every pinned CDC-BnB solve (not short mode)"
+go test -run TestSearchTreeGolden ./internal/core
 
 echo "== bench: route benchmark builds and runs once"
 go test -run '^$' -bench BenchmarkRoute -benchtime 1x ./internal/route

@@ -438,8 +438,7 @@ func printStats(sol *core.Solution) {
 	if st.SteinerSolves > 0 || st.DRCChecks > 0 {
 		fmt.Printf("       steiner_solves=%d steiner_cache_hits=%d drc_checks=%d drc_time=%s\n",
 			st.SteinerSolves, st.SteinerCacheHits, st.DRCChecks, st.DRCTime.Round(time.Millisecond))
-		fmt.Printf("       bans=%d lagrangian_rounds=%d dives=%d\n",
-			st.BansGenerated, st.LagrangianRounds, st.Dives)
+		fmt.Printf("       bans=%d dives=%d\n", st.BansGenerated, st.Dives)
 	}
 	if st.Par > 0 {
 		fmt.Printf("       par=%d nodes_per_worker=%v steals=%d\n",

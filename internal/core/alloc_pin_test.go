@@ -7,10 +7,9 @@ import (
 
 // TestBnBAllocsPerNode pins what a CDC-BnB node allocates on one fixed
 // rule-sweep-shaped clip (7x10x4, seed 115, RULE8: about 1500 nodes). Route
-// buffers, ban sets, the DRC checker's scratch and the Lagrangian arrays are
-// per worker, so what remains per node is the node itself, its ban delta and
-// fingerprints, the route-cache entries it creates and the children it
-// keeps.
+// buffers, ban sets and the DRC checker's scratch are per worker, so what
+// remains per node is the node itself, its ban delta and fingerprints, the
+// route-cache entries it creates and the children it keeps.
 func TestBnBAllocsPerNode(t *testing.T) {
 	const maxBytesPerNode = 6 << 10
 	g := treeGraph(t, 115, "RULE8")

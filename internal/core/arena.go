@@ -26,8 +26,8 @@ type SteinerArena struct {
 	rowCnt []int32
 
 	// Monotone bucket (Dial's) queue for the per-mask Dijkstra relaxation,
-	// plus a pooled binary heap fallback for solves whose (penalized) arc
-	// costs are too large for bucketing.
+	// plus a pooled binary heap fallback for solves whose arc costs, raised
+	// by the heuristic's congestion penalties, are too large for bucketing.
 	buckets [][]int32
 	heap    []pqItem
 

@@ -86,14 +86,13 @@ type BnBProgress struct {
 // per-worker clocks; when a round's workers return, the round's wall time is
 // split over the phases they recorded (see obs.PhaseClock.Apportion).
 const (
-	PhaseSetup      = "setup"      // per-net Steiner context construction
-	PhaseSeed       = "seed"       // initial heuristic incumbent
-	PhaseSteiner    = "steiner"    // per-net Steiner lower-bound solves
-	PhaseDRC        = "drc"        // design-rule separation (EOL/via checks)
-	PhaseLagrangian = "lagrangian" // dual-bound strengthening rounds
-	PhaseDive       = "dive"       // primal dive-repair heuristic
-	PhaseBranch     = "branch"     // strong-branching lookahead + child push
-	PhaseSearch     = "search"     // node pop, pruning, bookkeeping
+	PhaseSetup   = "setup"   // per-net Steiner context construction
+	PhaseSeed    = "seed"    // initial heuristic incumbent
+	PhaseSteiner = "steiner" // per-net Steiner lower-bound solves
+	PhaseDRC     = "drc"     // design-rule separation (EOL/via checks)
+	PhaseDive    = "dive"    // primal dive-repair heuristic
+	PhaseBranch  = "branch"  // strong-branching lookahead + child push
+	PhaseSearch  = "search"  // node pop, pruning, bookkeeping
 )
 
 // parRoundWidth is the round width of a parallel search (Par >= 1). It must
@@ -334,7 +333,6 @@ type bnbWorker struct {
 	fl       *obs.Flight
 	ctxs     []*steinerCtx
 	baseBans [][]bool
-	lag      *lagrangian
 	drc      *drc.Checker
 	bans     *banSet
 	clock    *obs.PhaseClock
@@ -355,7 +353,6 @@ type bnbWorker struct {
 	cacheHits int
 	drcChecks int
 	drcTime   time.Duration
-	lagRounds int
 	dives     int
 }
 
@@ -365,7 +362,6 @@ func newBnBWorker(id int, g *rgraph.Graph, own ownership, cache routeCache, fl *
 		id: id, g: g, cache: cache, fl: fl,
 		ctxs:        make([]*steinerCtx, nNets),
 		baseBans:    make([][]bool, nNets),
-		lag:         newLagrangian(g),
 		drc:         drc.NewChecker(g),
 		bans:        newBanSet(nNets, len(g.Arcs)),
 		clock:       obs.NewPhaseClock(),
@@ -481,17 +477,6 @@ func (w *bnbWorker) diveRepair(cutoff int64) (int64, [][]int32) {
 	return -1, nil
 }
 
-// applyBans loads the live ban set into every net context (the Lagrangian
-// bound cannot go through the route cache).
-func (w *bnbWorker) applyBans() {
-	for k, ctx := range w.ctxs {
-		copy(ctx.banned, w.baseBans[k])
-		for _, a := range w.bans.net[k] {
-			ctx.banned[a] = true
-		}
-	}
-}
-
 // nodeTask is one node dispatched in a round. Every decision that depends
 // on search state is fixed from round-start state before dispatch, so an
 // expansion depends neither on which worker runs it nor on the other nodes
@@ -502,7 +487,6 @@ type nodeTask struct {
 	cut  int64 // pruning cutoff at round start
 	bnd  int64 // global lower bound at round start (-1 before the root)
 	inc  int64 // incumbent at round start (-1 = none)
-	lag  bool  // the Lagrangian stall gate is open
 	dive bool  // run the primal dive
 }
 
@@ -518,7 +502,7 @@ type childNode struct {
 // expansion is the outcome of expanding one node. Everything the fold needs
 // is here; workers never touch shared search state.
 type expansion struct {
-	act        string // infeasible | dominated | solved | lagrangian | fathom | branch
+	act        string // infeasible | dominated | solved | fathom | branch
 	lb         int64
 	routes     [][]int32 // solved: the jointly legal per-net optima
 	children   []childNode
@@ -550,8 +534,8 @@ func nodeEvent(fl *obs.Flight, act string, n, d int, lb int64, worker int, bnd, 
 
 // expand is the one node-expansion routine of the CDC-BnB: evaluate the
 // node's per-net Steiner optima, prune, check the design rules, and —
-// when the routes conflict — try the Lagrangian bound and the primal dive,
-// then strong-branch. It runs on the worker's own clock.
+// when the routes conflict — run the primal dive if due, then strong-branch.
+// It runs on the worker's own clock.
 func (w *bnbWorker) expand(t nodeTask) expansion {
 	w.clock.Enter(PhaseSearch)
 	defer w.clock.Stop()
@@ -579,21 +563,6 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 		// The per-net optima are jointly legal: node solved exactly.
 		out.routes = slices.Clone(routes)
 		return emit("solved", lb)
-	}
-
-	// Lagrangian strengthening: dualized capacity penalties often close the
-	// gap between the independent bound and the incumbent, pruning without
-	// branching. It costs one uncached Steiner pass per net per round, so it
-	// only runs once the plain search stalls.
-	if t.lag {
-		w.clock.Enter(PhaseLagrangian)
-		w.applyBans()
-		w.lagRounds++
-		lagLB := w.lag.bound(w.ctxs, 1, routes)
-		w.clock.Enter(PhaseSearch)
-		if lagLB == -2 || lagLB >= t.cut {
-			return emit("lagrangian", lb, obs.A("lag_lb", lagLB))
-		}
 	}
 
 	// The dive checks other routings on the same checker, so the candidates
@@ -660,17 +629,17 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 // feasible solutions, so optimality is preserved (see DESIGN.md).
 //
 // The search is one best-first loop of rounds. A round pops up to its width
-// of open nodes below the cutoff, fixes every state-dependent decision
-// (node numbers, the cutoff, dive and Lagrangian triggers) at dispatch,
-// expands the nodes — inline on the caller's goroutine when one worker
-// suffices, else on an internal/sched pool — and folds the outcomes back
-// serially in pop order. The width is 1 for Par = 0 and parRoundWidth for
-// Par >= 1; since neither depends on the worker count, and the queue order,
-// the expansion and the fold are all deterministic, the explored tree is
-// identical for every Par >= 1. Scheduling-dependent quantities (which
-// worker expanded which node, steals, cache hits, wall times) are outside
-// that guarantee. A clip with a net of more sinks than the Steiner kernel
-// solves is an error, not an infeasible verdict.
+// of open nodes below the cutoff, fixes every state-dependent decision (node
+// numbers, the cutoff, dive triggers) at dispatch, expands the nodes — inline
+// on the caller's goroutine when one worker suffices, else on an
+// internal/sched pool — and folds the outcomes back serially in pop order.
+// The width is 1 for Par = 0 and parRoundWidth for Par >= 1; since neither
+// depends on the worker count, and the queue order, the expansion and the
+// fold are all deterministic, the explored tree is identical for every
+// Par >= 1. Scheduling-dependent quantities (which worker expanded which
+// node, steals, cache hits, wall times) are outside that guarantee. A clip
+// with a net of more sinks than the Steiner kernel solves is an error, not
+// an infeasible verdict.
 func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	start := time.Now()
 	if err := checkSinkLimit(g); err != nil {
@@ -787,7 +756,6 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 
 	clock.Enter(PhaseSearch)
 	proven := true
-	sinceProgress := 0 // expansions since the last incumbent improvement or Lagrangian prune
 	seq := int64(0)
 	batch := make([]*bnbNode, 0, width)
 	tasks := make([]nodeTask, 0, width)
@@ -831,8 +799,8 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 		}
 		curDepth = batch[0].depth
 
-		// Dispatch: node numbers, dive triggers and the Lagrangian stall gate
-		// come from round-start state, so they do not depend on the workers.
+		// Dispatch: node numbers and dive triggers come from round-start
+		// state, so they do not depend on the workers.
 		nodesBefore := nodes
 		nodes += len(batch)
 		tasks = tasks[:0]
@@ -841,7 +809,6 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 			num := nodesBefore + i + 1
 			tasks = append(tasks, nodeTask{
 				nd: nd, num: num, cut: cut, bnd: curBound, inc: incumbent(),
-				lag:  best != nil && sinceProgress+i > 24,
 				dive: num == 1 || num%512 == 0,
 			})
 		}
@@ -884,14 +851,10 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 				if out.lb < bestCost {
 					sol := &Solution{Feasible: true, NetArcs: out.routes, Proven: true}
 					summarize(g, sol)
-					sinceProgress = 0
 					setIncumbent(sol, nodesBefore+i+1, "")
 					reportProgress()
 				}
-			case "lagrangian":
-				sinceProgress = 0
 			case "fathom", "branch":
-				sinceProgress++
 				if out.diveCost >= 0 && out.diveCost < bestCost {
 					sol := &Solution{Feasible: true, NetArcs: out.diveRoutes}
 					summarize(g, sol)
@@ -938,7 +901,6 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 		stats.SteinerCacheHits += w.cacheHits
 		stats.DRCChecks += w.drcChecks
 		stats.DRCTime += w.drcTime
-		stats.LagrangianRounds += w.lagRounds
 		stats.Dives += w.dives
 		for _, ctx := range w.ctxs {
 			stats.SteinerSolves += ctx.solves

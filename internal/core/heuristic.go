@@ -8,34 +8,24 @@ import (
 	"optrouter/internal/rgraph"
 )
 
-// HeuristicOptions tunes the negotiated-congestion heuristic router.
+// HeuristicOptions configures the negotiated-congestion heuristic router.
 type HeuristicOptions struct {
-	// MaxIters bounds rip-up-and-reroute passes (default 48).
-	MaxIters int
-	// PresentPenalty is the initial penalty for using a resource already
-	// claimed by another net (default 50); it grows each pass.
-	PresentPenalty int64
-	// HistoryStep is the history-cost increment for conflicted resources
-	// (default 4).
-	HistoryStep int64
 	// Arena, if non-nil, supplies the Steiner kernel's reusable storage
 	// (SolveBnB shares its arena with the seeding heuristic). Nil allocates
 	// a private arena.
 	Arena *SteinerArena
 }
 
-func (o HeuristicOptions) withDefaults() HeuristicOptions {
-	if o.MaxIters == 0 {
-		o.MaxIters = 48
-	}
-	if o.PresentPenalty == 0 {
-		o.PresentPenalty = 50
-	}
-	if o.HistoryStep == 0 {
-		o.HistoryStep = 4
-	}
-	return o
-}
+// The heuristic's negotiation schedule. The present-congestion penalty
+// starts at presentPenalty and grows by 20 per pass; every conflicted
+// resource's history cost grows by historyStep per pass. All penalties are
+// nonnegative, which the Steiner kernel's bucket queue and full-mask early
+// exit require.
+const (
+	maxHeuristicIters = 48 // rip-up-and-reroute passes
+	presentPenalty    = 50
+	historyStep       = 4
+)
 
 // SolveHeuristic routes the clip with a PathFinder-style sequential router:
 // per-net exact Steiner trees under growing congestion penalties, with
@@ -49,7 +39,6 @@ func (o HeuristicOptions) withDefaults() HeuristicOptions {
 // kernel solves gives an unproven infeasible result.
 func SolveHeuristic(g *rgraph.Graph, opt HeuristicOptions) *Solution {
 	start := time.Now()
-	opt = opt.withDefaults()
 	if checkSinkLimit(g) != nil {
 		return &Solution{Feasible: false, Proven: false, Runtime: time.Since(start)}
 	}
@@ -90,7 +79,7 @@ func SolveHeuristic(g *rgraph.Graph, opt HeuristicOptions) *Solution {
 	})
 
 	ck := drc.NewChecker(g)
-	for iter := 0; iter < opt.MaxIters; iter++ {
+	for iter := 0; iter < maxHeuristicIters; iter++ {
 		viols := ck.Check(routes)
 		if len(viols) == 0 {
 			sol := &Solution{Feasible: true, NetArcs: routes, Runtime: time.Since(start)}
@@ -100,11 +89,11 @@ func SolveHeuristic(g *rgraph.Graph, opt HeuristicOptions) *Solution {
 		// Raise history on conflicted resources.
 		for _, v := range viols {
 			for _, a := range violationArcs(g, v) {
-				history[a] += opt.HistoryStep
-				history[g.Pair[a]] += opt.HistoryStep
+				history[a] += historyStep
+				history[g.Pair[a]] += historyStep
 			}
 		}
-		present := opt.PresentPenalty + int64(iter)*20
+		present := presentPenalty + int64(iter)*20
 
 		// Re-route each net against the rest.
 		for _, k := range order {

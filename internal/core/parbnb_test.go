@@ -46,7 +46,6 @@ func deterministicStats(s SolveStats) map[string]int {
 		"incumbents":     s.Incumbents,
 		"bans_generated": s.BansGenerated,
 		"drc_checks":     s.DRCChecks,
-		"lag_rounds":     s.LagrangianRounds,
 		"dives":          s.Dives,
 	}
 }

@@ -83,8 +83,11 @@ type SolveStats struct {
 	SteinerCacheHits int           // per-net route cache hits avoided recomputation
 	DRCChecks        int           // design-rule evaluations of candidate routings
 	DRCTime          time.Duration // wall time inside the DRC
-	LagrangianRounds int           // dual-bound strengthening rounds
 	Dives            int           // primal dive-repair attempts
+	// LagrangianRounds is deprecated and always 0: CDC-BnB no longer has a
+	// Lagrangian bound. Its only reader is perfbench, which keeps reporting
+	// it; the next change to the benchmark removes it.
+	LagrangianRounds int
 
 	// MILP path specific.
 	LPSolves     int           // LP relaxations solved
@@ -134,7 +137,7 @@ type SolveStats struct {
 	Termination string
 
 	// Phases attributes the solve's wall time to solver-internal phases.
-	// CDC-BnB: seed, steiner, drc, lagrangian, dive, branch, search.
+	// CDC-BnB: seed, setup, steiner, drc, dive, branch, search.
 	// MILP: setup, presolve, root_lp, node_lp, heuristic, branch, search.
 	// The phases partition the solve, so Phases.Total() ~= Elapsed.
 	Phases obs.Breakdown

@@ -54,8 +54,8 @@ func checkSinkLimit(g *rgraph.Graph) error {
 }
 
 // maxBucketSpan bounds the Dial's-queue label range: solves whose seed spread
-// plus worst-case path cost exceed it (Lagrangian rounds with large penalties)
-// fall back to the pooled binary heap.
+// plus worst-case path cost exceed it (the heuristic's congestion penalties
+// grow large) fall back to the pooled binary heap.
 const maxBucketSpan = 1 << 16
 
 // pqItem is a priority-queue entry for the heap-fallback Dijkstra.
@@ -215,11 +215,11 @@ func steinerTree(c *steinerCtx) (arcs []int32, cost int64, ok bool) {
 		// arc costs no later relaxation can lower that label or change its
 		// parent, and the tree and cost are those of the exhaustive run.
 		stop := -1
-		if mask == full && maxArc >= 0 && !c.fullRelax {
+		if mask == full && !c.fullRelax {
 			stop = int(src)
 		}
 		span := maxSeed - minSeed + maxArc*int64(nV) + 1
-		if maxArc >= 0 && span <= maxBucketSpan {
+		if span <= maxBucketSpan {
 			c.dijkstraBuckets(a, base, nV, minSeed, epoch, stop)
 		} else {
 			c.dijkstraHeap(a, base, nV, epoch, stop)
@@ -269,9 +269,9 @@ func steinerTree(c *steinerCtx) (arcs []int32, cost int64, ok bool) {
 	return a.arcBuf, dp[rootIdx], true
 }
 
-// maxCost returns the maximum (penalized) arc cost, or -1 when a penalty is
-// negative (the bucket queue requires nonnegative monotone labels; the heap
-// path then reproduces the previous solver behavior exactly).
+// maxCost returns the maximum (penalized) arc cost. Penalties are
+// nonnegative, so labels stay monotone and the bucket queue applies whenever
+// the span fits.
 func (c *steinerCtx) maxCost() int64 {
 	if c.maxBase == 0 {
 		m := int64(0)
@@ -285,17 +285,9 @@ func (c *steinerCtx) maxCost() int64 {
 	if c.penalty == nil {
 		return c.maxBase
 	}
-	maxPen, minPen := int64(0), int64(0)
+	maxPen := int64(0)
 	for _, p := range c.penalty {
-		if p > maxPen {
-			maxPen = p
-		}
-		if p < minPen {
-			minPen = p
-		}
-	}
-	if minPen < 0 {
-		return -1
+		maxPen = max(maxPen, p)
 	}
 	return c.maxBase + maxPen
 }
@@ -369,7 +361,8 @@ func (c *steinerCtx) dijkstraBuckets(a *SteinerArena, base, nV int, off int64, e
 }
 
 // dijkstraHeap is the pooled binary-heap Dijkstra used when labels don't fit
-// the bucket span (large Lagrangian penalties). stop is dijkstraBuckets'.
+// the bucket span (large heuristic congestion penalties). stop is
+// dijkstraBuckets'.
 func (c *steinerCtx) dijkstraHeap(a *SteinerArena, base, nV int, epoch uint32, stop int) {
 	g := c.g
 	dp, par, stamp := a.dp, a.par, a.stamp

@@ -58,141 +58,140 @@ var treeGoldenSeeds = []int64{
 // treeGolden is one pinned search: the search counters, the optimal cost
 // (-1 when infeasible) and routesHash of the returned routes.
 type treeGolden struct {
-	nodes, solves, drc, lag, bans, dives int
-	cost                                 int
-	routes                               string
+	nodes, solves, drc, bans, dives int
+	cost                            int
+	routes                          string
 }
 
 // treeGoldens holds the pinned searches. A change meant to make nodes
 // cheaper without changing the search must leave every entry unchanged.
 // solves is -1 where it is not pinned (see TestSearchTreeGolden).
 var treeGoldens = map[string]treeGolden{
-	"RULE1-par0-s254": {1, 3, 0, 0, 0, 0, 43, "7fdc8f8c18edd296"},
-	"RULE1-par0-s42":  {1, 3, 0, 0, 0, 0, 48, "c38d0ac82d1cc845"},
-	"RULE1-par0-s139": {1, 9, 3, 0, 4, 1, 32, "3a1e3617c8622f3c"},
-	"RULE1-par0-s223": {1, 9, 4, 0, 2, 1, 51, "079710d148f1498a"},
-	"RULE1-par0-s180": {1, 3, 0, 0, 0, 0, 57, "7c504ed9582283ba"},
-	"RULE1-par0-s149": {1, 3, 0, 0, 0, 0, 59, "3f500f5fb780fcd4"},
-	"RULE1-par0-s290": {1, 3, 0, 0, 0, 0, 44, "22d2a1d8d230bf3e"},
-	"RULE1-par0-s245": {1, 3, 0, 0, 0, 0, 56, "385b7fee080cae6f"},
-	"RULE1-par0-s157": {1, 3, 0, 0, 0, 0, 35, "fa1f07b589cbff3c"},
-	"RULE1-par0-s138": {5, 35, 13, 0, 24, 1, 73, "dedd9f3688c5e0c7"},
-	"RULE1-par0-s72":  {1, 3, 0, 0, 0, 0, 79, "c484f34f255ed5fc"},
-	"RULE1-par0-s170": {1, 3, 0, 0, 0, 0, 57, "6f026890b6805bf0"},
-	"RULE1-par0-s84":  {1, 9, 3, 0, 2, 1, 73, "0baa4640ff627388"},
-	"RULE1-par0-s74":  {1, 3, 0, 0, 0, 0, 50, "5004bd45bb674a74"},
-	"RULE1-par0-s43":  {1, 3, 0, 0, 0, 0, 39, "2f9f5bac825194a4"},
-	"RULE1-par0-s141": {1, 3, 0, 0, 0, 0, 63, "d44a1edd11dd0445"},
-	"RULE1-par0-s68":  {1, 9, 3, 0, 4, 1, 61, "2cca56419a65c1e1"},
-	"RULE1-par0-s256": {1, 3, 0, 0, 0, 0, 49, "1605d76e88422a34"},
-	"RULE1-par0-s115": {1, 3, 0, 0, 0, 0, 61, "26caa94ca123de52"},
-	"RULE1-par0-s259": {1, 3, 0, 0, 0, 0, 49, "4f7fbc0d30b7b720"},
-	"RULE1-par2-s254": {1, -1, 0, 0, 0, 0, 43, "7fdc8f8c18edd296"},
-	"RULE1-par2-s42":  {1, -1, 0, 0, 0, 0, 48, "c38d0ac82d1cc845"},
-	"RULE1-par2-s139": {1, -1, 3, 0, 4, 1, 32, "3a1e3617c8622f3c"},
-	"RULE1-par2-s223": {1, -1, 4, 0, 2, 1, 51, "079710d148f1498a"},
-	"RULE1-par2-s180": {1, -1, 0, 0, 0, 0, 57, "7c504ed9582283ba"},
-	"RULE1-par2-s149": {1, -1, 0, 0, 0, 0, 59, "3f500f5fb780fcd4"},
-	"RULE1-par2-s290": {1, -1, 0, 0, 0, 0, 44, "22d2a1d8d230bf3e"},
-	"RULE1-par2-s245": {1, -1, 0, 0, 0, 0, 56, "385b7fee080cae6f"},
-	"RULE1-par2-s157": {1, -1, 0, 0, 0, 0, 35, "fa1f07b589cbff3c"},
-	"RULE1-par2-s138": {3, -1, 11, 0, 16, 1, 73, "dedd9f3688c5e0c7"},
-	"RULE1-par2-s72":  {1, -1, 0, 0, 0, 0, 79, "c484f34f255ed5fc"},
-	"RULE1-par2-s170": {1, -1, 0, 0, 0, 0, 57, "6f026890b6805bf0"},
-	"RULE1-par2-s84":  {1, -1, 3, 0, 2, 1, 73, "0baa4640ff627388"},
-	"RULE1-par2-s74":  {1, -1, 0, 0, 0, 0, 50, "5004bd45bb674a74"},
-	"RULE1-par2-s43":  {1, -1, 0, 0, 0, 0, 39, "2f9f5bac825194a4"},
-	"RULE1-par2-s141": {1, -1, 0, 0, 0, 0, 63, "d44a1edd11dd0445"},
-	"RULE1-par2-s68":  {1, -1, 3, 0, 4, 1, 61, "2cca56419a65c1e1"},
-	"RULE1-par2-s256": {1, -1, 0, 0, 0, 0, 49, "1605d76e88422a34"},
-	"RULE1-par2-s115": {1, -1, 0, 0, 0, 0, 61, "26caa94ca123de52"},
-	"RULE1-par2-s259": {1, -1, 0, 0, 0, 0, 49, "4f7fbc0d30b7b720"},
-	"RULE7-par0-s254": {1, 3, 0, 0, 0, 0, 43, "7fdc8f8c18edd296"},
-	"RULE7-par0-s42":  {1, 3, 0, 0, 0, 0, 48, "c38d0ac82d1cc845"},
-	"RULE7-par0-s139": {7, 25, 10, 0, 8, 1, 33, "f239d74755e95dd0"},
-	"RULE7-par0-s223": {3, 14, 7, 0, 12, 1, 53, "27439fea453be906"},
-	"RULE7-par0-s180": {14, 105, 24, 0, 46, 1, 57, "5b6d3d91d3986055"},
-	"RULE7-par0-s149": {1, 9, 2, 0, 0, 1, 60, "5f0b7f53dd0aaefe"},
-	"RULE7-par0-s290": {8, 123, 23, 0, 60, 1, 49, "2980f79d641c4880"},
-	"RULE7-par0-s245": {33, 279, 40, 8, 148, 1, 59, "ab88e83885835ec7"},
-	"RULE7-par0-s157": {167, 1754, 176, 142, 924, 1, 46, "49cb2cfe50779549"},
-	"RULE7-par0-s138": {22, 172, 36, 0, 124, 1, 77, "304989f37ae68f1a"},
-	"RULE7-par0-s72":  {7, 77, 14, 0, 36, 1, 88, "1e7748e9c3d84e15"},
-	"RULE7-par0-s170": {400, 3062, 424, 0, 2536, 1, 67, "f52fc7cccd960cf6"},
-	"RULE7-par0-s84":  {750, 3513, 775, 724, 4474, 2, 76, "5f2badc7bed0bfe7"},
-	"RULE7-par0-s74":  {419, 4368, 431, 393, 3166, 1, 64, "9602853f87e43719"},
-	"RULE7-par0-s43":  {774, 9111, 787, 748, 5908, 2, 47, "e2fe14fb68fb498a"},
-	"RULE7-par0-s141": {388, 4266, 396, 363, 2194, 1, 72, "406bc08072bc6c87"},
-	"RULE7-par0-s68":  {1350, 9916, 1371, 775, 6378, 3, 74, "8bf4dcb4a4be0acc"},
-	"RULE7-par0-s256": {1035, 9943, 1054, 1009, 7580, 3, 65, "b7db33f997230211"},
-	"RULE7-par0-s115": {1587, 18325, 1622, 1544, 12758, 4, 69, "feff68ccc5562cc2"},
-	"RULE7-par0-s259": {2395, 19673, 2495, 1370, 18732, 5, 66, "cf1f60744557f611"},
-	"RULE7-par2-s254": {1, -1, 0, 0, 0, 0, 43, "7fdc8f8c18edd296"},
-	"RULE7-par2-s42":  {1, -1, 0, 0, 0, 0, 48, "c38d0ac82d1cc845"},
-	"RULE7-par2-s139": {7, -1, 10, 0, 8, 1, 33, "f239d74755e95dd0"},
-	"RULE7-par2-s223": {3, -1, 7, 0, 12, 1, 53, "27439fea453be906"},
-	"RULE7-par2-s180": {14, -1, 24, 0, 42, 1, 57, "ec6cdf75e833ad0a"},
-	"RULE7-par2-s149": {1, -1, 2, 0, 0, 1, 60, "5f0b7f53dd0aaefe"},
-	"RULE7-par2-s290": {59, -1, 74, 22, 324, 1, 49, "2980f79d641c4880"},
-	"RULE7-par2-s245": {33, -1, 40, 8, 148, 1, 59, "ab88e83885835ec7"},
-	"RULE7-par2-s157": {167, -1, 176, 142, 924, 1, 46, "49cb2cfe50779549"},
-	"RULE7-par2-s138": {63, -1, 77, 37, 364, 1, 77, "304989f37ae68f1a"},
-	"RULE7-par2-s72":  {7, -1, 14, 0, 36, 1, 88, "1e7748e9c3d84e15"},
-	"RULE7-par2-s170": {109, -1, 133, 11, 719, 1, 67, "f52fc7cccd960cf6"},
-	"RULE7-par2-s84":  {709, -1, 730, 662, 3832, 2, 76, "5f2badc7bed0bfe7"},
-	"RULE7-par2-s74":  {441, -1, 453, 406, 3384, 1, 64, "9602853f87e43719"},
-	"RULE7-par2-s43":  {831, -1, 842, 799, 6245, 2, 47, "e2fe14fb68fb498a"},
-	"RULE7-par2-s141": {388, -1, 396, 363, 2194, 1, 72, "406bc08072bc6c87"},
-	"RULE7-par2-s68":  {1350, -1, 1372, 1045, 6378, 3, 74, "8bf4dcb4a4be0acc"},
-	"RULE7-par2-s256": {1119, -1, 1147, 1074, 12592, 3, 65, "b7db33f997230211"},
-	"RULE7-par2-s115": {1630, -1, 1665, 1534, 12196, 4, 69, "8e2e6b1eea0664af"},
-	"RULE7-par2-s259": {2408, -1, 2442, 1476, 12642, 5, 66, "cf1f60744557f611"},
-	"RULE8-par0-s254": {1, 3, 0, 0, 0, 0, 43, "7fdc8f8c18edd296"},
-	"RULE8-par0-s42":  {1, 3, 0, 0, 0, 0, 48, "c38d0ac82d1cc845"},
-	"RULE8-par0-s139": {7, 25, 10, 0, 8, 1, 33, "f239d74755e95dd0"},
-	"RULE8-par0-s223": {3, 14, 7, 0, 12, 1, 53, "27439fea453be906"},
-	"RULE8-par0-s180": {14, 103, 24, 0, 46, 1, 57, "5b6d3d91d3986055"},
-	"RULE8-par0-s149": {3, 21, 7, 0, 20, 1, 60, "5f0b7f53dd0aaefe"},
-	"RULE8-par0-s290": {8, 119, 23, 0, 60, 1, 49, "2980f79d641c4880"},
-	"RULE8-par0-s245": {33, 255, 40, 8, 148, 1, 59, "ab88e83885835ec7"},
-	"RULE8-par0-s157": {167, 1654, 175, 142, 924, 1, 46, "a77895fdbbe2a212"},
-	"RULE8-par0-s138": {21, 170, 35, 0, 112, 1, 77, "304989f37ae68f1a"},
-	"RULE8-par0-s72":  {7, 65, 14, 0, 36, 1, 88, "1e7748e9c3d84e15"},
-	"RULE8-par0-s170": {400, 3023, 424, 0, 2536, 1, 67, "f52fc7cccd960cf6"},
-	"RULE8-par0-s84":  {133, 635, 141, 108, 402, 1, 76, "d1df7bb018c3a506"},
-	"RULE8-par0-s74":  {419, 3920, 431, 393, 3166, 1, 64, "9602853f87e43719"},
-	"RULE8-par0-s43":  {775, 7798, 799, 749, 8256, 2, 47, "e2fe14fb68fb498a"},
-	"RULE8-par0-s141": {388, 4018, 396, 363, 2194, 1, 72, "a27281a0f533bb93"},
-	"RULE8-par0-s68":  {1342, 9854, 1363, 767, 6330, 3, 74, "8bf4dcb4a4be0acc"},
-	"RULE8-par0-s256": {1035, 9045, 1055, 1009, 7580, 3, 65, "b7db33f997230211"},
-	"RULE8-par0-s115": {1544, 15491, 1582, 1025, 12484, 4, 69, "8e2e6b1eea0664af"},
-	"RULE8-par0-s259": {2395, 19658, 2495, 1370, 18732, 5, 66, "cf1f60744557f611"},
-	"RULE8-par2-s254": {1, -1, 0, 0, 0, 0, 43, "7fdc8f8c18edd296"},
-	"RULE8-par2-s42":  {1, -1, 0, 0, 0, 0, 48, "c38d0ac82d1cc845"},
-	"RULE8-par2-s139": {7, -1, 10, 0, 8, 1, 33, "f239d74755e95dd0"},
-	"RULE8-par2-s223": {3, -1, 7, 0, 12, 1, 53, "27439fea453be906"},
-	"RULE8-par2-s180": {14, -1, 24, 0, 42, 1, 57, "ec6cdf75e833ad0a"},
-	"RULE8-par2-s149": {3, -1, 7, 0, 20, 1, 60, "5f0b7f53dd0aaefe"},
-	"RULE8-par2-s290": {59, -1, 74, 22, 324, 1, 49, "2980f79d641c4880"},
-	"RULE8-par2-s245": {33, -1, 40, 8, 148, 1, 59, "ab88e83885835ec7"},
-	"RULE8-par2-s157": {167, -1, 175, 142, 924, 1, 46, "a77895fdbbe2a212"},
-	"RULE8-par2-s138": {65, -1, 79, 39, 378, 1, 77, "304989f37ae68f1a"},
-	"RULE8-par2-s72":  {7, -1, 14, 0, 36, 1, 88, "1e7748e9c3d84e15"},
-	"RULE8-par2-s170": {110, -1, 134, 11, 704, 1, 67, "f52fc7cccd960cf6"},
-	"RULE8-par2-s84":  {133, -1, 141, 108, 402, 1, 76, "d1df7bb018c3a506"},
-	"RULE8-par2-s74":  {441, -1, 453, 406, 3384, 1, 64, "9602853f87e43719"},
-	"RULE8-par2-s43":  {831, -1, 852, 801, 8792, 2, 47, "e2fe14fb68fb498a"},
-	"RULE8-par2-s141": {388, -1, 396, 363, 2194, 1, 72, "a27281a0f533bb93"},
-	"RULE8-par2-s68":  {1342, -1, 1364, 1037, 6330, 3, 74, "8bf4dcb4a4be0acc"},
-	"RULE8-par2-s256": {1119, -1, 1144, 1074, 12578, 3, 65, "b7db33f997230211"},
-	"RULE8-par2-s115": {1598, -1, 1635, 1009, 11976, 4, 69, "8e2e6b1eea0664af"},
-	"RULE8-par2-s259": {2408, -1, 2442, 1476, 12642, 5, 66, "cf1f60744557f611"},
+	"RULE1-par0-s254": {1, 3, 0, 0, 0, 43, "7fdc8f8c18edd296"},
+	"RULE1-par0-s42":  {1, 3, 0, 0, 0, 48, "c38d0ac82d1cc845"},
+	"RULE1-par0-s139": {1, 9, 3, 4, 1, 32, "3a1e3617c8622f3c"},
+	"RULE1-par0-s223": {1, 9, 4, 2, 1, 51, "079710d148f1498a"},
+	"RULE1-par0-s180": {1, 3, 0, 0, 0, 57, "7c504ed9582283ba"},
+	"RULE1-par0-s149": {1, 3, 0, 0, 0, 59, "3f500f5fb780fcd4"},
+	"RULE1-par0-s290": {1, 3, 0, 0, 0, 44, "22d2a1d8d230bf3e"},
+	"RULE1-par0-s245": {1, 3, 0, 0, 0, 56, "385b7fee080cae6f"},
+	"RULE1-par0-s157": {1, 3, 0, 0, 0, 35, "fa1f07b589cbff3c"},
+	"RULE1-par0-s138": {5, 35, 13, 24, 1, 73, "dedd9f3688c5e0c7"},
+	"RULE1-par0-s72":  {1, 3, 0, 0, 0, 79, "c484f34f255ed5fc"},
+	"RULE1-par0-s170": {1, 3, 0, 0, 0, 57, "6f026890b6805bf0"},
+	"RULE1-par0-s84":  {1, 9, 3, 2, 1, 73, "0baa4640ff627388"},
+	"RULE1-par0-s74":  {1, 3, 0, 0, 0, 50, "5004bd45bb674a74"},
+	"RULE1-par0-s43":  {1, 3, 0, 0, 0, 39, "2f9f5bac825194a4"},
+	"RULE1-par0-s141": {1, 3, 0, 0, 0, 63, "d44a1edd11dd0445"},
+	"RULE1-par0-s68":  {1, 9, 3, 4, 1, 61, "2cca56419a65c1e1"},
+	"RULE1-par0-s256": {1, 3, 0, 0, 0, 49, "1605d76e88422a34"},
+	"RULE1-par0-s115": {1, 3, 0, 0, 0, 61, "26caa94ca123de52"},
+	"RULE1-par0-s259": {1, 3, 0, 0, 0, 49, "4f7fbc0d30b7b720"},
+	"RULE1-par2-s254": {1, -1, 0, 0, 0, 43, "7fdc8f8c18edd296"},
+	"RULE1-par2-s42":  {1, -1, 0, 0, 0, 48, "c38d0ac82d1cc845"},
+	"RULE1-par2-s139": {1, -1, 3, 4, 1, 32, "3a1e3617c8622f3c"},
+	"RULE1-par2-s223": {1, -1, 4, 2, 1, 51, "079710d148f1498a"},
+	"RULE1-par2-s180": {1, -1, 0, 0, 0, 57, "7c504ed9582283ba"},
+	"RULE1-par2-s149": {1, -1, 0, 0, 0, 59, "3f500f5fb780fcd4"},
+	"RULE1-par2-s290": {1, -1, 0, 0, 0, 44, "22d2a1d8d230bf3e"},
+	"RULE1-par2-s245": {1, -1, 0, 0, 0, 56, "385b7fee080cae6f"},
+	"RULE1-par2-s157": {1, -1, 0, 0, 0, 35, "fa1f07b589cbff3c"},
+	"RULE1-par2-s138": {3, -1, 11, 16, 1, 73, "dedd9f3688c5e0c7"},
+	"RULE1-par2-s72":  {1, -1, 0, 0, 0, 79, "c484f34f255ed5fc"},
+	"RULE1-par2-s170": {1, -1, 0, 0, 0, 57, "6f026890b6805bf0"},
+	"RULE1-par2-s84":  {1, -1, 3, 2, 1, 73, "0baa4640ff627388"},
+	"RULE1-par2-s74":  {1, -1, 0, 0, 0, 50, "5004bd45bb674a74"},
+	"RULE1-par2-s43":  {1, -1, 0, 0, 0, 39, "2f9f5bac825194a4"},
+	"RULE1-par2-s141": {1, -1, 0, 0, 0, 63, "d44a1edd11dd0445"},
+	"RULE1-par2-s68":  {1, -1, 3, 4, 1, 61, "2cca56419a65c1e1"},
+	"RULE1-par2-s256": {1, -1, 0, 0, 0, 49, "1605d76e88422a34"},
+	"RULE1-par2-s115": {1, -1, 0, 0, 0, 61, "26caa94ca123de52"},
+	"RULE1-par2-s259": {1, -1, 0, 0, 0, 49, "4f7fbc0d30b7b720"},
+	"RULE7-par0-s254": {1, 3, 0, 0, 0, 43, "7fdc8f8c18edd296"},
+	"RULE7-par0-s42":  {1, 3, 0, 0, 0, 48, "c38d0ac82d1cc845"},
+	"RULE7-par0-s139": {7, 25, 10, 8, 1, 33, "f239d74755e95dd0"},
+	"RULE7-par0-s223": {3, 14, 7, 12, 1, 53, "27439fea453be906"},
+	"RULE7-par0-s180": {14, 105, 24, 46, 1, 57, "5b6d3d91d3986055"},
+	"RULE7-par0-s149": {1, 9, 2, 0, 1, 60, "5f0b7f53dd0aaefe"},
+	"RULE7-par0-s290": {8, 123, 23, 60, 1, 49, "2980f79d641c4880"},
+	"RULE7-par0-s245": {33, 255, 40, 148, 1, 59, "ab88e83885835ec7"},
+	"RULE7-par0-s157": {167, 1328, 176, 924, 1, 46, "49cb2cfe50779549"},
+	"RULE7-par0-s138": {22, 172, 36, 124, 1, 77, "304989f37ae68f1a"},
+	"RULE7-par0-s72":  {7, 77, 14, 36, 1, 88, "1e7748e9c3d84e15"},
+	"RULE7-par0-s170": {400, 3062, 424, 2536, 1, 67, "f52fc7cccd960cf6"},
+	"RULE7-par0-s84":  {750, 1341, 775, 4474, 2, 76, "5f2badc7bed0bfe7"},
+	"RULE7-par0-s74":  {419, 3189, 431, 3166, 1, 64, "9602853f87e43719"},
+	"RULE7-par0-s43":  {774, 6867, 787, 5908, 2, 47, "e2fe14fb68fb498a"},
+	"RULE7-par0-s141": {388, 3177, 396, 2194, 1, 72, "406bc08072bc6c87"},
+	"RULE7-par0-s68":  {1350, 7630, 1371, 6378, 3, 74, "8bf4dcb4a4be0acc"},
+	"RULE7-par0-s256": {1035, 6916, 1054, 7580, 3, 65, "b7db33f997230211"},
+	"RULE7-par0-s115": {1587, 13695, 1622, 12758, 4, 69, "feff68ccc5562cc2"},
+	"RULE7-par0-s259": {2395, 15563, 2495, 18732, 5, 66, "cf1f60744557f611"},
+	"RULE7-par2-s254": {1, -1, 0, 0, 0, 43, "7fdc8f8c18edd296"},
+	"RULE7-par2-s42":  {1, -1, 0, 0, 0, 48, "c38d0ac82d1cc845"},
+	"RULE7-par2-s139": {7, -1, 10, 8, 1, 33, "f239d74755e95dd0"},
+	"RULE7-par2-s223": {3, -1, 7, 12, 1, 53, "27439fea453be906"},
+	"RULE7-par2-s180": {14, -1, 24, 42, 1, 57, "ec6cdf75e833ad0a"},
+	"RULE7-par2-s149": {1, -1, 2, 0, 1, 60, "5f0b7f53dd0aaefe"},
+	"RULE7-par2-s290": {59, -1, 74, 324, 1, 49, "2980f79d641c4880"},
+	"RULE7-par2-s245": {33, -1, 40, 148, 1, 59, "ab88e83885835ec7"},
+	"RULE7-par2-s157": {167, -1, 176, 924, 1, 46, "49cb2cfe50779549"},
+	"RULE7-par2-s138": {63, -1, 77, 364, 1, 77, "304989f37ae68f1a"},
+	"RULE7-par2-s72":  {7, -1, 14, 36, 1, 88, "1e7748e9c3d84e15"},
+	"RULE7-par2-s170": {109, -1, 133, 719, 1, 67, "f52fc7cccd960cf6"},
+	"RULE7-par2-s84":  {709, -1, 730, 3832, 2, 76, "5f2badc7bed0bfe7"},
+	"RULE7-par2-s74":  {441, -1, 453, 3384, 1, 64, "9602853f87e43719"},
+	"RULE7-par2-s43":  {831, -1, 842, 6245, 2, 47, "e2fe14fb68fb498a"},
+	"RULE7-par2-s141": {388, -1, 396, 2194, 1, 72, "406bc08072bc6c87"},
+	"RULE7-par2-s68":  {1350, -1, 1372, 6378, 3, 74, "8bf4dcb4a4be0acc"},
+	"RULE7-par2-s256": {1119, -1, 1147, 12592, 3, 65, "b7db33f997230211"},
+	"RULE7-par2-s115": {1630, -1, 1665, 12196, 4, 69, "8e2e6b1eea0664af"},
+	"RULE7-par2-s259": {2408, -1, 2442, 12642, 5, 66, "cf1f60744557f611"},
+	"RULE8-par0-s254": {1, 3, 0, 0, 0, 43, "7fdc8f8c18edd296"},
+	"RULE8-par0-s42":  {1, 3, 0, 0, 0, 48, "c38d0ac82d1cc845"},
+	"RULE8-par0-s139": {7, 25, 10, 8, 1, 33, "f239d74755e95dd0"},
+	"RULE8-par0-s223": {3, 14, 7, 12, 1, 53, "27439fea453be906"},
+	"RULE8-par0-s180": {14, 103, 24, 46, 1, 57, "5b6d3d91d3986055"},
+	"RULE8-par0-s149": {3, 21, 7, 20, 1, 60, "5f0b7f53dd0aaefe"},
+	"RULE8-par0-s290": {8, 119, 23, 60, 1, 49, "2980f79d641c4880"},
+	"RULE8-par0-s245": {33, 231, 40, 148, 1, 59, "ab88e83885835ec7"},
+	"RULE8-par0-s157": {167, 1228, 175, 924, 1, 46, "a77895fdbbe2a212"},
+	"RULE8-par0-s138": {21, 170, 35, 112, 1, 77, "304989f37ae68f1a"},
+	"RULE8-par0-s72":  {7, 65, 14, 36, 1, 88, "1e7748e9c3d84e15"},
+	"RULE8-par0-s170": {400, 3023, 424, 2536, 1, 67, "f52fc7cccd960cf6"},
+	"RULE8-par0-s84":  {133, 311, 141, 402, 1, 76, "d1df7bb018c3a506"},
+	"RULE8-par0-s74":  {419, 2741, 431, 3166, 1, 64, "9602853f87e43719"},
+	"RULE8-par0-s43":  {775, 5551, 799, 8256, 2, 47, "e2fe14fb68fb498a"},
+	"RULE8-par0-s141": {388, 2929, 396, 2194, 1, 72, "a27281a0f533bb93"},
+	"RULE8-par0-s68":  {1342, 7592, 1363, 6330, 3, 74, "8bf4dcb4a4be0acc"},
+	"RULE8-par0-s256": {1035, 6018, 1055, 7580, 3, 65, "b7db33f997230211"},
+	"RULE8-par0-s115": {1544, 12418, 1582, 12484, 4, 69, "8e2e6b1eea0664af"},
+	"RULE8-par0-s259": {2395, 15548, 2495, 18732, 5, 66, "cf1f60744557f611"},
+	"RULE8-par2-s254": {1, -1, 0, 0, 0, 43, "7fdc8f8c18edd296"},
+	"RULE8-par2-s42":  {1, -1, 0, 0, 0, 48, "c38d0ac82d1cc845"},
+	"RULE8-par2-s139": {7, -1, 10, 8, 1, 33, "f239d74755e95dd0"},
+	"RULE8-par2-s223": {3, -1, 7, 12, 1, 53, "27439fea453be906"},
+	"RULE8-par2-s180": {14, -1, 24, 42, 1, 57, "ec6cdf75e833ad0a"},
+	"RULE8-par2-s149": {3, -1, 7, 20, 1, 60, "5f0b7f53dd0aaefe"},
+	"RULE8-par2-s290": {59, -1, 74, 324, 1, 49, "2980f79d641c4880"},
+	"RULE8-par2-s245": {33, -1, 40, 148, 1, 59, "ab88e83885835ec7"},
+	"RULE8-par2-s157": {167, -1, 175, 924, 1, 46, "a77895fdbbe2a212"},
+	"RULE8-par2-s138": {65, -1, 79, 378, 1, 77, "304989f37ae68f1a"},
+	"RULE8-par2-s72":  {7, -1, 14, 36, 1, 88, "1e7748e9c3d84e15"},
+	"RULE8-par2-s170": {110, -1, 134, 704, 1, 67, "f52fc7cccd960cf6"},
+	"RULE8-par2-s84":  {133, -1, 141, 402, 1, 76, "d1df7bb018c3a506"},
+	"RULE8-par2-s74":  {441, -1, 453, 3384, 1, 64, "9602853f87e43719"},
+	"RULE8-par2-s43":  {831, -1, 852, 8792, 2, 47, "e2fe14fb68fb498a"},
+	"RULE8-par2-s141": {388, -1, 396, 2194, 1, 72, "a27281a0f533bb93"},
+	"RULE8-par2-s68":  {1342, -1, 1364, 6330, 3, 74, "8bf4dcb4a4be0acc"},
+	"RULE8-par2-s256": {1119, -1, 1144, 12578, 3, 65, "b7db33f997230211"},
+	"RULE8-par2-s115": {1598, -1, 1635, 11976, 4, 69, "8e2e6b1eea0664af"},
+	"RULE8-par2-s259": {2408, -1, 2442, 12642, 5, 66, "cf1f60744557f611"},
 }
 
 // TestSearchTreeGolden pins the explored CDC-BnB tree on rule-sweep-shaped
 // clips under RULE1, RULE7 and RULE8 at Par 0 and Par 2: node, Steiner
-// solve, DRC check, Lagrangian round, ban and dive counts, the cost and the
-// routes. A change that only makes nodes cheaper keeps every entry; one that
+// solve, DRC check, ban and dive counts, the cost and the routes. A change that only makes nodes cheaper keeps every entry; one that
 // changes the tree (the branching order, the bound, the violation order the
 // strong branching reads) shows here. Steiner solves are pinned at Par 0
 // only: at Par 2 two workers can miss on the same route-cache key in one
@@ -220,7 +219,7 @@ func TestSearchTreeGolden(t *testing.T) {
 					st := sol.Stats
 					got := treeGolden{
 						nodes: st.Nodes, solves: st.SteinerSolves, drc: st.DRCChecks,
-						lag: st.LagrangianRounds, bans: st.BansGenerated, dives: st.Dives,
+						bans: st.BansGenerated, dives: st.Dives,
 						cost: -1, routes: routesHash(sol),
 					}
 					if sol.Feasible {

@@ -330,13 +330,12 @@ func (c *Checker) checkArcCapacity(netArcs [][]int32) {
 // checkVertices flags a grid or representative vertex touched by a net
 // other than the first one that touched it, and a grid vertex one net
 // enters twice through costed arcs. Single-entry discipline: the ILP's
-// vertex capacity (and the Lagrangian bound's validity) require each grid
-// vertex to be entered at most once through *costed* arcs, even by its
-// owning net. A second costed entry is never needed by an optimum (reroute
-// both flows through the cheaper entry and save the other arc), while
-// zero-cost entries (via-shape fan-out, virtual terminals) can legitimately
-// coincide with one and are excluded. It returns the stamp of the
-// touched-vertex marks in netVert.
+// vertex capacity requires each grid vertex to be entered at most once
+// through *costed* arcs, even by its owning net. A second costed entry is
+// never needed by an optimum (reroute both flows through the cheaper entry
+// and save the other arc), while zero-cost entries (via-shape fan-out,
+// virtual terminals) can legitimately coincide with one and are excluded. It
+// returns the stamp of the touched-vertex marks in netVert.
 func (c *Checker) checkVertices(netArcs [][]int32) uint32 {
 	g := c.g
 	touched := c.next()

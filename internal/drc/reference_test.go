@@ -143,13 +143,12 @@ func refCheckVertexExclusivity(g *rgraph.Graph, netArcs [][]int32) []Violation {
 			owner[v] = k
 		}
 	}
-	// Single-entry discipline: the ILP's vertex capacity (and the
-	// Lagrangian bound's validity) require each grid vertex to be entered
-	// at most once through *costed* arcs, even by its owning net. A second
-	// costed entry is never needed by an optimum (reroute both flows
-	// through the cheaper entry and save the other arc), while zero-cost
-	// entries (via-shape fan-out, virtual terminals) can legitimately
-	// coincide with one and are excluded.
+	// Single-entry discipline: the ILP's vertex capacity requires each
+	// grid vertex to be entered at most once through *costed* arcs, even by
+	// its owning net. A second costed entry is never needed by an optimum
+	// (reroute both flows through the cheaper entry and save the other
+	// arc), while zero-cost entries (via-shape fan-out, virtual terminals)
+	// can legitimately coincide with one and are excluded.
 	for k, arcs := range netArcs {
 		entries := map[int32][]int32{}
 		for _, a := range arcs {

@@ -363,21 +363,19 @@ func benchWork(s BenchSpec, st core.SolveStats) map[string]int64 {
 		}
 	case s.Par > 0:
 		return map[string]int64{
-			"nodes":             int64(st.Nodes),
-			"drc_checks":        int64(st.DRCChecks),
-			"bans_generated":    int64(st.BansGenerated),
-			"lagrangian_rounds": int64(st.LagrangianRounds),
-			"dives":             int64(st.Dives),
+			"nodes":          int64(st.Nodes),
+			"drc_checks":     int64(st.DRCChecks),
+			"bans_generated": int64(st.BansGenerated),
+			"dives":          int64(st.Dives),
 		}
 	default:
 		return map[string]int64{
-			"nodes":             int64(st.Nodes),
-			"steiner_solves":    int64(st.SteinerSolves),
-			"steiner_cells":     st.SteinerCells,
-			"drc_checks":        int64(st.DRCChecks),
-			"bans_generated":    int64(st.BansGenerated),
-			"lagrangian_rounds": int64(st.LagrangianRounds),
-			"dives":             int64(st.Dives),
+			"nodes":          int64(st.Nodes),
+			"steiner_solves": int64(st.SteinerSolves),
+			"steiner_cells":  st.SteinerCells,
+			"drc_checks":     int64(st.DRCChecks),
+			"bans_generated": int64(st.BansGenerated),
+			"dives":          int64(st.Dives),
 		}
 	}
 }

@@ -528,7 +528,6 @@ func recordSolveMetrics(m *obs.Registry, r ClipRuleResult) {
 	m.Counter("drc_checks").Add(int64(st.DRCChecks))
 	m.Counter("drc_ms").Add(st.DRCTime.Milliseconds())
 	m.Counter("bans_generated").Add(int64(st.BansGenerated))
-	m.Counter("lagrangian_rounds").Add(int64(st.LagrangianRounds))
 	m.Counter("dives").Add(int64(st.Dives))
 	m.Counter("lp_candidate_hits").Add(int64(st.LPCandidateHits))
 	m.Counter("lp_ref_resets").Add(int64(st.LPRefResets))

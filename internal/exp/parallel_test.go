@@ -127,7 +127,7 @@ func TestDeltaCostStudyParDeterministic(t *testing.T) {
 		sa, sb := a.Stats, b.Stats
 		if sa.MaxDepth != sb.MaxDepth || sa.Incumbents != sb.Incumbents ||
 			sa.BansGenerated != sb.BansGenerated || sa.DRCChecks != sb.DRCChecks ||
-			sa.LagrangianRounds != sb.LagrangianRounds || sa.Dives != sb.Dives {
+			sa.Dives != sb.Dives {
 			t.Fatalf("result[%d] search counters differ between -par 1 and -par 8", i)
 		}
 		if sa.Par != 1 || sb.Par != 8 {

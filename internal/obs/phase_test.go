@@ -7,15 +7,17 @@ import (
 
 func TestPhaseClockPartition(t *testing.T) {
 	c := NewPhaseClock()
-	start := time.Now()
+	before := time.Now()
 	c.Enter("setup")
+	in := time.Now()
 	time.Sleep(2 * time.Millisecond)
 	c.Enter("search")
 	time.Sleep(2 * time.Millisecond)
 	c.Enter("setup") // re-entering accumulates into the existing phase
 	time.Sleep(2 * time.Millisecond)
+	out := time.Now()
 	c.Stop()
-	wall := time.Since(start)
+	after := time.Now()
 
 	b := c.Breakdown()
 	if len(b) != 2 {
@@ -24,42 +26,62 @@ func TestPhaseClockPartition(t *testing.T) {
 	if b["setup"] <= b["search"] {
 		t.Errorf("setup %v should exceed search %v (entered twice)", b["setup"], b["search"])
 	}
-	// The clock never pauses, so the breakdown partitions wall time exactly
-	// (up to the time spent outside Enter..Stop in this test body).
-	if total := b.Total(); total > wall || wall-total > 5*time.Millisecond {
-		t.Errorf("total %v vs wall %v: breakdown must partition the clock's lifetime", total, wall)
+	// The clock never pauses, so the breakdown is exactly its open interval,
+	// which [in, out] lies inside and [before, after] contains.
+	if total := b.Total(); total > after.Sub(before) || total < out.Sub(in) {
+		t.Errorf("total %v outside [%v, %v]: breakdown must partition the clock's lifetime",
+			total, out.Sub(in), after.Sub(before))
 	}
 }
 
 // TestPhaseClockApportion: the coordinator's interval is credited to the
 // phases its part clocks recorded, in proportion, never to the coordinator's
-// open phase, and the parts are drained.
+// open phase, and the parts are drained. The split is checked against the
+// parts' own totals, not against how long the test slept.
 func TestPhaseClockApportion(t *testing.T) {
 	c := NewPhaseClock()
-	start := time.Now()
+	before := time.Now()
 	c.Enter("wait")
+	in := time.Now()
 	w1, w2 := NewPhaseClock(), NewPhaseClock()
 	w1.Enter("steiner")
-	time.Sleep(2 * time.Millisecond)
+	time.Sleep(time.Millisecond)
 	w1.Enter("drc")
-	time.Sleep(2 * time.Millisecond)
+	time.Sleep(time.Millisecond)
 	w1.Stop()
 	w2.Enter("steiner")
-	time.Sleep(2 * time.Millisecond)
+	time.Sleep(time.Millisecond)
 	w2.Stop()
+	// The parts are stopped, so these are the totals Apportion splits by.
+	p1, p2 := w1.Breakdown(), w2.Breakdown()
 	c.Apportion("search", w1, w2)
+	out := time.Now()
 	c.Stop()
-	wall := time.Since(start)
+	after := time.Now()
 
 	b := c.Breakdown()
 	if b["wait"] != 0 {
 		t.Errorf("open phase kept %v of the apportioned interval", b["wait"])
 	}
-	if b["steiner"] <= b["drc"] || b["drc"] <= 0 {
-		t.Errorf("steiner %v should exceed drc %v > 0 (twice the part time)", b["steiner"], b["drc"])
+	parts := Breakdown{}.Merge(p1).Merge(p2)
+	if (b["steiner"] > b["drc"]) != (parts["steiner"] > parts["drc"]) || b["drc"] <= 0 {
+		t.Errorf("steiner %v vs drc %v > 0 must order as the parts' %v vs %v",
+			b["steiner"], b["drc"], parts["steiner"], parts["drc"])
 	}
-	if total := b.Total(); total > wall || wall-total > 5*time.Millisecond {
-		t.Errorf("total %v vs wall %v: apportioning must keep the partition", total, wall)
+	// Everything but the phase Apportion opened is the apportioned interval;
+	// each part phase gets its share of it. Every (part, phase) term is
+	// truncated to whole nanoseconds, hence the few-nanosecond tolerance.
+	terms := time.Duration(len(p1) + len(p2))
+	d := b.Total() - b["search"]
+	for ph, pt := range parts {
+		want := time.Duration(float64(d) * float64(pt) / float64(parts.Total()))
+		if diff := b[ph] - want; diff < -terms || diff > terms {
+			t.Errorf("%s got %v, want %v (its share %v of %v of %v)", ph, b[ph], want, pt, parts.Total(), d)
+		}
+	}
+	if total := b.Total(); total > after.Sub(before) || total < out.Sub(in)-terms {
+		t.Errorf("total %v outside [%v, %v]: apportioning must keep the partition",
+			total, out.Sub(in), after.Sub(before))
 	}
 	if w1.Breakdown().Total() != 0 || w2.Breakdown().Total() != 0 {
 		t.Errorf("parts not drained: %v %v", w1.Breakdown(), w2.Breakdown())
