@@ -3,20 +3,21 @@
 # installed), race-test the concurrency-sensitive packages (sched runs the
 # worker pool; exp/core/ilp/lp — including the sparse basis-factorization
 # kernels in lp/factor.go, lp/ft.go and lp/ftran.go, and the differential
-# fuzz (presolve auto/off × algorithm primal/dual, cold and along warm
-# bound-change dives) that gates the LP engine against the dense Bland's-rule
-# test oracle — execute inside it; obs is updated
+# fuzz (algorithm primal/dual, cold on the model as stated and presolved,
+# and along warm bound-change dives) that gates the LP engine against the
+# dense Bland's-rule test oracle — execute inside it; obs is updated
 # from solver goroutines and hosts the sampling profiler's ticker goroutine;
 # calib's probes must stay race-clean because they run inside instrumented
 # bench sessions), the full test suite in short mode, the CDC-BnB
 # search-tree golden over all 120 of its pinned solves (short mode pins only
 # 5; it gates every change meant to keep the search tree), one iteration of
 # the full-design router's BenchmarkRoute, of the Steiner kernel's and
-# CDC-BnB's BenchmarkSteinerTree and BenchmarkBnBFlightOff, and of the LP
-# factorization's BenchmarkFactorize and BenchmarkFactorizeLarge (so they
-# keep building), a parallel end-to-end smoke run of both CLIs at -j 4, and a
-# traced -par 2 solve whose phase breakdown traceview checks against the
-# solve span's duration.
+# CDC-BnB's BenchmarkSteinerTree and BenchmarkBnBFlightOff, of the LP
+# factorization's BenchmarkFactorize and BenchmarkFactorizeLarge, and of the
+# MILP root presolve's BenchmarkPresolve (so they keep building), a
+# parallel end-to-end smoke run of both CLIs at -j 4, and a traced -par 2
+# solve whose phase breakdown traceview checks against the solve span's
+# duration.
 set -eu
 
 cd "$(dirname "$0")"
@@ -53,8 +54,8 @@ go test -run '^$' -bench BenchmarkRoute -benchtime 1x ./internal/route
 echo "== bench: Steiner kernel and CDC-BnB benchmarks build and run once"
 go test -run '^$' -bench 'BenchmarkSteinerTree$|BenchmarkBnBFlightOff$' -benchtime 1x ./internal/core
 
-echo "== bench: LP factorization benchmarks build and run once"
-go test -run '^$' -bench 'BenchmarkFactorize' -benchtime 1x ./internal/lp
+echo "== bench: LP factorization and presolve benchmarks build and run once"
+go test -run '^$' -bench 'BenchmarkFactorize|BenchmarkPresolve$' -benchtime 1x ./internal/lp
 
 smoke_tmp=$(mktemp -d)
 bench_tmp=$(mktemp -d)

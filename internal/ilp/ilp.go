@@ -118,7 +118,8 @@ type Options struct {
 	// IntegralObjective asserts that every integer-feasible point has an
 	// integral objective value, enabling stronger pruning (ceil bounds).
 	IntegralObjective bool
-	// NoPresolve disables root bound-propagation presolve.
+	// NoPresolve disables both root presolves: bound propagation and the
+	// structural LP reduction.
 	NoPresolve bool
 	// NoWarmStart disables carrying a parent node's LP basis into its
 	// children (every node LP then solves cold from phase 1). Used by the
@@ -480,14 +481,12 @@ func (m *Model) Solve(opt Options) Result {
 	// on the reduced model. Objective accounting stays in the FULL space —
 	// every LP bound gets ObjOffset added before it meets a cutoff, and every
 	// accepted incumbent is postsolved back to a full-space vector before it
-	// is stored or checked. Node LPs set Presolve off explicitly: the
-	// reduction already happened here, and re-running it per node would only
-	// burn allocations (and skew warm/cold differential comparisons).
+	// is stored or checked. Node LPs solve the reduced model as it stands.
 	search := m
 	objOff := 0.0
 	var ps *lp.Presolved
-	if !opt.NoPresolve && opt.LP.Presolve != lp.PresolveOff {
-		ps = lp.PresolveProblem(m.Prob, lp.PresolveOptions{Integer: m.isInt})
+	if !opt.NoPresolve {
+		ps = lp.PresolveProblem(m.Prob, m.isInt)
 		if ps != nil {
 			if ps.Infeasible {
 				restore()
@@ -577,9 +576,6 @@ func (m *Model) Solve(opt Options) Result {
 			clock.Enter(PhaseNodeLP)
 		}
 		lpOpt := opt.LP
-		// The structural reduction already ran above (or was disabled);
-		// per-node LP presolve would be pure overhead.
-		lpOpt.Presolve = lp.PresolveOff
 		lpOpt.Ctx = lpCtx
 		if stats.LPSolves == 0 && lpOpt.Algorithm == lp.AlgorithmAuto {
 			// The root LP has no warm basis to restore; the dual simplex

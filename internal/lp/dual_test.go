@@ -158,7 +158,7 @@ func TestStoppedStatus(t *testing.T) {
 
 	for name, o := range map[string]Options{
 		"cold":          {Ctx: done},
-		"dual":          {Ctx: done, Algorithm: AlgorithmDual, Presolve: PresolveOff},
+		"dual":          {Ctx: done, Algorithm: AlgorithmDual},
 		"snapshot warm": {Ctx: done, WarmStart: root.Basis},
 	} {
 		if res := rebuildLP(n, p).Solve(o); res.Status != Stopped || res.Iters != 0 {

@@ -84,7 +84,7 @@ func TestDualSolveAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(64, func() {
 		j := (step * 5) % (n * n)
 		p.SetVarBounds(j, 0, 0)
-		r := p.Solve(Options{Presolve: PresolveOff, Algorithm: AlgorithmDual})
+		r := p.Solve(Options{Algorithm: AlgorithmDual})
 		p.SetVarBounds(j, 0, 1)
 		if r.Status != Optimal && r.Status != Infeasible {
 			t.Fatalf("status %v", r.Status)
@@ -137,7 +137,7 @@ func BenchmarkDualPhase1(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				j := (i * 5) % (n * n)
 				p.SetVarBounds(j, 0, 0)
-				r := p.Solve(Options{Presolve: PresolveOff, Algorithm: bc.alg})
+				r := p.Solve(Options{Algorithm: bc.alg})
 				p.SetVarBounds(j, 0, 1)
 				if r.Status != Optimal && r.Status != Infeasible {
 					b.Fatalf("status %v", r.Status)

@@ -257,32 +257,6 @@ func (a Algorithm) String() string {
 	return "?"
 }
 
-// PresolveMode gates the LP presolve layer (presolve.go).
-type PresolveMode int
-
-const (
-	// PresolveAuto (the zero value) applies presolve where it is transparent:
-	// a cold solve without a basis-snapshot request reduces the model, solves
-	// the reduction and postsolves the answer. Warm-started and snapshot
-	// solves skip it, because a basis snapshot must match the caller's
-	// problem shape. The MILP layer (package ilp) instead presolves once in
-	// front of the root LP and searches the reduced space directly.
-	PresolveAuto PresolveMode = iota
-	// PresolveOff solves the model exactly as stated — the differential-
-	// testing reference for the presolve layer.
-	PresolveOff
-)
-
-func (pm PresolveMode) String() string {
-	switch pm {
-	case PresolveAuto:
-		return "auto"
-	case PresolveOff:
-		return "off"
-	}
-	return "?"
-}
-
 // Result holds the outcome of a Solve.
 type Result struct {
 	Status Status
@@ -294,12 +268,6 @@ type Result struct {
 	X     []float64
 	Iters int   // simplex iterations used (both phases)
 	Stats Stats // detailed per-solve statistics
-	// Duals holds the row dual values y (one per constraint, such that
-	// c - A'y is the reduced-cost vector), populated on optimal solves when
-	// Options.WantDuals is set. Solves routed through presolve recover the
-	// duals of removed rows during postsolve. Like X, the slice may be pooled
-	// on the solve engine; copy it if it must outlive the next Solve.
-	Duals []float64
 	// Basis is the final basis snapshot, populated on optimal solves when
 	// Options.SnapshotBasis is set. It can seed a later warm-started solve
 	// of the same problem shape via Options.WarmStart.
@@ -350,11 +318,6 @@ type Stats struct {
 	ReferenceResets int // devex reference-framework resets
 	DualBoundFlips  int // long-step dual ratio-test bound flips (BFRT)
 
-	// Presolve statistics (presolve.go; populated when the solve was routed
-	// through the presolve layer).
-	PresolveRows int // constraint rows removed by presolve
-	PresolveCols int // variable columns removed by presolve
-
 	// Phases attributes the solve's wall time to the simplex internals —
 	// PhaseBuild, PhasePricing, PhaseRatioTest, PhasePivot, PhaseRefactorize
 	// — and is populated only when Options.CollectPhases is set (the
@@ -393,10 +356,6 @@ type Options struct {
 	// SnapshotBasis records the final basis of an optimal solve in
 	// Result.Basis for use as a later WarmStart.
 	SnapshotBasis bool
-	// Presolve gates the LP presolve layer; the zero value (PresolveAuto)
-	// presolves cold solves transparently, PresolveOff solves the model as
-	// stated (the differential reference).
-	Presolve PresolveMode
 	// Algorithm selects the simplex variant for cold solves; the zero value
 	// (AlgorithmAuto) is the two-phase primal. AlgorithmDual starts from an
 	// all-slack dual-feasible basis and drives it primal feasible with the
@@ -404,8 +363,6 @@ type Options struct {
 	// pass. Warm-started solves ignore it (the warm path is already a dual
 	// reoptimization).
 	Algorithm Algorithm
-	// WantDuals populates Result.Duals on optimal solves (one extra BTRAN).
-	WantDuals bool
 	// Ctx, if non-nil, is polled every ctxPollIters simplex iterations and
 	// basis-factorization steps; once it is done the solve returns at once
 	// with Stopped, on every path (warm, dual and primal). It carries the
@@ -440,15 +397,6 @@ func (p *Problem) Solve(opt Options) Result {
 				return res
 			}
 		} else if res, done := warmSolve(p, opt); done {
-			return res
-		}
-	}
-	// Cold solves without a snapshot request route through the presolve
-	// layer (transparent: the answer is postsolved back to this problem's
-	// shape). Snapshot solves skip it — Result.Basis must match the full
-	// problem so a later WarmStart can load it.
-	if opt.Presolve == PresolveAuto && !opt.SnapshotBasis {
-		if res, done := presolvedSolve(p, opt); done {
 			return res
 		}
 	}

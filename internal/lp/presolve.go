@@ -2,77 +2,21 @@ package lp
 
 import "math"
 
-// presolve.go reduces an LP before the simplex sees it: empty and redundant
-// rows are dropped, singleton rows become variable bounds, forced rows fix
-// every variable they touch, fixed columns fold into the right-hand side,
-// free continuous column singletons in equality rows are substituted out,
-// doubleton equations eliminate one continuous column by substitution,
-// dominated columns are fixed by duality, parallel continuous columns are
-// merged, and (only when integrality marks are supplied) row activity
-// bounds tighten integer variable bounds. Every reduction is recorded on a
-// postsolve stack so the full-space primal solution — and, via the same
-// stack walked in reverse, the dual values of removed rows — can be
-// recovered exactly.
+// presolve.go reduces the MILP root model before branch-and-bound searches
+// it (package ilp calls PresolveProblem once, in front of the root LP):
+// empty and redundant rows are dropped, singleton rows become variable
+// bounds, forced rows fix every variable they touch, and fixed columns fold
+// into the right-hand sides and the objective offset. A row whose activity
+// bounds cannot reach its right-hand side proves the model infeasible.
 //
-// Scope note: continuous implied-bound tightening is deliberately NOT done.
-// Tightening a continuous bound can make that bound active at the reduced
-// optimum where the original problem had the row active instead, which
-// breaks exact dual postsolve. Integer tightening is safe because it is
-// only used through the MILP layer (package ilp), where equivalence is
-// required for the integer problem, not the LP relaxation.
-//
-// The postsolve dual rules follow the standard stack discipline: records
-// are processed in reverse removal order, each computing its row's dual
-// against the original matrix and the duals assigned so far (later-removed
-// rows first). Cost transfers performed by substitutions are exactly the
-// y·a adjustments, so original costs plus assigned duals reproduce the
-// working reduced costs at every stage.
-
-// PresolveOptions tunes a presolve pass.
-type PresolveOptions struct {
-	// Tol is the feasibility tolerance; 0 means 1e-9.
-	Tol float64
-	// Integer marks integral variables (nil = all continuous). Integer
-	// columns get activity-based bound tightening (rounded inward), and
-	// fixings of integer columns are rounded — a fix that lands further
-	// than the tolerance from an integer proves the model infeasible.
-	Integer []bool
-}
-
-type psKind uint8
-
-const (
-	psRowDrop      psKind = iota // empty or redundant row: y = 0
-	psRowSingleton               // singleton row turned into a bound on one column
-	psRowForced                  // forced row: every column fixed at its extreme
-	psColFixed                   // column fixed: x_j = val
-	psColSubst                   // free column singleton substituted out (with its row)
-	psColDoubleton               // doubleton equation: col substituted out via col2
-	psColParallel                // parallel column folded into col2 (z = x_k + λ x_j)
-)
-
-// psRec is one postsolve record. Field use depends on kind.
-type psRec struct {
-	kind  psKind
-	row   int     // original row index (row kinds, psColSubst, psColDoubleton)
-	col   int     // original column index (psRowSingleton, column kinds)
-	col2  int     // partner column (psColDoubleton, psColParallel)
-	a     float64 // coefficient a[row][col] (psRowSingleton, psColSubst, psColDoubleton); λ (psColParallel)
-	val   float64 // fix value (psColFixed); a[row][col2] (psColDoubleton)
-	cj    float64 // working cost of col at removal time (psColSubst, psColDoubleton)
-	rhs   float64 // row rhs at removal time (psRowSingleton/Forced, psColSubst, psColDoubleton)
-	sense Sense
-	lo1   float64 // bounds of col at removal time (psColDoubleton, psColParallel)
-	hi1   float64
-	lo2   float64 // bounds of col2 at removal time, pre-transfer/pre-merge
-	hi2   float64
-	idx   []int32   // row entries at removal time, excluding col (psColSubst)
-	vals  []float64 // — matching coefficients (psColSubst, psRowForced)
-	atLo  []bool    // psRowForced: which bound each entry was fixed at
-}
+// Every reduction removes only rows that the remaining bounds imply and
+// columns whose value is fixed, so a reduced solution lifts back to the
+// original space by filling in the fixed values (Postsolve). Bound
+// tightening of integer columns from row activities is left to the MILP
+// layer's own propagation, which runs before this pass.
 
 // Presolved is the outcome of a presolve pass: the reduced problem plus
-// everything needed to map solutions (and duals) back to the original.
+// everything needed to map solutions back to the original.
 type Presolved struct {
 	Reduced *Problem
 
@@ -80,43 +24,43 @@ type Presolved struct {
 	// c_orig·x_full = c_red·x_red + ObjOffset.
 	ObjOffset float64
 
-	// ColMap/RowMap map original indices to reduced ones (-1 = removed).
+	// ColMap maps original column indices to reduced ones (-1 = removed).
 	ColMap []int32
-	RowMap []int32
 
 	RowsRemoved int
 	ColsRemoved int
 	Infeasible  bool
 
-	origN, origM int
-	origCost     []float64
-	colRowsIdx   [][]int32 // original column view: rows touching each column
-	colRowsVal   [][]float64
-	stack        []psRec
+	fixed []float64 // value of each removed column
 }
 
-// PresolveProblem reduces p. Returns nil when no reduction applies (callers
-// should then solve p directly). A non-nil result with Infeasible set means
-// presolve proved the model infeasible.
-func PresolveProblem(p *Problem, popt PresolveOptions) *Presolved {
-	tol := popt.Tol
-	if tol == 0 {
-		tol = 1e-9
-	}
+// PresolveProblem reduces p. integer marks integral variables (nil = all
+// continuous); fixings of integer columns are rounded, and a fix that lands
+// further than 1e-6 from an integer proves the model infeasible. Returns nil
+// when no reduction applies (callers should then solve p directly). A
+// non-nil result with Infeasible set means presolve proved the model
+// infeasible.
+func PresolveProblem(p *Problem, integer []bool) *Presolved {
+	const tol = 1e-9 // feasibility tolerance
 	n := len(p.cost)
 	m := len(p.rows)
 
 	// Working copies. Row entries are physically compacted as columns leave.
-	cost := append([]float64(nil), p.cost...)
 	lo := append([]float64(nil), p.lo...)
 	hi := append([]float64(nil), p.hi...)
 	rhs := append([]float64(nil), p.rhs...)
-	senses := append([]Sense(nil), p.senses...)
+	senses := p.senses
 	rIdx := make([][]int32, m)
 	rVal := make([][]float64, m)
+	// colRows lists the rows of each original column. Entries only ever
+	// leave rows, so it covers every row a column can still appear in.
+	colRows := make([][]int32, n)
 	for i, r := range p.rows {
 		rIdx[i] = append([]int32(nil), r.idx...)
 		rVal[i] = append([]float64(nil), r.val...)
+		for _, j := range r.idx {
+			colRows[j] = append(colRows[j], int32(i))
+		}
 	}
 	rowAlive := make([]bool, m)
 	colAlive := make([]bool, n)
@@ -127,19 +71,17 @@ func PresolveProblem(p *Problem, popt PresolveOptions) *Presolved {
 		colAlive[j] = true
 	}
 
-	ps := &Presolved{origN: n, origM: m, origCost: append([]float64(nil), p.cost...)}
-
-	isInt := func(j int) bool { return popt.Integer != nil && popt.Integer[j] }
+	ps := &Presolved{fixed: make([]float64, n)}
 
 	dropCol := func(j int, val float64) bool { // returns false on infeasibility
-		if isInt(j) {
+		if integer != nil && integer[j] {
 			r := math.Round(val)
 			if math.Abs(val-r) > 1e-6 {
 				return false
 			}
 			val = r
 		}
-		for i := range rIdx {
+		for _, i := range colRows[j] {
 			if !rowAlive[i] {
 				continue
 			}
@@ -156,8 +98,8 @@ func PresolveProblem(p *Problem, popt PresolveOptions) *Presolved {
 				break
 			}
 		}
-		ps.ObjOffset += cost[j] * val
-		ps.stack = append(ps.stack, psRec{kind: psColFixed, col: j, val: val})
+		ps.ObjOffset += p.cost[j] * val
+		ps.fixed[j] = val
 		colAlive[j] = false
 		ps.ColsRemoved++
 		return true
@@ -188,309 +130,6 @@ func PresolveProblem(p *Problem, popt PresolveOptions) *Presolved {
 			}
 		}
 
-		// ---- Column occurrence counts (for singleton-column substitution).
-		colCnt := make([]int, n)
-		colLastRow := make([]int, n)
-		for i := 0; i < m; i++ {
-			if !rowAlive[i] {
-				continue
-			}
-			for _, j := range rIdx[i] {
-				colCnt[j]++
-				colLastRow[j] = i
-			}
-		}
-
-		// ---- Free continuous column singletons in equality rows: substitute
-		// the column out together with its row; the row's dual is exactly
-		// c_j/a_ij (the only way the column's reduced cost can vanish).
-		for j := 0; j < n; j++ {
-			if !colAlive[j] || colCnt[j] != 1 || isInt(j) {
-				continue
-			}
-			if !math.IsInf(lo[j], -1) || !math.IsInf(hi[j], 1) {
-				continue
-			}
-			i := colLastRow[j]
-			if senses[i] != EQ {
-				continue
-			}
-			var aj float64
-			rec := psRec{kind: psColSubst, row: i, col: j, cj: cost[j], rhs: rhs[i], sense: EQ}
-			for k, jj := range rIdx[i] {
-				if int(jj) == j {
-					aj = rVal[i][k]
-					continue
-				}
-				rec.idx = append(rec.idx, jj)
-				rec.vals = append(rec.vals, rVal[i][k])
-			}
-			if math.Abs(aj) < tol {
-				continue
-			}
-			rec.a = aj
-			// Transfer the substituted column's cost onto the row's other
-			// columns: c_k -= c_j * a_ik / a_ij, constant term c_j*b_i/a_ij.
-			f := cost[j] / aj
-			for k, jj := range rec.idx {
-				cost[jj] -= f * rec.vals[k]
-			}
-			ps.ObjOffset += f * rhs[i]
-			ps.stack = append(ps.stack, rec)
-			colAlive[j] = false
-			rowAlive[i] = false
-			ps.ColsRemoved++
-			ps.RowsRemoved++
-			changed = true
-		}
-
-		// ---- Doubleton equations: a·x_j + b·x_k = rhs with x_j a
-		// continuous column singleton (this row is its only occurrence) is
-		// solved for x_j = (rhs − b·x_k)/a, which leaves the problem
-		// together with the row. x_j's bounds transfer onto x_k and its
-		// cost transfers through the substitution (c_k −= c_j·b/a). This
-		// extends the free-column-singleton rule to bounded columns; the
-		// singleton restriction matters for dual postsolve — rewriting
-		// other alive rows would make later stack records incoherent with
-		// the original matrix that redCost evaluates against. The ratio
-		// guard keeps the substitution multiplier b/a bounded.
-		{
-			cnt := make([]int, n)
-			for i := 0; i < m; i++ {
-				if !rowAlive[i] {
-					continue
-				}
-				for _, j := range rIdx[i] {
-					cnt[j]++
-				}
-			}
-			for i := 0; i < m; i++ {
-				if !rowAlive[i] || senses[i] != EQ || len(rIdx[i]) != 2 {
-					continue
-				}
-				j0, j1 := int(rIdx[i][0]), int(rIdx[i][1])
-				a0, a1 := rVal[i][0], rVal[i][1]
-				// Pick the eliminated column: continuous, occurrence-capped,
-				// preferring the larger |coefficient| as the divisor.
-				j, k := -1, -1
-				var aj, bk float64
-				try := func(jc, kc int, a, b float64) {
-					if j >= 0 || isInt(jc) || cnt[jc] != 1 {
-						return
-					}
-					if math.Abs(a) < tol || math.Abs(b) < tol || math.Abs(a) < 1e-3*math.Abs(b) {
-						return
-					}
-					j, k, aj, bk = jc, kc, a, b
-				}
-				if math.Abs(a0) >= math.Abs(a1) {
-					try(j0, j1, a0, a1)
-					try(j1, j0, a1, a0)
-				} else {
-					try(j1, j0, a1, a0)
-					try(j0, j1, a0, a1)
-				}
-				if j < 0 {
-					continue
-				}
-				r0 := rhs[i] / aj
-				t := bk / aj
-				rec := psRec{kind: psColDoubleton, row: i, col: j, col2: k,
-					a: aj, val: bk, cj: cost[j], rhs: rhs[i], sense: EQ,
-					lo1: lo[j], hi1: hi[j], lo2: lo[k], hi2: hi[k]}
-				// Transfer x_j's bounds onto x_k: x_j = r0 − t·x_k ∈ [lo_j, hi_j].
-				var tlo, thi float64
-				if t > 0 {
-					tlo, thi = (r0-hi[j])/t, (r0-lo[j])/t
-				} else {
-					tlo, thi = (r0-lo[j])/t, (r0-hi[j])/t
-				}
-				if tlo > lo[k] {
-					lo[k] = tlo
-				}
-				if thi < hi[k] {
-					hi[k] = thi
-				}
-				if lo[k] > hi[k]+tol {
-					return infeasible()
-				}
-				fj := cost[j] / aj
-				cost[k] -= fj * bk
-				ps.ObjOffset += fj * rhs[i]
-				rowAlive[i] = false
-				colAlive[j] = false
-				cnt[j] = 0
-				cnt[k]--
-				ps.RowsRemoved++
-				ps.ColsRemoved++
-				ps.stack = append(ps.stack, rec)
-				changed = true
-			}
-		}
-
-		// ---- Duality fixing (dominated columns): if c_j ≥ 0 and every
-		// alive occurrence of x_j has the sign that makes its dual term
-		// nonnegative regardless of the dual values (a ≥ 0 in ≤ rows, whose
-		// duals are ≤ 0; a ≤ 0 in ≥ rows, whose duals are ≥ 0; none in ==
-		// rows), then d_j ≥ 0 at every optimum and x_j sits at its lower
-		// bound; symmetrically c_j ≤ 0 fixes at the upper bound. Sound
-		// against the postsolve stack because earlier eliminated equality
-		// rows contribute through the working cost and later-removed
-		// inequality rows get sign-guarded duals.
-		{
-			okLo := make([]bool, n) // d_j ≥ 0 provable
-			okHi := make([]bool, n) // d_j ≤ 0 provable
-			for j := 0; j < n; j++ {
-				okLo[j], okHi[j] = colAlive[j], colAlive[j]
-			}
-			for i := 0; i < m; i++ {
-				if !rowAlive[i] {
-					continue
-				}
-				for q, j := range rIdx[i] {
-					a := rVal[i][q]
-					switch senses[i] {
-					case EQ:
-						okLo[j], okHi[j] = false, false
-					case LE:
-						if a < 0 {
-							okLo[j] = false
-						}
-						if a > 0 {
-							okHi[j] = false
-						}
-					case GE:
-						if a > 0 {
-							okLo[j] = false
-						}
-						if a < 0 {
-							okHi[j] = false
-						}
-					}
-				}
-			}
-			for j := 0; j < n; j++ {
-				if !colAlive[j] {
-					continue
-				}
-				switch {
-				case okLo[j] && cost[j] >= 0 && !math.IsInf(lo[j], -1):
-					if isInt(j) && math.Abs(lo[j]-math.Round(lo[j])) > 1e-9 {
-						continue
-					}
-					if !dropCol(j, lo[j]) {
-						return infeasible()
-					}
-					changed = true
-				case okHi[j] && cost[j] <= 0 && !math.IsInf(hi[j], 1):
-					if isInt(j) && math.Abs(hi[j]-math.Round(hi[j])) > 1e-9 {
-						continue
-					}
-					if !dropCol(j, hi[j]) {
-						return infeasible()
-					}
-					changed = true
-				}
-			}
-		}
-
-		// ---- Parallel columns: two continuous columns with proportional
-		// matrix columns and costs (A_j = λ·A_k, c_j = λ·c_k) act as one
-		// variable z = x_k + λ·x_j; x_j leaves and x_k's bounds widen to
-		// the merged interval. No dual work is needed — the rows keep their
-		// coefficients on x_k, so d_j = λ·d_k automatically, and every
-		// feasible split of z has the same objective. Postsolve picks the
-		// split matching complementarity.
-		{
-			sigRows := make([][]int32, n)
-			sigVals := make([][]float64, n)
-			for i := 0; i < m; i++ {
-				if !rowAlive[i] {
-					continue
-				}
-				for q, j := range rIdx[i] {
-					sigRows[j] = append(sigRows[j], int32(i))
-					sigVals[j] = append(sigVals[j], rVal[i][q])
-				}
-			}
-			buckets := make(map[uint64][]int)
-			for j := 0; j < n; j++ {
-				if !colAlive[j] || isInt(j) || len(sigRows[j]) == 0 {
-					continue
-				}
-				h := uint64(len(sigRows[j]))
-				for _, r := range sigRows[j] {
-					h = h*1000003 + uint64(r)
-				}
-				buckets[h] = append(buckets[h], j)
-			}
-			for _, cols := range buckets {
-				if len(cols) < 2 {
-					continue
-				}
-				var kept []int
-				for _, j := range cols {
-					merged := false
-					for _, k := range kept {
-						if len(sigRows[j]) != len(sigRows[k]) || sigVals[k][0] == 0 {
-							continue
-						}
-						same := true
-						for q := range sigRows[j] {
-							if sigRows[j][q] != sigRows[k][q] {
-								same = false
-								break
-							}
-						}
-						if !same {
-							continue
-						}
-						lam := sigVals[j][0] / sigVals[k][0]
-						if lam == 0 || math.IsInf(lam, 0) {
-							continue
-						}
-						ok := true
-						for q := range sigVals[j] {
-							if math.Abs(sigVals[j][q]-lam*sigVals[k][q]) > 1e-9*(1+math.Abs(sigVals[j][q])) {
-								ok = false
-								break
-							}
-						}
-						if !ok || math.Abs(cost[j]-lam*cost[k]) > 1e-9*(1+math.Abs(cost[j])+math.Abs(lam*cost[k])) {
-							continue
-						}
-						rec := psRec{kind: psColParallel, col: j, col2: k, a: lam,
-							lo1: lo[j], hi1: hi[j], lo2: lo[k], hi2: hi[k]}
-						if lam > 0 {
-							lo[k], hi[k] = lo[k]+lam*lo[j], hi[k]+lam*hi[j]
-						} else {
-							lo[k], hi[k] = lo[k]+lam*hi[j], hi[k]+lam*lo[j]
-						}
-						for _, r := range sigRows[j] {
-							idx, vals := rIdx[r], rVal[r]
-							for p := range idx {
-								if int(idx[p]) == j {
-									last := len(idx) - 1
-									idx[p], vals[p] = idx[last], vals[last]
-									rIdx[r], rVal[r] = idx[:last], vals[:last]
-									break
-								}
-							}
-						}
-						colAlive[j] = false
-						ps.ColsRemoved++
-						ps.stack = append(ps.stack, rec)
-						changed = true
-						merged = true
-						break
-					}
-					if !merged {
-						kept = append(kept, j)
-					}
-				}
-			}
-		}
-
 		// ---- Row sweep: activity bounds classify each row.
 		for i := 0; i < m; i++ {
 			if !rowAlive[i] {
@@ -515,7 +154,6 @@ func PresolveProblem(p *Problem, popt PresolveOptions) *Presolved {
 				}
 				rowAlive[i] = false
 				ps.RowsRemoved++
-				ps.stack = append(ps.stack, psRec{kind: psRowDrop, row: i})
 				changed = true
 				continue
 			}
@@ -561,8 +199,6 @@ func PresolveProblem(p *Problem, popt PresolveOptions) *Presolved {
 				}
 				rowAlive[i] = false
 				ps.RowsRemoved++
-				ps.stack = append(ps.stack, psRec{kind: psRowSingleton, row: i,
-					col: j, a: a, rhs: rhs[i], sense: senses[i]})
 				changed = true
 				continue
 			}
@@ -574,16 +210,10 @@ func PresolveProblem(p *Problem, popt PresolveOptions) *Presolved {
 			forcedHi := !math.IsInf(supAct, 1) && supAct <= rhs[i]+tol &&
 				(senses[i] == GE || senses[i] == EQ)
 			if forcedLo || forcedHi {
-				rec := psRec{kind: psRowForced, row: i, rhs: rhs[i], sense: senses[i]}
 				for k, j := range idx {
-					a := vals[k]
-					atLo := (a > 0) == forcedLo
-					rec.idx = append(rec.idx, j)
-					rec.vals = append(rec.vals, a)
-					rec.atLo = append(rec.atLo, atLo)
 					// Fix by collapsing the bounds; the column sweep of the
 					// next pass removes the column and adjusts the rhs.
-					if atLo {
+					if (vals[k] > 0) == forcedLo {
 						hi[j] = lo[j]
 					} else {
 						lo[j] = hi[j]
@@ -591,7 +221,6 @@ func PresolveProblem(p *Problem, popt PresolveOptions) *Presolved {
 				}
 				rowAlive[i] = false
 				ps.RowsRemoved++
-				ps.stack = append(ps.stack, rec)
 				changed = true
 				continue
 			}
@@ -607,90 +236,24 @@ func PresolveProblem(p *Problem, popt PresolveOptions) *Presolved {
 			if redundant {
 				rowAlive[i] = false
 				ps.RowsRemoved++
-				ps.stack = append(ps.stack, psRec{kind: psRowDrop, row: i})
 				changed = true
-				continue
-			}
-
-			// Integer bound tightening from row activity (integer-only; see
-			// the scope note at the top of the file).
-			if popt.Integer == nil {
-				continue
-			}
-			for k, j32 := range idx {
-				j := int(j32)
-				if !isInt(j) {
-					continue
-				}
-				a := vals[k]
-				// Activity of the other columns at this row's slack extreme.
-				var others float64
-				if a > 0 {
-					others = infAct - a*lo[j]
-				} else {
-					others = infAct - a*hi[j]
-				}
-				if senses[i] == LE || senses[i] == EQ {
-					if !math.IsInf(others, -1) {
-						if a > 0 {
-							if nb := math.Floor((rhs[i]-others)/a + tol); nb < hi[j]-tol {
-								hi[j] = nb
-								changed = true
-							}
-						} else {
-							if nb := math.Ceil((rhs[i]-others)/a - tol); nb > lo[j]+tol {
-								lo[j] = nb
-								changed = true
-							}
-						}
-					}
-				}
-				if senses[i] == GE || senses[i] == EQ {
-					var othersSup float64
-					if a > 0 {
-						othersSup = supAct - a*hi[j]
-					} else {
-						othersSup = supAct - a*lo[j]
-					}
-					if !math.IsInf(othersSup, 1) {
-						if a > 0 {
-							if nb := math.Ceil((rhs[i]-othersSup)/a - tol); nb > lo[j]+tol {
-								lo[j] = nb
-								changed = true
-							}
-						} else {
-							if nb := math.Floor((rhs[i]-othersSup)/a + tol); nb < hi[j]-tol {
-								hi[j] = nb
-								changed = true
-							}
-						}
-					}
-				}
-				if lo[j] > hi[j]+tol {
-					return infeasible()
-				}
 			}
 		}
 	}
 
 	if ps.RowsRemoved == 0 && ps.ColsRemoved == 0 {
-		// Bound tightening alone still counts as a reduction worth keeping,
-		// but if literally nothing changed, tell the caller to skip us.
-		if !boundsChanged(lo, hi, p.lo, p.hi) {
-			return nil
-		}
+		return nil
 	}
 
-	// ---- Assemble the reduced problem and the index maps.
+	// ---- Assemble the reduced problem and the column map.
 	ps.ColMap = make([]int32, n)
-	ps.RowMap = make([]int32, m)
 	red := NewProblem()
 	for j := 0; j < n; j++ {
 		if !colAlive[j] {
 			ps.ColMap[j] = -1
 			continue
 		}
-		ps.ColMap[j] = int32(red.AddVariable(lo[j], hi[j], cost[j]))
+		ps.ColMap[j] = int32(red.AddVariable(lo[j], hi[j], p.cost[j]))
 		if p.names[j] != "" {
 			red.SetName(int(ps.ColMap[j]), p.names[j])
 		}
@@ -698,37 +261,16 @@ func PresolveProblem(p *Problem, popt PresolveOptions) *Presolved {
 	coefs := make([]Coef, 0, 16)
 	for i := 0; i < m; i++ {
 		if !rowAlive[i] {
-			ps.RowMap[i] = -1
 			continue
 		}
 		coefs = coefs[:0]
 		for k, j := range rIdx[i] {
 			coefs = append(coefs, Coef{Var: int(ps.ColMap[j]), Val: rVal[i][k]})
 		}
-		ps.RowMap[i] = int32(red.AddConstraint(coefs, senses[i], rhs[i]))
+		red.AddConstraint(coefs, senses[i], rhs[i])
 	}
 	ps.Reduced = red
-
-	// Original column view, for dual postsolve (reduced costs need column
-	// dot products against the full matrix).
-	ps.colRowsIdx = make([][]int32, n)
-	ps.colRowsVal = make([][]float64, n)
-	for i, r := range p.rows {
-		for k, j := range r.idx {
-			ps.colRowsIdx[j] = append(ps.colRowsIdx[j], int32(i))
-			ps.colRowsVal[j] = append(ps.colRowsVal[j], r.val[k])
-		}
-	}
 	return ps
-}
-
-func boundsChanged(lo, hi, origLo, origHi []float64) bool {
-	for j := range lo {
-		if lo[j] != origLo[j] || hi[j] != origHi[j] {
-			return true
-		}
-	}
-	return false
 }
 
 // MapMask maps a per-original-column boolean mask (e.g. integrality marks)
@@ -743,263 +285,16 @@ func (ps *Presolved) MapMask(mask []bool) []bool {
 	return out
 }
 
-// Postsolve lifts a reduced-space solution to the original variable space,
-// replaying the removal stack in reverse (substitutions may reference
-// columns fixed in later passes, whose records are processed first).
+// Postsolve lifts a reduced-space solution to the original variable space:
+// kept columns take their reduced values, removed columns their fix values.
 func (ps *Presolved) Postsolve(xRed []float64) []float64 {
-	x := make([]float64, ps.origN)
+	x := make([]float64, len(ps.ColMap))
 	for j, rj := range ps.ColMap {
 		if rj >= 0 {
 			x[j] = xRed[rj]
-		}
-	}
-	for k := len(ps.stack) - 1; k >= 0; k-- {
-		rec := &ps.stack[k]
-		switch rec.kind {
-		case psColFixed:
-			x[rec.col] = rec.val
-		case psColSubst:
-			v := rec.rhs
-			for q, jj := range rec.idx {
-				v -= rec.vals[q] * x[jj]
-			}
-			x[rec.col] = v / rec.a
-		case psColDoubleton:
-			x[rec.col] = (rec.rhs - rec.val*x[rec.col2]) / rec.a
-		case psColParallel:
-			// Split the merged value z = x_k + λ·x_j: intersect x_j's own
-			// bounds with the values reachable while x_k stays in its
-			// bounds, then take the lowest feasible x_j (which lands both
-			// variables on their proper bounds when z is at a merged
-			// extreme — see the merge-site comment on complementarity).
-			z := x[rec.col2]
-			lam := rec.a
-			var ql, qh float64
-			if lam > 0 {
-				ql, qh = (z-rec.hi2)/lam, (z-rec.lo2)/lam
-			} else {
-				ql, qh = (z-rec.lo2)/lam, (z-rec.hi2)/lam
-			}
-			xl := math.Max(rec.lo1, ql)
-			xh := math.Min(rec.hi1, qh)
-			var xj float64
-			switch {
-			case !math.IsInf(xl, -1):
-				xj = xl
-			case !math.IsInf(xh, 1):
-				xj = math.Min(xh, 0)
-			default:
-				xj = 0
-			}
-			x[rec.col] = xj
-			x[rec.col2] = z - lam*xj
+		} else {
+			x[j] = ps.fixed[j]
 		}
 	}
 	return x
-}
-
-// psDualViol measures how badly reduced cost d violates complementarity for
-// a variable at value xv within [lo, hi] (minimization: d ≥ 0 at the lower
-// bound, d ≤ 0 at the upper, d == 0 strictly inside).
-func psDualViol(d, xv, lo, hi float64) float64 {
-	const bt = 1e-7
-	atLo := !math.IsInf(lo, -1) && xv <= lo+bt*(1+math.Abs(lo))
-	atHi := !math.IsInf(hi, 1) && xv >= hi-bt*(1+math.Abs(hi))
-	switch {
-	case atLo && atHi:
-		return 0
-	case atLo:
-		return math.Max(0, -d)
-	case atHi:
-		return math.Max(0, d)
-	default:
-		return math.Abs(d)
-	}
-}
-
-// PostsolveDuals lifts reduced-space row duals to the original rows. x must
-// be the full-space primal solution (from Postsolve). Removed rows get
-// their duals from the standard stack rules: dropped rows take zero,
-// substituted equality rows take c_j/a_ij, singleton rows absorb the
-// reduced cost of their column when the bound they imposed is the active
-// one, and forced rows take the point of their dual-feasible interval
-// closest to zero.
-func (ps *Presolved) PostsolveDuals(yRed, x []float64) []float64 {
-	y := make([]float64, ps.origM)
-	for i, ri := range ps.RowMap {
-		if ri >= 0 {
-			y[i] = yRed[ri]
-		}
-	}
-	// Working costs as of the LAST removal: original costs plus every
-	// substitution's cost transfer. Walking the stack backwards undoes each
-	// transfer as its record is passed, so redCost always evaluates against
-	// the working costs at that record's own removal time. (Transfers from
-	// substitutions removed earlier than a record are baked into cw — their
-	// rows were already dead, so their duals rightly contribute through cw
-	// rather than through the y sum; rows still alive at the record's
-	// removal contribute through y, assigned by the reverse walk before the
-	// record is reached.)
-	cw := append([]float64(nil), ps.origCost...)
-	for k := range ps.stack {
-		rec := &ps.stack[k]
-		switch rec.kind {
-		case psColSubst:
-			yr := rec.cj / rec.a
-			for q, jj := range rec.idx {
-				cw[jj] -= yr * rec.vals[q]
-			}
-		case psColDoubleton:
-			cw[rec.col2] -= rec.cj / rec.a * rec.val
-		}
-	}
-	// Working primal values at each stack depth: a parallel-column merge
-	// reinterprets the surviving column as the merged variable z = x_k + λ·x_j,
-	// so records between the merge and the end of the stack must see z, not
-	// the final split value. Replay the merges forward; the reverse walk
-	// splits them back as it passes each record.
-	xw := append([]float64(nil), x...)
-	for k := range ps.stack {
-		rec := &ps.stack[k]
-		if rec.kind == psColParallel {
-			xw[rec.col2] += rec.a * xw[rec.col]
-		}
-	}
-	// Reduced cost of original column j: working cost at the current stack
-	// position minus the contributions of all duals assigned so far.
-	redCost := func(j int) float64 {
-		d := cw[j]
-		for k, i := range ps.colRowsIdx[j] {
-			d -= y[i] * ps.colRowsVal[j][k]
-		}
-		return d
-	}
-	for k := len(ps.stack) - 1; k >= 0; k-- {
-		rec := &ps.stack[k]
-		switch rec.kind {
-		case psRowSingleton:
-			// The row imposed the bound rhs/a on its column. Only when the
-			// solution sits on that bound can the row be binding.
-			bd := rec.rhs / rec.a
-			if math.Abs(xw[rec.col]-bd) > 1e-7*(1+math.Abs(bd)) {
-				break // y stays 0
-			}
-			yi := redCost(rec.col) / rec.a
-			// Sense sign guard (LE rows need y <= 0, GE rows y >= 0).
-			if (rec.sense == LE && yi > 0) || (rec.sense == GE && yi < 0) {
-				yi = 0
-			}
-			y[rec.row] = yi
-		case psRowForced:
-			// Dual-feasible interval: each fixed column k needs its full
-			// reduced cost r_k - y*a_k on the correct side for the bound it
-			// was fixed at (>= 0 at lower, <= 0 at upper, minimization).
-			ylo, yhi := math.Inf(-1), math.Inf(1)
-			switch rec.sense {
-			case LE:
-				yhi = 0
-			case GE:
-				ylo = 0
-			}
-			for q, jj := range rec.idx {
-				r := redCost(int(jj))
-				a := rec.vals[q]
-				bound := r / a
-				if rec.atLo[q] == (a > 0) {
-					// at-lo with a>0, or at-hi with a<0: y <= r/a
-					if bound < yhi {
-						yhi = bound
-					}
-				} else {
-					if bound > ylo {
-						ylo = bound
-					}
-				}
-			}
-			yi := 0.0
-			if ylo > yhi {
-				yi = (ylo + yhi) / 2 // numerically inconsistent: best effort
-			} else if ylo > 0 {
-				yi = ylo
-			} else if yhi < 0 {
-				yi = yhi
-			}
-			y[rec.row] = yi
-		case psColSubst:
-			yr := rec.cj / rec.a
-			y[rec.row] = yr
-			// Undo this substitution's cost transfer: records earlier in the
-			// stack were removed before it and must see pre-transfer costs.
-			for q, jj := range rec.idx {
-				cw[jj] += yr * rec.vals[q]
-			}
-		case psColDoubleton:
-			// Undo the cost transfer first so redCost evaluates against the
-			// removal-time costs.
-			cw[rec.col2] += rec.cj / rec.a * rec.val
-			dj0 := redCost(rec.col)
-			dk0 := redCost(rec.col2)
-			// Two dual candidates: zero the substituted column's reduced
-			// cost (y = d_j/a, always sign-feasible for x_j) or zero the
-			// partner's (y = d_k/b, needed when x_k is strictly inside its
-			// own bounds because a transferred bound is the active one).
-			// Pick by complementarity against the removal-time bounds.
-			y1 := dj0 / rec.a
-			yi := y1
-			if math.Abs(rec.val) > 1e-12 {
-				y2 := dk0 / rec.val
-				v2 := psDualViol(dj0-y2*rec.a, xw[rec.col], rec.lo1, rec.hi1) +
-					psDualViol(dk0-y2*rec.val, xw[rec.col2], rec.lo2, rec.hi2)
-				v1 := psDualViol(dj0-y1*rec.a, xw[rec.col], rec.lo1, rec.hi1) +
-					psDualViol(dk0-y1*rec.val, xw[rec.col2], rec.lo2, rec.hi2)
-				if v2 < v1 {
-					yi = y2
-				}
-			}
-			y[rec.row] = yi
-		case psColParallel:
-			// Split the merged variable back: records earlier in the stack
-			// predate the merge and must see x_k, not z = x_k + λ·x_j.
-			xw[rec.col2] -= rec.a * xw[rec.col]
-		}
-	}
-	return y
-}
-
-// presolvedSolve routes a cold solve through the presolve layer: reduce,
-// solve the reduction (with presolve off — no recursion), postsolve. done
-// is false when no reduction applied and the caller should solve directly.
-func presolvedSolve(p *Problem, opt Options) (Result, bool) {
-	ps := PresolveProblem(p, PresolveOptions{Tol: opt.Tol})
-	if ps == nil {
-		return Result{}, false
-	}
-	if ps.Infeasible {
-		return Result{Status: Infeasible, Stats: Stats{
-			PresolveRows: ps.RowsRemoved, PresolveCols: ps.ColsRemoved}}, true
-	}
-	ropt := opt
-	ropt.Presolve = PresolveOff
-	ropt.WarmStart = nil
-	res := ps.Reduced.Solve(ropt)
-	res.Stats.PresolveRows = ps.RowsRemoved
-	res.Stats.PresolveCols = ps.ColsRemoved
-	if res.Status != Optimal {
-		// Infeasibility and unboundedness are preserved exactly by every
-		// reduction, so the verdict transfers to the original model.
-		res.X = nil
-		res.Duals = nil
-		return res, true
-	}
-	x := ps.Postsolve(res.X)
-	res.X = x
-	obj := 0.0
-	for j := range x {
-		obj += p.cost[j] * x[j]
-	}
-	res.Obj = obj
-	if opt.WantDuals {
-		res.Duals = ps.PostsolveDuals(res.Duals, x)
-	}
-	return res, true
 }

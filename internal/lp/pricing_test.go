@@ -22,7 +22,7 @@ import (
 // disagreed with the oracle. Bounds are strings so infinities survive
 // encoding/json.
 type lpRepro struct {
-	Presolve  string     `json:"presolve"`
+	Presolve  bool       `json:"presolve"`
 	Algorithm string     `json:"algorithm,omitempty"`
 	Detail    string     `json:"detail"`
 	Vars      []reproVar `json:"vars"`
@@ -46,9 +46,9 @@ func ffield(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 // dumpReproducer writes the failing problem + config as JSON to a temp file
 // and logs its path, so a fuzz failure is replayable without re-deriving the
 // RNG state.
-func dumpReproducer(t *testing.T, p *Problem, o Options, detail string) {
+func dumpReproducer(t *testing.T, p *Problem, o Options, presolve bool, detail string) {
 	t.Helper()
-	repro := lpRepro{Presolve: o.Presolve.String(), Algorithm: o.Algorithm.String(), Detail: detail}
+	repro := lpRepro{Presolve: presolve, Algorithm: o.Algorithm.String(), Detail: detail}
 	for j := 0; j < p.NumVars(); j++ {
 		lo, hi := p.VarBounds(j)
 		repro.Vars = append(repro.Vars, reproVar{Lo: ffield(lo), Hi: ffield(hi), Cost: p.Cost(j)})
@@ -107,20 +107,16 @@ func feasViolation(p *Problem, x []float64) string {
 	return ""
 }
 
-// TestPricingPresolveDifferential fuzzes random LPs through the presolve
-// mode × algorithm (primal/dual) matrix and requires agreement with the
-// oracle on status, objective and primal feasibility — for the cold solve,
-// and at every node of a short warm-started dive that branches on the
-// engine's own solution the way the MILP search does. Any mismatch dumps a
-// standalone JSON reproducer. Presolve and the algorithm only change the
-// path to the optimum, never the optimum.
+// TestPricingPresolveDifferential fuzzes random LPs through the algorithm
+// (primal/dual) × presolve matrix and requires agreement with the oracle on
+// status, objective and primal feasibility — for the cold solve of the model
+// as stated, for the presolved sequence (PresolveProblem, Reduced.Solve,
+// Postsolve), and at every node of a short warm-started dive that branches
+// on the engine's own solution the way the MILP search does. Any mismatch
+// dumps a standalone JSON reproducer. Presolve and the algorithm only change
+// the path to the optimum, never the optimum.
 func TestPricingPresolveDifferential(t *testing.T) {
-	var configs []Options
-	for _, ps := range []PresolveMode{PresolveAuto, PresolveOff} {
-		for _, alg := range []Algorithm{AlgorithmPrimal, AlgorithmDual} {
-			configs = append(configs, Options{Presolve: ps, Algorithm: alg})
-		}
-	}
+	configs := []Options{{Algorithm: AlgorithmPrimal}, {Algorithm: AlgorithmDual}}
 	rng := rand.New(rand.NewSource(20150608))
 	trials := 250
 	if testing.Short() {
@@ -133,11 +129,11 @@ func TestPricingPresolveDifferential(t *testing.T) {
 		ref := oracleSolve(p)
 		counts[ref.Status]++
 		for _, cfg := range configs {
-			check := func(q *Problem, r Result, ref oracleResult, where string) {
+			check := func(q *Problem, r Result, ref oracleResult, where string, presolve bool) {
 				fail := func(format string, args ...interface{}) {
 					detail := where + ": " + fmt.Sprintf(format, args...)
-					dumpReproducer(t, q, cfg, detail)
-					t.Fatalf("trial %d [%v/%v] %s", trial, cfg.Presolve, cfg.Algorithm, detail)
+					dumpReproducer(t, q, cfg, presolve, detail)
+					t.Fatalf("trial %d [%v presolve=%v] %s", trial, cfg.Algorithm, presolve, detail)
 				}
 				if r.Status != ref.Status {
 					fail("status %v, oracle %v", r.Status, ref.Status)
@@ -152,15 +148,17 @@ func TestPricingPresolveDifferential(t *testing.T) {
 					fail("infeasible primal: %s", v)
 				}
 			}
-			check(p, cloneProblem(p).Solve(cfg), ref, "cold")
+			check(p, cloneProblem(p).Solve(cfg), ref, "cold", false)
+			r, _ := solvePresolved(cloneProblem(p), cfg)
+			check(p, r, ref, "cold", true)
 
 			// Warm dive: snapshot root, then alternate down/up branches on
 			// the engine's current value of one variable per node.
 			q := cloneProblem(p)
 			o := cfg
 			o.SnapshotBasis = true
-			r := q.Solve(o)
-			check(q, r, ref, "dive root")
+			r = q.Solve(o)
+			check(q, r, ref, "dive root", false)
 			for step := 0; step < 4 && r.Status == Optimal && r.Basis != nil; step++ {
 				j := (trial + 3*step) % q.NumVars()
 				lo, hi := q.VarBounds(j)
@@ -175,7 +173,7 @@ func TestPricingPresolveDifferential(t *testing.T) {
 				if r.Stats.WarmStarted {
 					warm++
 				}
-				check(q, r, oracleSolve(q), fmt.Sprintf("dive node %d", step))
+				check(q, r, oracleSolve(q), fmt.Sprintf("dive node %d", step), false)
 			}
 		}
 	}
@@ -299,14 +297,13 @@ func pricingBenchLP(n int) *Problem {
 }
 
 // BenchmarkPricing times a cold primal solve of an LP big enough that
-// pricing dominates (presolve off, so it isolates the pricing loop), and
-// reports the iteration count.
+// pricing dominates, and reports the iteration count.
 func BenchmarkPricing(b *testing.B) {
 	iters := 0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p := pricingBenchLP(16)
-		r := p.Solve(Options{Presolve: PresolveOff})
+		r := p.Solve(Options{})
 		if r.Status != Optimal {
 			b.Fatalf("status %v", r.Status)
 		}
@@ -349,9 +346,9 @@ func BenchmarkDualBoundFlip(b *testing.B) {
 	b.ReportMetric(float64(flips)/float64(b.N), "flips/op")
 }
 
-// BenchmarkPresolve times a full presolve pass (reduction + stack build) on
-// a problem with substantial reducible structure, reporting the reductions
-// found.
+// BenchmarkPresolve times a full presolve pass (reductions + reduced-model
+// assembly) on a problem with substantial reducible structure, reporting the
+// reductions found.
 func BenchmarkPresolve(b *testing.B) {
 	p := pricingBenchLP(12)
 	// Singleton rows, a fixed column and duplicate (redundant) rows give the
@@ -364,7 +361,7 @@ func BenchmarkPresolve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ps := PresolveProblem(p, PresolveOptions{})
+		ps := PresolveProblem(p, nil)
 		if ps == nil || ps.Infeasible {
 			b.Fatal("presolve found no reduction")
 		}

@@ -64,7 +64,6 @@ type simplex struct {
 	costBuf  []float64 // pooled phase-1 cost vector (solve())
 	residBuf []float64 // pooled residual for refresh()/coldBasis
 	xsol     []float64 // pooled Result.X buffer (see Result.X docs)
-	ysol     []float64 // pooled Result.Duals buffer (Options.WantDuals)
 
 	iters  int
 	stats  Stats
@@ -460,14 +459,6 @@ func (s *simplex) primalResult(st Status) Result {
 	r := s.result(Optimal)
 	r.Obj = obj
 	r.X = x
-	if s.opt.WantDuals {
-		if cap(s.ysol) < s.m {
-			s.ysol = make([]float64, s.m)
-		}
-		s.computeDuals(s.cost[:s.ncols])
-		r.Duals = s.ysol[:s.m]
-		copy(r.Duals, s.y[:s.m])
-	}
 	if s.opt.SnapshotBasis {
 		r.Basis = s.snapshot()
 	}

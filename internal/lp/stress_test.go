@@ -118,9 +118,9 @@ func TestIterLimitStatus(t *testing.T) {
 		cs = append(cs, Coef{v, 1})
 	}
 	p.AddConstraint(cs, LE, 5)
-	// Presolve off: the parallel-column merge plus duality fixing would
-	// otherwise solve this without a single simplex iteration.
-	res := p.Solve(Options{MaxIters: 1, Presolve: PresolveOff})
+	// Solve takes the model as stated (no presolve), so the simplex itself
+	// must run into the cap.
+	res := p.Solve(Options{MaxIters: 1})
 	if res.Status == Optimal {
 		t.Fatalf("1 iteration should not reach optimality here")
 	}

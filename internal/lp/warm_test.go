@@ -188,9 +188,7 @@ func TestWarmSolveAllocs(t *testing.T) {
 // Column assembly dominates (a few slices per structural column); the pooled
 // phase-cost vectors and solution buffer keep per-phase work out of the
 // count. A dense-inverse or per-iteration-slice regression multiplies this
-// figure and trips the pin. Presolve is pinned off: its reductions allocate
-// an O(problem) working copy by design, which is not the per-iteration churn
-// this test guards against.
+// figure and trips the pin.
 func TestColdSolveAllocs(t *testing.T) {
 	const n = 6
 	p := assignmentLP(n)
@@ -198,7 +196,7 @@ func TestColdSolveAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(64, func() {
 		j := (step * 5) % (n * n)
 		p.SetVarBounds(j, 0, 0)
-		r := p.Solve(Options{Presolve: PresolveOff})
+		r := p.Solve(Options{})
 		p.SetVarBounds(j, 0, 1)
 		if r.Status != Optimal && r.Status != Infeasible {
 			t.Fatalf("status %v", r.Status)
