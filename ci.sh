@@ -15,9 +15,10 @@
 # CDC-BnB's BenchmarkSteinerTree and BenchmarkBnBFlightOff, of the LP
 # factorization's BenchmarkFactorize and BenchmarkFactorizeLarge, and of the
 # MILP root presolve's BenchmarkPresolve (so they keep building), a
-# parallel end-to-end smoke run of both CLIs at -j 4, and a traced -par 2
+# parallel end-to-end smoke run of both CLIs at -j 4, a traced -par 2
 # solve whose phase breakdown traceview checks against the solve span's
-# duration.
+# duration, and a traced MILP solve whose LP counters must reach both
+# optroute -stats and traceview's rendering of the ilp.solve span.
 set -eu
 
 cd "$(dirname "$0")"
@@ -69,6 +70,11 @@ echo "== smoke: optroute -par 2 (traced, CDC-BnB rounds on 2 workers)"
 go run ./cmd/optroute -synth 6x7x4 -nets 3 -seed 3 -rule RULE8 -par 2 -timeout 60s \
 	-trace "$smoke_tmp/optroute_par.jsonl" >/dev/null
 
+echo "== smoke: optroute -solver ilp -stats (traced MILP solve)"
+go run ./cmd/optroute -synth 5x6x3 -nets 3 -seed 1 -solver ilp -stats -timeout 60s \
+	-trace "$smoke_tmp/optroute_ilp.jsonl" >"$smoke_tmp/optroute_ilp.txt"
+grep -q "lp: .*presolve_rows=" "$smoke_tmp/optroute_ilp.txt"
+
 echo "== smoke: beoleval -fig10 -j 4 (traced)"
 go run ./cmd/beoleval -tech N28-12T -fig10 -j 4 -timeout 5s \
 	-trace "$smoke_tmp/beoleval.jsonl" >/dev/null
@@ -79,7 +85,10 @@ go run ./cmd/traceview -validate "$smoke_tmp/optroute.jsonl"
 # than 10% + 2ms, so this checks the parallel search's phase attribution.
 go run ./cmd/traceview -validate "$smoke_tmp/optroute_par.jsonl"
 go run ./cmd/traceview -validate "$smoke_tmp/beoleval.jsonl"
+go run ./cmd/traceview -validate "$smoke_tmp/optroute_ilp.jsonl"
 go run ./cmd/traceview -top 5 "$smoke_tmp/optroute.jsonl" >/dev/null
+go run ./cmd/traceview "$smoke_tmp/optroute_ilp.jsonl" >"$smoke_tmp/traceview_ilp.txt"
+grep -q "lp: .*presolve_rows=" "$smoke_tmp/traceview_ilp.txt"
 
 echo "== calib: machine-calibration probe smoke"
 go run ./cmd/benchrun -calib

@@ -301,19 +301,6 @@ func statusSink(s *obs.Status) func(exp.ClipProgress) {
 			s.JobStart(p.Worker, p.Rule+" "+p.Clip)
 		case "done":
 			s.JobDone(p.Worker, p.Result != nil && p.Result.Err != "")
-			if r := p.Result; r != nil {
-				s.AddLPStats(obs.LPStatDelta{
-					CandidateHits:          r.Stats.LPCandidateHits,
-					RefResets:              r.Stats.LPRefResets,
-					DualBoundFlips:         r.Stats.LPDualBoundFlips,
-					PresolveRows:           r.Stats.PresolveRows,
-					PresolveCols:           r.Stats.PresolveCols,
-					RefactorEtaLen:         r.Stats.LPRefactorEtaLen,
-					RefactorFill:           r.Stats.LPRefactorFill,
-					RefactorPivotQuality:   r.Stats.LPRefactorPivotQuality,
-					RefactorUpdateRejected: r.Stats.LPRefactorUpdateRejected,
-				})
-			}
 		}
 	}
 }

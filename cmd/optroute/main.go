@@ -197,9 +197,6 @@ func run() (int, error) {
 		return 0, fmt.Errorf("need -clip or -synth; see -h")
 	}
 
-	if *solver == "ilp" {
-		status.EnableLP()
-	}
 	sw := sweepEnv{
 		solver: *solver, par: *par, timeout: *timeout, workers: *jobsN,
 		shapes: *shapes, bidir: *bidir, viaCost: *viaCost,
@@ -244,17 +241,6 @@ func run() (int, error) {
 		return 0, err
 	}
 	status.JobDone(0, false)
-	status.AddLPStats(obs.LPStatDelta{
-		CandidateHits:          sol.Stats.LPCandidateHits,
-		RefResets:              sol.Stats.LPRefResets,
-		DualBoundFlips:         sol.Stats.LPDualBoundFlips,
-		PresolveRows:           sol.Stats.PresolveRows,
-		PresolveCols:           sol.Stats.PresolveCols,
-		RefactorEtaLen:         sol.Stats.LPRefactorEtaLen,
-		RefactorFill:           sol.Stats.LPRefactorFill,
-		RefactorPivotQuality:   sol.Stats.LPRefactorPivotQuality,
-		RefactorUpdateRejected: sol.Stats.LPRefactorUpdateRejected,
-	})
 	writeConvergence(conv, c.Name, rule.Name, *solver, sol)
 
 	if !sol.Feasible {
@@ -444,19 +430,8 @@ func printStats(sol *core.Solution) {
 		fmt.Printf("       par=%d nodes_per_worker=%v steals=%d\n",
 			st.Par, st.NodesPerWorker, st.Steals)
 	}
-	if st.LPCandidateHits > 0 || st.LPRefResets > 0 || st.LPDualBoundFlips > 0 {
-		fmt.Printf("       pricing: candidate_hits=%d ref_resets=%d dual_bound_flips=%d\n",
-			st.LPCandidateHits, st.LPRefResets, st.LPDualBoundFlips)
-	}
-	if st.PresolveRows > 0 || st.PresolveCols > 0 {
-		fmt.Printf("       presolve: rows_removed=%d cols_removed=%d\n",
-			st.PresolveRows, st.PresolveCols)
-	}
-	if st.LPRefactorEtaLen > 0 || st.LPRefactorFill > 0 ||
-		st.LPRefactorPivotQuality > 0 || st.LPRefactorUpdateRejected > 0 {
-		fmt.Printf("       refactor: eta_len=%d fill=%d pivot_quality=%d update_rejected=%d\n",
-			st.LPRefactorEtaLen, st.LPRefactorFill,
-			st.LPRefactorPivotQuality, st.LPRefactorUpdateRejected)
+	if !st.LP.IsZero() {
+		fmt.Printf("       lp: %s\n", st.LP)
 	}
 	printPhases("phases", st.Phases)
 	printPhases("lp_phases", st.LPPhases)

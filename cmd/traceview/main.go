@@ -26,8 +26,7 @@
 // -profile renders the per-case sampling profiles emitted by
 // benchrun -sample: one top-function table per case. -bench renders a
 // benchmark document's calibration block, per-case work vectors and LP
-// pricing/presolve telemetry (candidate-hit ratio, dual bound flips,
-// presolve reductions, plus a corpus-wide pricing summary line); with
+// telemetry counters (plus their corpus-wide sum); with
 // -baseline it additionally prints the full comparison — calibrated wall
 // ratios, per-counter work movement, profile share shifts and the drift
 // verdict of the two-tier regression gate.
@@ -40,6 +39,7 @@ import (
 	"os"
 	"sort"
 
+	"optrouter/internal/lp"
 	"optrouter/internal/obs"
 	"optrouter/internal/report"
 )
@@ -161,8 +161,8 @@ func printSolve(i int, s *report.SolveTrace) {
 	if s.Par > 0 {
 		fmt.Printf("  par:    %d workers, %d steals\n", s.Par, s.Steals)
 	}
-	if s.HasLPStats() {
-		fmt.Printf("  lp:     %s\n", s.PricingLine())
+	if !s.LP.IsZero() {
+		fmt.Printf("  lp:     %s (%d iters)\n", s.LP, s.LPIters)
 	}
 	if s.FlightSeen == 0 {
 		fmt.Printf("  flight: off (rerun with -flight for search-tree statistics)\n")
@@ -307,22 +307,12 @@ func runBench(path, basePath string) error {
 	} else {
 		fmt.Printf("calibration: none (schema v%d document)\n", doc.SchemaVersion)
 	}
-	var lpHits, lpResets, lpFlips, psRows, psCols, lpIters int64
-	var rfEta, rfFill, rfPivot, rfRej int64
+	var lpSum lp.Counters
 	lpCases := 0
 	for _, c := range doc.Cases {
-		if l := c.LP; l != nil {
+		if c.LP != nil {
 			lpCases++
-			lpHits += int64(l.CandidateHits)
-			lpResets += int64(l.RefResets)
-			lpFlips += int64(l.DualBoundFlips)
-			psRows += int64(l.PresolveRows)
-			psCols += int64(l.PresolveCols)
-			rfEta += int64(l.RefactorEtaLen)
-			rfFill += int64(l.RefactorFill)
-			rfPivot += int64(l.RefactorPivotQuality)
-			rfRej += int64(l.RefactorUpdateRejected)
-			lpIters += c.Work["simplex_iters"]
+			lpSum.Add(*c.LP)
 		}
 		if len(c.Work) == 0 && c.Profile == nil && c.LP == nil {
 			continue
@@ -343,18 +333,8 @@ func runBench(path, basePath string) error {
 			}
 			fmt.Printf("  work:    %s\n", line)
 		}
-		if l := c.LP; l != nil {
-			hits := fmt.Sprintf("candidate_hits=%d", l.CandidateHits)
-			if it := c.Work["simplex_iters"]; it > 0 {
-				hits += fmt.Sprintf(" (%.0f%% of %d iters)",
-					100*float64(l.CandidateHits)/float64(it), it)
-			}
-			fmt.Printf("  lp:      %s, ref_resets=%d, dual_flips=%d; presolve rows=%d cols=%d\n",
-				hits, l.RefResets, l.DualBoundFlips, l.PresolveRows, l.PresolveCols)
-			if l.RefactorEtaLen+l.RefactorFill+l.RefactorPivotQuality+l.RefactorUpdateRejected > 0 {
-				fmt.Printf("  refact:  eta_len=%d fill=%d pivot_quality=%d update_rejected=%d\n",
-					l.RefactorEtaLen, l.RefactorFill, l.RefactorPivotQuality, l.RefactorUpdateRejected)
-			}
+		if c.LP != nil {
+			fmt.Printf("  lp:      %s\n", c.LP)
 		}
 		if p := c.Profile; p != nil {
 			fmt.Printf("  profile: %d samples at %d Hz", p.Samples, p.Hz)
@@ -365,17 +345,7 @@ func runBench(path, basePath string) error {
 		}
 	}
 	if lpCases > 0 {
-		hits := fmt.Sprintf("candidate_hits=%d", lpHits)
-		if lpIters > 0 {
-			hits += fmt.Sprintf(" (%.0f%% of %d iters)",
-				100*float64(lpHits)/float64(lpIters), lpIters)
-		}
-		fmt.Printf("\npricing summary (%d lp cases): %s, ref_resets=%d, dual_flips=%d; presolve rows=%d cols=%d\n",
-			lpCases, hits, lpResets, lpFlips, psRows, psCols)
-		if rfEta+rfFill+rfPivot+rfRej > 0 {
-			fmt.Printf("refactor summary: eta_len=%d fill=%d pivot_quality=%d update_rejected=%d\n",
-				rfEta, rfFill, rfPivot, rfRej)
-		}
+		fmt.Printf("\nlp summary (%d lp cases): %s\n", lpCases, lpSum)
 	}
 	if basePath == "" {
 		return nil

@@ -10,7 +10,7 @@ import (
 
 // TestCLIEndToEnd builds every command and exercises the documented flows:
 // rules table, clip extraction to JSON, optimal routing of an extracted
-// clip, the standalone MILP solver, and the local-improvement assessment.
+// clip, and the local-improvement assessment.
 func TestCLIEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -55,17 +55,6 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(out, "M2") {
 		t.Fatalf("optroute -render missing layers:\n%s", out)
-	}
-
-	// Standalone MILP solver from stdin.
-	cmd := exec.Command(filepath.Join(bin, "ilpsolve"))
-	cmd.Stdin = strings.NewReader("min\n 3 x + 2 y\nst\n x + y >= 4\nint\n x y\n")
-	solved, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("ilpsolve: %v\n%s", err, solved)
-	}
-	if !strings.Contains(string(solved), "objective: 8") {
-		t.Fatalf("ilpsolve objective:\n%s", solved)
 	}
 
 	// Local improvement assessment.

@@ -516,27 +516,16 @@ func SolveILP(g *rgraph.Graph, opt ilp.Options) (*Solution, error) {
 	sol := &Solution{
 		Runtime: time.Since(start), Nodes: res.Nodes, LPIters: res.LPIters,
 		Stats: SolveStats{
-			Nodes:            res.Stats.Nodes,
-			MaxDepth:         res.Stats.MaxDepth,
-			Incumbents:       res.Stats.Incumbents,
-			LPSolves:         res.Stats.LPSolves,
-			LPIters:          res.Stats.LPIters,
-			LPWarmStarts:     res.Stats.LPWarmStarts,
-			LPRefactors:      res.Stats.LPRefactors,
-			LPEtaPivots:      res.Stats.LPEtaPivots,
-			LPFTRANNnz:       res.Stats.LPFTRANNnz,
-			LPBTRANNnz:       res.Stats.LPBTRANNnz,
-			LPTime:           res.Stats.LPTime,
-			LPCandidateHits:  res.Stats.LPCandidateHits,
-			LPRefResets:      res.Stats.LPRefResets,
-			LPDualBoundFlips: res.Stats.LPDualBoundFlips,
-			PresolveRows:     res.Stats.PresolveRows,
-			PresolveCols:     res.Stats.PresolveCols,
-
-			LPRefactorEtaLen:         res.Stats.LPRefactorEtaLen,
-			LPRefactorFill:           res.Stats.LPRefactorFill,
-			LPRefactorPivotQuality:   res.Stats.LPRefactorPivotQuality,
-			LPRefactorUpdateRejected: res.Stats.LPRefactorUpdateRejected,
+			Nodes:        res.Stats.Nodes,
+			MaxDepth:     res.Stats.MaxDepth,
+			Incumbents:   res.Stats.Incumbents,
+			LPSolves:     res.Stats.LPSolves,
+			LPIters:      res.Stats.LPIters,
+			LPWarmStarts: res.Stats.LPWarmStarts,
+			LPFTRANNnz:   res.Stats.LPFTRANNnz,
+			LPBTRANNnz:   res.Stats.LPBTRANNnz,
+			LPTime:       res.Stats.LPTime,
+			LP:           res.Stats.LP,
 
 			ModelRows:   m.Model.NumConstraints(),
 			ModelCols:   m.Model.NumVars(),

@@ -7,6 +7,7 @@ import (
 
 	"optrouter/internal/clip"
 	"optrouter/internal/ilp"
+	"optrouter/internal/lp"
 	"optrouter/internal/rgraph"
 	"optrouter/internal/tech"
 )
@@ -78,7 +79,7 @@ func TestMILPPresolveGolden(t *testing.T) {
 				got.cost = sol.Cost
 			}
 			got.proven = sol.Proven
-			got.psRows, got.psCols = sol.Stats.PresolveRows, sol.Stats.PresolveCols
+			got.psRows, got.psCols = sol.Stats.LP[lp.PresolveRows], sol.Stats.LP[lp.PresolveCols]
 			got.nodes, got.lpIters = sol.Nodes, sol.LPIters
 			if got != want {
 				t.Errorf("got  cost=%d proven=%v presolve=%d/%d nodes=%d iters=%d\n"+

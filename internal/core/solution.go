@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"time"
 
+	"optrouter/internal/lp"
 	"optrouter/internal/obs"
 	"optrouter/internal/rgraph"
 )
@@ -93,25 +94,10 @@ type SolveStats struct {
 	LPSolves     int           // LP relaxations solved
 	LPIters      int           // total simplex iterations
 	LPWarmStarts int           // node LPs reoptimized from the parent basis
-	LPRefactors  int           // basis refactorizations across all node LPs
-	LPEtaPivots  int           // basis exchanges absorbed by Forrest-Tomlin updates
 	LPFTRANNnz   int64         // sparse FTRAN result nonzeros (deterministic work)
 	LPBTRANNnz   int64         // sparse BTRAN result nonzeros (deterministic work)
 	LPTime       time.Duration // wall time inside the LP subsolver
-	// Pricing and presolve telemetry of the LP engine (zero for the
-	// combinatorial BnB).
-	LPCandidateHits  int // pricing rounds served from the candidate list
-	LPRefResets      int // devex reference-framework resets
-	LPDualBoundFlips int // bound-flip ratio-test flips across warm starts
-	PresolveRows     int // rows removed by structural LP presolve
-	PresolveCols     int // columns removed by structural LP presolve
-	// Refactorization triggers across all node LPs: update-count budget,
-	// update-storage fill budget, tiny mid-iteration pivot, rejected
-	// FT update on spike-pivot quality.
-	LPRefactorEtaLen         int
-	LPRefactorFill           int
-	LPRefactorPivotQuality   int
-	LPRefactorUpdateRejected int
+	LP           lp.Counters   // the LP engine's telemetry counters (zero for CDC-BnB)
 
 	// Model dimensions of the MILP path's LP relaxation (zero for the
 	// combinatorial BnB): constraint rows, variable columns, and structural

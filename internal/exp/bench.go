@@ -311,23 +311,10 @@ func runBenchCase(ctx context.Context, s BenchSpec, opt BenchRunOptions) (report
 	bc.PhasesMS = st.Phases.MS()
 	bc.LPPhasesMS = st.LPPhases.MS()
 	bc.Work = benchWork(s, st)
-	// Pricing/presolve telemetry rides only on ilp cases and only when any
-	// counter is nonzero.
-	if s.Solver == "ilp" && (st.LPCandidateHits > 0 || st.LPRefResets > 0 ||
-		st.LPDualBoundFlips > 0 || st.PresolveRows > 0 || st.PresolveCols > 0 ||
-		st.LPRefactorEtaLen > 0 || st.LPRefactorFill > 0 ||
-		st.LPRefactorPivotQuality > 0 || st.LPRefactorUpdateRejected > 0) {
-		bc.LP = &report.BenchLPStats{
-			CandidateHits:          st.LPCandidateHits,
-			RefResets:              st.LPRefResets,
-			DualBoundFlips:         st.LPDualBoundFlips,
-			PresolveRows:           st.PresolveRows,
-			PresolveCols:           st.PresolveCols,
-			RefactorEtaLen:         st.LPRefactorEtaLen,
-			RefactorFill:           st.LPRefactorFill,
-			RefactorPivotQuality:   st.LPRefactorPivotQuality,
-			RefactorUpdateRejected: st.LPRefactorUpdateRejected,
-		}
+	// LP telemetry rides only on ilp cases and only when any counter is
+	// nonzero.
+	if s.Solver == "ilp" && !st.LP.IsZero() {
+		bc.LP = &st.LP
 	}
 	if bc.Profile != nil && opt.ProfileW != nil {
 		perr := opt.ProfileW.Write(report.ProfileRecord{

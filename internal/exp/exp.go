@@ -529,15 +529,6 @@ func recordSolveMetrics(m *obs.Registry, r ClipRuleResult) {
 	m.Counter("drc_ms").Add(st.DRCTime.Milliseconds())
 	m.Counter("bans_generated").Add(int64(st.BansGenerated))
 	m.Counter("dives").Add(int64(st.Dives))
-	m.Counter("lp_candidate_hits").Add(int64(st.LPCandidateHits))
-	m.Counter("lp_ref_resets").Add(int64(st.LPRefResets))
-	m.Counter("lp_dual_bound_flips").Add(int64(st.LPDualBoundFlips))
-	m.Counter("presolve_rows").Add(int64(st.PresolveRows))
-	m.Counter("presolve_cols").Add(int64(st.PresolveCols))
-	m.Counter("lp_refactor_eta_len").Add(int64(st.LPRefactorEtaLen))
-	m.Counter("lp_refactor_fill").Add(int64(st.LPRefactorFill))
-	m.Counter("lp_refactor_pivot_quality").Add(int64(st.LPRefactorPivotQuality))
-	m.Counter("lp_refactor_update_rejected").Add(int64(st.LPRefactorUpdateRejected))
 	m.Counter("incumbents").Add(int64(st.Incumbents))
 	m.Counter("wall_ms").Add(r.Runtime.Milliseconds())
 	if !r.Feasible {

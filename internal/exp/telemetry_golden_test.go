@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"optrouter/internal/lp"
 	"optrouter/internal/obs"
 	"optrouter/internal/report"
 )
@@ -58,8 +59,8 @@ func TestLPTelemetryGolden(t *testing.T) {
 	}
 	wantAttrs := map[string]float64{
 		"lp_solves": 77, "lp_iters": 1049,
-		"lp_candidate_hits": 52, "lp_ref_resets": 0, "lp_dual_flips": 8,
-		"presolve_rows": 19, "presolve_cols": 14,
+		"lp_candidate_hits": 52, "lp_ref_resets": 0, "lp_dual_bound_flips": 8,
+		"lp_presolve_rows": 19, "lp_presolve_cols": 14,
 		"lp_refactor_eta_len": 5, "lp_refactor_fill": 0,
 		"lp_refactor_pivot_quality": 0, "lp_refactor_update_rejected": 0,
 	}
@@ -85,17 +86,9 @@ func TestLPTelemetryGolden(t *testing.T) {
 		t.Fatalf("ExtractSolves found %d solves, want 1", len(solves))
 	}
 	s := solves[0]
-	gotParse := map[string]int64{
-		"lp_iters":                 s.LPIters,
-		"candidate_hits":           s.LPCandidateHits,
-		"ref_resets":               s.LPRefResets,
-		"dual_bound_flips":         s.LPDualFlips,
-		"presolve_rows":            int64(s.PresolveRows),
-		"presolve_cols":            int64(s.PresolveCols),
-		"refactor_eta_len":         s.LPRefactorEtaLen,
-		"refactor_fill":            s.LPRefactorFill,
-		"refactor_pivot_quality":   s.LPRefactorPivotQuality,
-		"refactor_update_rejected": s.LPRefactorUpdateRejected,
+	gotParse := map[string]int64{"lp_iters": s.LPIters}
+	for k := range lp.NumCounters {
+		gotParse[k.String()] = int64(s.LP[k])
 	}
 	wantParse := map[string]int64{
 		"lp_iters": 1049, "candidate_hits": 52, "ref_resets": 0,

@@ -199,32 +199,13 @@ type Stats struct {
 	MaxDepth     int   // deepest node processed
 	LPSolves     int   // LP relaxations solved
 	LPIters      int   // total simplex iterations
-	LPPivots     int   // total simplex basis exchanges
 	LPWarmStarts int   // node LPs reoptimized from the parent basis
-	LPDualIters  int   // dual-simplex iterations across warm starts
-	LPRefactors  int   // basis refactorizations across all node LPs
-	LPEtaPivots  int   // basis exchanges absorbed by Forrest-Tomlin updates
 	LPFTRANNnz   int64 // sparse FTRAN result nonzeros across node LPs
 	LPBTRANNnz   int64 // sparse BTRAN result nonzeros across node LPs
-	// LPCandidateHits counts node-LP pricing rounds served from the partial
-	// candidate list (no full sweep); LPRefResets counts devex
-	// reference-framework resets; LPDualBoundFlips counts boxed nonbasic
-	// variables flipped by the bound-flipping dual ratio test.
-	LPCandidateHits  int
-	LPRefResets      int
-	LPDualBoundFlips int
-	// LPRefactor* attribute the refactorizations by trigger: update-count
-	// budget exhausted, update-storage fill budget exhausted, a tiny pivot
-	// mid-iteration, or a rejected FT update on spike-pivot quality.
-	LPRefactorEtaLen         int
-	LPRefactorFill           int
-	LPRefactorPivotQuality   int
-	LPRefactorUpdateRejected int
-	// PresolveRows/PresolveCols are the reductions of the structural LP
-	// presolve applied to the root problem (0 when presolve found nothing
-	// or was disabled). The search then runs on the reduced problem.
-	PresolveRows  int
-	PresolveCols  int
+	// LP sums the node LPs' telemetry counters; its PresolveRows and
+	// PresolveCols are the root presolve's reductions (0 when presolve
+	// found nothing or was disabled). The search runs on the reduced model.
+	LP            lp.Counters
 	LPTime        time.Duration // wall time inside the LP subsolver
 	BranchTime    time.Duration // wall time outside the LP (Elapsed - LPTime)
 	Incumbents    int           // incumbent updates (including warm start)
@@ -358,15 +339,9 @@ func (m *Model) Solve(opt Options) Result {
 		span.SetAttr("status", r.Status.String())
 		span.SetAttr("termination", string(stats.Termination))
 		span.SetAttr("lp_iters", stats.LPIters)
-		span.SetAttr("presolve_rows", stats.PresolveRows)
-		span.SetAttr("presolve_cols", stats.PresolveCols)
-		span.SetAttr("lp_candidate_hits", stats.LPCandidateHits)
-		span.SetAttr("lp_ref_resets", stats.LPRefResets)
-		span.SetAttr("lp_dual_flips", stats.LPDualBoundFlips)
-		span.SetAttr("lp_refactor_eta_len", stats.LPRefactorEtaLen)
-		span.SetAttr("lp_refactor_fill", stats.LPRefactorFill)
-		span.SetAttr("lp_refactor_pivot_quality", stats.LPRefactorPivotQuality)
-		span.SetAttr("lp_refactor_update_rejected", stats.LPRefactorUpdateRejected)
+		for k := range lp.NumCounters {
+			span.SetAttr("lp_"+k.String(), stats.LP[k])
+		}
 		// Phase breakdown on the span, so trace consumers (traceview) can
 		// attribute solve wall time without access to Stats.
 		span.SetAttr("phases_ms", stats.Phases.MS())
@@ -501,8 +476,8 @@ func (m *Model) Solve(opt Options) Result {
 			}
 			search = &Model{Prob: ps.Reduced, isInt: ps.MapMask(m.isInt)}
 			objOff = ps.ObjOffset
-			stats.PresolveRows = ps.RowsRemoved
-			stats.PresolveCols = ps.ColsRemoved
+			stats.LP[lp.PresolveRows] = ps.RowsRemoved
+			stats.LP[lp.PresolveCols] = ps.ColsRemoved
 		}
 	}
 	// toFull maps a reduced-space point back to the caller's variable space
@@ -597,23 +572,13 @@ func (m *Model) Solve(opt Options) Result {
 		stats.LPPhases = stats.LPPhases.Merge(res.Stats.Phases)
 		if res.Stats.WarmStarted {
 			stats.LPWarmStarts++
-			stats.LPDualIters += res.Stats.DualIters
 		}
 		nodes++
 		lpIters += res.Iters
 		stats.LPSolves++
-		stats.LPPivots += res.Stats.Pivots
-		stats.LPRefactors += res.Stats.Refactorizations
-		stats.LPEtaPivots += res.Stats.EtaPivots
 		stats.LPFTRANNnz += int64(res.Stats.FTRANNnz)
 		stats.LPBTRANNnz += int64(res.Stats.BTRANNnz)
-		stats.LPCandidateHits += res.Stats.CandidateHits
-		stats.LPRefResets += res.Stats.ReferenceResets
-		stats.LPDualBoundFlips += res.Stats.DualBoundFlips
-		stats.LPRefactorEtaLen += res.Stats.RefactorEtaLen
-		stats.LPRefactorFill += res.Stats.RefactorFill
-		stats.LPRefactorPivotQuality += res.Stats.RefactorPivotQuality
-		stats.LPRefactorUpdateRejected += res.Stats.RefactorUpdateRejected
+		stats.LP.Add(res.Stats.Counters)
 		if nodes%opt.ProgressEvery == 0 {
 			progress()
 		}

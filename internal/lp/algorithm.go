@@ -140,7 +140,6 @@ func (s *simplex) dualBasis() []dualArtBound {
 	s.lu = &luFactor{}
 	// The all-slack basis is the identity; this factorization cannot fail.
 	s.lu.factorize(m, s.basis, s.colIdx, s.colVal)
-	s.noteFactorization()
 	return art
 }
 

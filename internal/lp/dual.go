@@ -30,7 +30,6 @@ func (s *simplex) reSolve(opt Options) (Result, bool) {
 	s.opt = opt.withDefaults(s.m, s.n)
 	s.iters = 0
 	s.stats = Stats{WarmStarted: true}
-	s.noteFactorization() // carry the retained factorization's size stats
 	s.bland = false
 	s.stall = 0
 	s.clock = nil
@@ -229,7 +228,6 @@ func (s *simplex) dualRestore() (Status, bool) {
 			return Optimal, true // primal feasible
 		}
 		s.iters++
-		s.stats.DualIters++
 
 		// Pivot row rho = e_r' B^{-1} (one BTRAN), then every ratio-test
 		// alpha in one row-driven accumulation over rho's pattern. Columns
@@ -345,7 +343,7 @@ func (s *simplex) dualRestore() (Status, bool) {
 		if math.Abs(piv) < 1e-11 {
 			// The sparse alpha and the dense recomputation disagree badly:
 			// rebuild the inverse and retry the row (no flips applied yet).
-			s.stats.RefactorPivotQuality++
+			s.stats.Counters[RefactorPivotQuality]++
 			if !s.refactorize() {
 				return s.restoreFailed()
 			}
@@ -436,7 +434,7 @@ func (s *simplex) applyBoundFlips() {
 	if n == 0 {
 		return
 	}
-	s.stats.DualBoundFlips += n
+	s.stats.Counters[DualBoundFlips] += n
 	prev := s.clockSub(PhaseFTRAN)
 	s.lu.ftran(&s.av, &s.fv)
 	s.stats.FTRANNnz += len(s.fv.ind)

@@ -66,9 +66,9 @@ func TestSingularBasisRecovery(t *testing.T) {
 		t.Fatalf("rejected-update solve: %v obj %g, want optimal %g",
 			got.Status, got.Obj, res.Obj)
 	}
-	if got.Stats.Pivots > 0 && got.Stats.RefactorUpdateRejected < 1 {
+	if got.Stats.Pivots > 0 && got.Stats.Counters[RefactorUpdateRejected] < 1 {
 		t.Fatalf("%d pivots with every update rejected, but RefactorUpdateRejected=%d",
-			got.Stats.Pivots, got.Stats.RefactorUpdateRejected)
+			got.Stats.Pivots, got.Stats.Counters[RefactorUpdateRejected])
 	}
 	p.engine.lu.testRejectUpdates = false
 }

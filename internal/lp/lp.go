@@ -288,35 +288,17 @@ type Basis struct {
 // Stats are per-solve simplex statistics, the LP layer's contribution to
 // the solver observability stack (package obs).
 type Stats struct {
-	Iters            int  // total simplex iterations (both phases)
-	Phase1Iters      int  // iterations spent driving artificials out
-	Pivots           int  // basis exchanges performed
-	BoundFlips       int  // nonbasic bound-to-bound moves (no basis change)
-	Refactorizations int  // basis-inverse rebuilds (numerical recovery)
-	DegeneratePivots int  // zero-step iterations (stalling indicator)
-	WarmStarted      bool // solve reused a parent basis (no phase 1 ran)
-	DualIters        int  // dual-simplex iterations restoring primal feasibility
+	Iters       int  // total simplex iterations (both phases)
+	Phase1Iters int  // iterations spent driving artificials out
+	Pivots      int  // basis exchanges performed
+	BoundFlips  int  // nonbasic bound-to-bound moves (no basis change)
+	WarmStarted bool // solve reused a parent basis (no phase 1 ran)
+	EtaPivots   int  // basis exchanges absorbed by Forrest-Tomlin updates (no refactorization)
+	FTRANNnz    int  // result nonzeros across all sparse FTRANs (deterministic work)
+	BTRANNnz    int  // result nonzeros across all sparse BTRANs (deterministic work)
 
-	// Basis-factorization statistics.
-	FactorNNZ int     // nonzeros of L+U at the last refactorization
-	FillRatio float64 // FactorNNZ / basis-matrix nonzeros (fill-in factor)
-	EtaPivots int     // basis exchanges absorbed by Forrest-Tomlin updates (no refactorization)
-	FTRANNnz  int     // result nonzeros across all sparse FTRANs (deterministic work)
-	BTRANNnz  int     // result nonzeros across all sparse BTRANs (deterministic work)
-
-	// Refactorization attribution: why refactorizations beyond the initial
-	// factorization fired. The four reasons partition the recovery paths of
-	// the update layer; initial/structural factorizations carry no reason, so
-	// the sum can be below Refactorizations.
-	RefactorEtaLen         int // update-count budget exhausted ("eta_len")
-	RefactorFill           int // update-storage fill budget exhausted ("fill")
-	RefactorPivotQuality   int // tiny pivot hit mid-iteration ("pivot_quality")
-	RefactorUpdateRejected int // FT update rejected on spike-pivot quality ("update_rejected")
-
-	// Pricing-layer statistics (pricing.go).
-	CandidateHits   int // pricing iterations served by the candidate list alone
-	ReferenceResets int // devex reference-framework resets
-	DualBoundFlips  int // long-step dual ratio-test bound flips (BFRT)
+	// Counters are the informational telemetry counters (counters.go).
+	Counters Counters
 
 	// Phases attributes the solve's wall time to the simplex internals —
 	// PhaseBuild, PhasePricing, PhaseRatioTest, PhasePivot, PhaseRefactorize

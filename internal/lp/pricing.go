@@ -15,7 +15,7 @@ package lp
 //   - Weighted pricing: devex reference weights scale the entering score to
 //     |d_j|^2/w_j, cutting the iteration count on degenerate warm-started
 //     node LPs. A weight overflowing devexWeightMax starts a fresh reference
-//     framework (counted in Stats.ReferenceResets).
+//     framework (counted in Stats.Counters[RefResets]).
 //   - Candidate-list partial pricing: each iteration first prices a small
 //     retained list of attractive columns; only when the list yields no
 //     eligible column does a full sweep over the maintained reduced costs
@@ -131,7 +131,7 @@ func (s *simplex) resetWeights() {
 	for j := range pr.weight {
 		pr.weight[j] = 1
 	}
-	s.stats.ReferenceResets++
+	s.stats.Counters[RefResets]++
 }
 
 // eligibleDir returns the movement direction of a profitable entering
@@ -232,7 +232,7 @@ func (s *simplex) priceIncremental(cost []float64) (int, float64) {
 	}
 	for {
 		if e, dir := s.priceCandidates(tol); e >= 0 {
-			s.stats.CandidateHits++
+			s.stats.Counters[CandidateHits]++
 			return e, dir
 		}
 		if e, dir := s.priceSweep(tol); e >= 0 {

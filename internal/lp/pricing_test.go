@@ -221,7 +221,7 @@ func TestPricingWarmDive(t *testing.T) {
 				basis = r.Basis
 			}
 		}
-		flips += r.Stats.DualBoundFlips
+		flips += r.Stats.Counters[DualBoundFlips]
 		seen[r.Status]++
 		for j := at; j < at+block; j++ {
 			p.SetVarBounds(j, 0, 2)
@@ -338,7 +338,7 @@ func BenchmarkDualBoundFlip(b *testing.B) {
 		if r.Status == Optimal && r.Basis != nil {
 			basis = r.Basis
 		}
-		flips += r.Stats.DualBoundFlips
+		flips += r.Stats.Counters[DualBoundFlips]
 		for j := at; j < at+block; j++ {
 			p.SetVarBounds(j, 0, 2)
 		}

@@ -227,7 +227,6 @@ func (s *simplex) coldBasis() {
 	// The diagonal initial basis factorizes trivially (all singletons), so
 	// this factorization cannot fail.
 	s.lu.factorize(m, s.basis, s.colIdx, s.colVal)
-	s.noteFactorization()
 }
 
 // growWorkspaces sizes the per-solve vector workspaces (idempotent).
@@ -257,14 +256,6 @@ func (s *simplex) invRow(r int) []float64 {
 	s.stats.BTRANNnz += len(s.rhov.ind)
 	s.clockBack(prev)
 	return s.rhov.val
-}
-
-// noteFactorization records the last factorization's size in the stats.
-func (s *simplex) noteFactorization() {
-	s.stats.FactorNNZ = s.lu.factorNNZ
-	if s.lu.basisNNZ > 0 {
-		s.stats.FillRatio = float64(s.lu.factorNNZ) / float64(s.lu.basisNNZ)
-	}
 }
 
 func restState(lo, hi float64) varState {
@@ -343,7 +334,7 @@ func (s *simplex) updateBasisRep(leave int) bool {
 	if !s.lu.update(int32(leave), &s.wv) {
 		// Update rejected on spike-pivot quality: rebuild from the (already
 		// exchanged) basis.
-		s.stats.RefactorUpdateRejected++
+		s.stats.Counters[RefactorUpdateRejected]++
 		return s.refactorize()
 	}
 	reason := s.lu.refactorDue()
@@ -353,9 +344,9 @@ func (s *simplex) updateBasisRep(leave int) bool {
 	}
 	// Update absorbed but the update file outgrew its budget.
 	if reason == refactorEtaLen {
-		s.stats.RefactorEtaLen++
+		s.stats.Counters[RefactorEtaLen]++
 	} else {
-		s.stats.RefactorFill++
+		s.stats.Counters[RefactorFill]++
 	}
 	return s.refactorize()
 }
@@ -663,7 +654,6 @@ func (s *simplex) iterate(cost []float64) Status {
 
 		// Track degeneracy to toggle Bland's rule.
 		if t <= 1e-10 {
-			s.stats.DegeneratePivots++
 			s.stall++
 			if s.stall > 60 {
 				s.bland = true
@@ -702,7 +692,7 @@ func (s *simplex) iterate(cost []float64) Status {
 					s.xB[i] -= t * (-enterDir * s.w[i])
 				}
 			}
-			s.stats.RefactorPivotQuality++
+			s.stats.Counters[RefactorPivotQuality]++
 			if !s.refactorize() {
 				return s.stopOr(IterLimit)
 			}
@@ -764,13 +754,11 @@ func (s *simplex) refresh() {
 // stopped the factorization (s.lu.stopped). The basic values are refreshed
 // from the new factorization.
 func (s *simplex) refactorize() bool {
-	s.stats.Refactorizations++
 	s.clock.Enter(PhaseRefactorize)
 	s.lu.ctx = s.opt.Ctx
 	if !s.lu.factorize(s.m, s.basis, s.colIdx, s.colVal) {
 		return false
 	}
-	s.noteFactorization()
 	s.refresh()
 	return true
 }

@@ -168,35 +168,6 @@ type Status struct {
 	inflight map[int]inflightJob
 	calib    *CalibStatus
 	sampler  *Sampler
-	lp       *LPStatus
-}
-
-// LPStatus is the LP-engine telemetry block on /statusz: the cumulative
-// pricing, presolve and refactorization counters across all completed
-// solves of the sweep.
-type LPStatus struct {
-	CandidateHits  int64 `json:"candidate_hits"`
-	RefResets      int64 `json:"ref_resets"`
-	DualBoundFlips int64 `json:"dual_bound_flips"`
-	PresolveRows   int64 `json:"presolve_rows"`
-	PresolveCols   int64 `json:"presolve_cols"`
-
-	// Refactorization-trigger split across all node LPs (zero before the
-	// Forrest–Tomlin update layer ran a solve).
-	RefactorEtaLen         int64 `json:"refactor_eta_len"`
-	RefactorFill           int64 `json:"refactor_fill"`
-	RefactorPivotQuality   int64 `json:"refactor_pivot_quality"`
-	RefactorUpdateRejected int64 `json:"refactor_update_rejected"`
-}
-
-// LPStatDelta is one solve's LP counter contribution, folded into the
-// /statusz LP block by AddLPStats. A struct rather than positional ints: the
-// counter list has grown past the point where call sites stay readable.
-type LPStatDelta struct {
-	CandidateHits, RefResets, DualBoundFlips     int
-	PresolveRows, PresolveCols                   int
-	RefactorEtaLen, RefactorFill                 int
-	RefactorPivotQuality, RefactorUpdateRejected int
 }
 
 // CalibStatus is the calibration evidence surfaced on /statusz: the machine
@@ -259,41 +230,6 @@ func (s *Status) SetSampler(sp *Sampler) {
 	s.sampler = sp
 }
 
-// EnableLP makes the /statusz LP block appear; call it when the sweep runs
-// LP-based solves.
-func (s *Status) EnableLP() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lp == nil {
-		s.lp = &LPStatus{}
-	}
-}
-
-// AddLPStats folds one solve's LP pricing/presolve/refactorization counters
-// into the /statusz LP block (no-op until EnableLP created the block).
-func (s *Status) AddLPStats(d LPStatDelta) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lp == nil {
-		return
-	}
-	s.lp.CandidateHits += int64(d.CandidateHits)
-	s.lp.RefResets += int64(d.RefResets)
-	s.lp.DualBoundFlips += int64(d.DualBoundFlips)
-	s.lp.PresolveRows += int64(d.PresolveRows)
-	s.lp.PresolveCols += int64(d.PresolveCols)
-	s.lp.RefactorEtaLen += int64(d.RefactorEtaLen)
-	s.lp.RefactorFill += int64(d.RefactorFill)
-	s.lp.RefactorPivotQuality += int64(d.RefactorPivotQuality)
-	s.lp.RefactorUpdateRejected += int64(d.RefactorUpdateRejected)
-}
-
 // JobStart records that worker began executing the named job.
 func (s *Status) JobStart(worker int, name string) {
 	if s == nil {
@@ -344,9 +280,6 @@ type StatusSnapshot struct {
 	Calibration *CalibStatus `json:"calibration,omitempty"`
 	// Sampler reports the sampling profiler's state; nil when off.
 	Sampler *SamplerStatus `json:"sampler,omitempty"`
-	// LP is the LP-engine telemetry recorded via EnableLP/AddLPStats; nil
-	// when the sweep never enabled it (pure combinatorial runs).
-	LP *LPStatus `json:"lp,omitempty"`
 }
 
 // SamplerStatus is the sampling profiler's live state on /statusz.
@@ -378,10 +311,6 @@ func (s *Status) Snapshot() StatusSnapshot {
 	}
 	if s.sampler != nil {
 		snap.Sampler = &SamplerStatus{Hz: s.sampler.Hz(), Samples: s.sampler.Samples()}
-	}
-	if s.lp != nil {
-		l := *s.lp
-		snap.LP = &l
 	}
 	for w, j := range s.inflight {
 		snap.InFlight = append(snap.InFlight, InFlightJob{

@@ -248,29 +248,3 @@ func TestStatusSnapshotEdgeCases(t *testing.T) {
 		t.Errorf("in-flight elapsed = %+v", got.InFlight)
 	}
 }
-
-// TestStatusLPBlock pins the /statusz LP block: absent (and AddLPStats a
-// no-op) until EnableLP, then the cumulative counters under their JSON keys.
-func TestStatusLPBlock(t *testing.T) {
-	s := NewStatus()
-	s.AddLPStats(LPStatDelta{CandidateHits: 5})
-	if snap := s.Snapshot(); snap.LP != nil {
-		t.Fatalf("LP block before EnableLP: %+v", snap.LP)
-	}
-	s.EnableLP()
-	s.AddLPStats(LPStatDelta{CandidateHits: 3, RefResets: 1, RefactorEtaLen: 2})
-	s.AddLPStats(LPStatDelta{CandidateHits: 4, DualBoundFlips: 6, PresolveRows: 7})
-	s.EnableLP() // idempotent: keeps the accumulated counters
-	data, err := json.Marshal(s.Snapshot().LP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `{"candidate_hits":7,"ref_resets":1,"dual_bound_flips":6,"presolve_rows":7,` +
-		`"presolve_cols":0,"refactor_eta_len":2,"refactor_fill":0,` +
-		`"refactor_pivot_quality":0,"refactor_update_rejected":0}`
-	if string(data) != want {
-		t.Errorf("lp block = %s\nwant       %s", data, want)
-	}
-	var nilStatus *Status
-	nilStatus.EnableLP()
-}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"optrouter/internal/lp"
 )
 
 // BenchSchemaVersion is the schema of the BENCH_<n>.json documents written by
@@ -94,29 +96,12 @@ type BenchCase struct {
 	// exact under -j1, approximate under parallel workers.
 	Profile *BenchProfile `json:"profile,omitempty"`
 
-	// LP is the LP engine's pricing/presolve telemetry (ilp cases only;
-	// optional — documents recorded before the pricing layer existed, and
-	// runs with all-zero counters, omit it). These counters are
-	// informational, NOT part of the pinned work vector.
-	LP *BenchLPStats `json:"lp,omitempty"`
-}
-
-// BenchLPStats is the per-case LP pricing/presolve counter block.
-type BenchLPStats struct {
-	CandidateHits  int `json:"candidate_hits,omitempty"`   // pricing rounds served from the candidate list
-	RefResets      int `json:"ref_resets,omitempty"`       // devex reference-framework resets
-	DualBoundFlips int `json:"dual_bound_flips,omitempty"` // bound-flip ratio-test flips
-	PresolveRows   int `json:"presolve_rows,omitempty"`    // rows removed by structural presolve
-	PresolveCols   int `json:"presolve_cols,omitempty"`    // columns removed by structural presolve
-
-	// Refactorization-trigger split across all node LPs (documents recorded
-	// before the Forrest–Tomlin update layer omit these). Like the pricing
-	// counters they are informational, not part of the pinned work vector:
-	// the split depends on the update rule under comparison.
-	RefactorEtaLen         int `json:"refactor_eta_len,omitempty"`         // update-count budget reached
-	RefactorFill           int `json:"refactor_fill,omitempty"`            // update-storage fill budget exceeded
-	RefactorPivotQuality   int `json:"refactor_pivot_quality,omitempty"`   // tiny pivot mid-iteration
-	RefactorUpdateRejected int `json:"refactor_update_rejected,omitempty"` // FT update rejected on spike pivot
+	// LP is the LP engine's telemetry counters, keyed by lp.Counter name and
+	// with zero counters left out (ilp cases only; optional — documents
+	// recorded before the pricing layer existed, and runs with all-zero
+	// counters, omit it). These counters are informational, NOT part of the
+	// pinned work vector.
+	LP *lp.Counters `json:"lp,omitempty"`
 }
 
 // BenchProfile is a per-case top-N summary from obs.Sampler.
@@ -316,16 +301,8 @@ func ValidateBench(data []byte) (*BenchDoc, error) {
 				return nil, fmt.Errorf("bench: case %q: negative work counter %s=%d", c.Name, k, v)
 			}
 		}
-		if l := c.LP; l != nil {
-			if l.CandidateHits < 0 || l.RefResets < 0 || l.DualBoundFlips < 0 ||
-				l.PresolveRows < 0 || l.PresolveCols < 0 ||
-				l.RefactorEtaLen < 0 || l.RefactorFill < 0 ||
-				l.RefactorPivotQuality < 0 || l.RefactorUpdateRejected < 0 {
-				return nil, fmt.Errorf("bench: case %q: negative LP counter in %+v", c.Name, *l)
-			}
-			if c.Solver != "ilp" {
-				return nil, fmt.Errorf("bench: case %q: lp block on %s case (ilp only)", c.Name, c.Solver)
-			}
+		if c.LP != nil && c.Solver != "ilp" {
+			return nil, fmt.Errorf("bench: case %q: lp block on %s case (ilp only)", c.Name, c.Solver)
 		}
 		if p := c.Profile; p != nil {
 			if p.Hz <= 0 || p.Samples < 0 {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 
+	"optrouter/internal/lp"
 	"optrouter/internal/obs"
 )
 
@@ -29,25 +30,11 @@ type SolveTrace struct {
 	Par    int
 	Steals int64
 
-	// LP engine telemetry from ilp solves (zero on bnb solves or traces
-	// predating the pricing layer): total simplex iterations, candidate-list
-	// pricing hits, devex/DSE reference-framework resets, dual bound flips
-	// from the bound-flipping ratio test, and the structural presolve's
-	// row/column reductions.
-	LPIters         int64
-	LPCandidateHits int64
-	LPRefResets     int64
-	LPDualFlips     int64
-	PresolveRows    int
-	PresolveCols    int
-
-	// Refactorization-trigger split across the solve's node LPs (zero on
-	// traces predating the Forrest–Tomlin update layer): update-count budget,
-	// update-storage fill budget, tiny mid-iteration pivot, rejected update.
-	LPRefactorEtaLen         int64
-	LPRefactorFill           int64
-	LPRefactorPivotQuality   int64
-	LPRefactorUpdateRejected int64
+	// LP engine telemetry from ilp solves (zero on bnb solves): total
+	// simplex iterations and the lp.Counters read from the "lp_<name>"
+	// attrs (a counter absent from older traces reads zero).
+	LPIters int64
+	LP      lp.Counters
 
 	// PhasesMS is the solver's own wall-time attribution in milliseconds.
 	PhasesMS map[string]float64
@@ -106,32 +93,10 @@ func ExtractSolves(tree *obs.TraceTree) []SolveTrace {
 		if v, ok := n.AttrFloat("lp_iters"); ok {
 			st.LPIters = int64(v)
 		}
-		if v, ok := n.AttrFloat("lp_candidate_hits"); ok {
-			st.LPCandidateHits = int64(v)
-		}
-		if v, ok := n.AttrFloat("lp_ref_resets"); ok {
-			st.LPRefResets = int64(v)
-		}
-		if v, ok := n.AttrFloat("lp_dual_flips"); ok {
-			st.LPDualFlips = int64(v)
-		}
-		if v, ok := n.AttrFloat("presolve_rows"); ok {
-			st.PresolveRows = int(v)
-		}
-		if v, ok := n.AttrFloat("presolve_cols"); ok {
-			st.PresolveCols = int(v)
-		}
-		if v, ok := n.AttrFloat("lp_refactor_eta_len"); ok {
-			st.LPRefactorEtaLen = int64(v)
-		}
-		if v, ok := n.AttrFloat("lp_refactor_fill"); ok {
-			st.LPRefactorFill = int64(v)
-		}
-		if v, ok := n.AttrFloat("lp_refactor_pivot_quality"); ok {
-			st.LPRefactorPivotQuality = int64(v)
-		}
-		if v, ok := n.AttrFloat("lp_refactor_update_rejected"); ok {
-			st.LPRefactorUpdateRejected = int64(v)
+		for k := range lp.NumCounters {
+			if v, ok := n.AttrFloat("lp_" + k.String()); ok {
+				st.LP[k] = int(v)
+			}
 		}
 		if ph, ok := n.Attr("phases_ms").(map[string]interface{}); ok {
 			st.PhasesMS = make(map[string]float64, len(ph))
@@ -332,38 +297,6 @@ func WriteNodeCSV(w io.Writer, solves []SolveTrace) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// HasLPStats reports whether the solve carries any LP pricing/presolve
-// telemetry worth rendering (ilp solves from producers that stamp it).
-func (s *SolveTrace) HasLPStats() bool {
-	return s.LPCandidateHits > 0 || s.LPRefResets > 0 || s.LPDualFlips > 0 ||
-		s.PresolveRows > 0 || s.PresolveCols > 0 || s.LPRefactorTotal() > 0
-}
-
-// LPRefactorTotal sums the solve's refactorization triggers.
-func (s *SolveTrace) LPRefactorTotal() int64 {
-	return s.LPRefactorEtaLen + s.LPRefactorFill +
-		s.LPRefactorPivotQuality + s.LPRefactorUpdateRejected
-}
-
-// PricingLine renders the solve's LP pricing/presolve telemetry, with the
-// candidate-hit ratio (pricing rounds served from the partial candidate list
-// per simplex iteration) when the iteration count is on the span.
-func (s *SolveTrace) PricingLine() string {
-	hits := fmt.Sprintf("candidate_hits=%d", s.LPCandidateHits)
-	if s.LPIters > 0 {
-		hits += fmt.Sprintf(" (%.0f%% of %d iters)",
-			100*float64(s.LPCandidateHits)/float64(s.LPIters), s.LPIters)
-	}
-	line := fmt.Sprintf("%s, ref_resets=%d, dual_flips=%d; presolve rows=%d cols=%d",
-		hits, s.LPRefResets, s.LPDualFlips, s.PresolveRows, s.PresolveCols)
-	if s.LPRefactorTotal() > 0 {
-		line += fmt.Sprintf("; refactor eta_len=%d fill=%d pivot=%d rejected=%d",
-			s.LPRefactorEtaLen, s.LPRefactorFill,
-			s.LPRefactorPivotQuality, s.LPRefactorUpdateRejected)
-	}
-	return line
 }
 
 // PhaseTotal sums a solve's phase attribution in milliseconds.
