@@ -17,8 +17,10 @@
 # MILP root presolve's BenchmarkPresolve (so they keep building), a
 # parallel end-to-end smoke run of both CLIs at -j 4, a traced -par 2
 # solve whose phase breakdown traceview checks against the solve span's
-# duration, and a traced MILP solve whose LP counters must reach both
-# optroute -stats and traceview's rendering of the ilp.solve span.
+# duration, a traced MILP solve whose LP counters must reach both
+# optroute -stats and traceview's rendering of the ilp.solve span, and one
+# untraced perfbench rule-sweep pass whose answers must match its golden
+# file.
 set -eu
 
 cd "$(dirname "$0")"
@@ -89,6 +91,27 @@ go run ./cmd/traceview -validate "$smoke_tmp/optroute_ilp.jsonl"
 go run ./cmd/traceview -top 5 "$smoke_tmp/optroute.jsonl" >/dev/null
 go run ./cmd/traceview "$smoke_tmp/optroute_ilp.jsonl" >"$smoke_tmp/traceview_ilp.txt"
 grep -q "lp: .*presolve_rows=" "$smoke_tmp/traceview_ilp.txt"
+
+echo "== perfbench: rule-sweep answers match golden.json"
+# perfbench checks every answer against its golden file; a wrong rule-sweep
+# answer shows as "correct":false or a nonzero "failed" on its last line.
+CARGO_TARGET_DIR="$bench_tmp/perfbench" bash perfbench/run.sh \
+	--workload rule-sweep --seed 1 --seconds 1 --trace 0 >"$bench_tmp/perfbench.txt"
+perfbench_last=$(tail -n 1 "$bench_tmp/perfbench.txt")
+case "$perfbench_last" in
+*'"correct":true'*) ;;
+*)
+	echo "ci: perfbench rule-sweep answers wrong: $perfbench_last" >&2
+	exit 1
+	;;
+esac
+case "$perfbench_last" in
+*'"failed":0'*) ;;
+*)
+	echo "ci: perfbench rule-sweep had failed operations: $perfbench_last" >&2
+	exit 1
+	;;
+esac
 
 echo "== calib: machine-calibration probe smoke"
 go run ./cmd/benchrun -calib

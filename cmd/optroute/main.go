@@ -422,8 +422,8 @@ func printStats(sol *core.Solution) {
 			st.LPSolves, st.LPIters, st.LPTime.Round(time.Millisecond))
 	}
 	if st.SteinerSolves > 0 || st.DRCChecks > 0 {
-		fmt.Printf("       steiner_solves=%d steiner_cache_hits=%d drc_checks=%d drc_time=%s\n",
-			st.SteinerSolves, st.SteinerCacheHits, st.DRCChecks, st.DRCTime.Round(time.Millisecond))
+		fmt.Printf("       steiner_solves=%d steiner_cache_hits=%d steiner_inherited=%d drc_checks=%d drc_time=%s\n",
+			st.SteinerSolves, st.SteinerCacheHits, st.SteinerInherited, st.DRCChecks, st.DRCTime.Round(time.Millisecond))
 		fmt.Printf("       bans=%d dives=%d\n", st.BansGenerated, st.Dives)
 	}
 	if st.Par > 0 {

@@ -59,6 +59,9 @@ type BnBOptions struct {
 	// the routes themselves and the deterministic search counters — is
 	// identical for every Par >= 1, including Par = 1.
 	Par int
+
+	// testRoute, if non-nil, becomes every worker's bnbWorker.testRoute.
+	testRoute func(w *bnbWorker, k int, arcs []int32, cost int64, inherited bool)
 }
 
 func (o BnBOptions) withDefaults() BnBOptions {
@@ -134,9 +137,27 @@ type bnbNode struct {
 	parent *bnbNode
 	bans   []banKey   // bans added at this node, none already in the parent's set
 	fp     []banPrint // per-net fingerprints of the node's whole ban set
-	lb     int64      // lower bound computed at creation (parent-estimate)
+	routes netRoutes  // per-net optima under the node's bans (nil at the root)
+	lb     int64      // lower bound: the sum of routes.cost (0 at the root)
 	depth  int
 	tie    uint64 // tieKey of the node's insertion sequence number
+}
+
+// netRoutes is one evaluation's per-net Steiner optima and their costs. The
+// arc slices are shared and never written: they are route-cache entries or
+// routes inherited from one.
+type netRoutes struct {
+	arcs [][]int32
+	cost []int64
+}
+
+func newNetRoutes(nNets int) netRoutes {
+	return netRoutes{arcs: make([][]int32, nNets), cost: make([]int64, nNets)}
+}
+
+func (r netRoutes) copyFrom(src netRoutes) {
+	copy(r.arcs, src.arcs)
+	copy(r.cost, src.cost)
 }
 
 // tieKey maps a node's fold-order insertion sequence number to its final
@@ -337,20 +358,28 @@ type bnbWorker struct {
 	bans     *banSet
 	clock    *obs.PhaseClock
 
-	// Per-net route buffers: the expanded node's routes, a dive step's and a
-	// trial evaluation's. Routes that outlive the expansion are cloned.
-	nodeRoutes, diveRoutes, trialRoutes [][]int32
-	// cands holds the violations strong branching considers; kids and
-	// kidBans collect one violation's children and their ban deltas.
-	cands   []drc.Violation
-	kids    []childNode
-	kidBans []banKey
+	// Per-net route buffers: the root's routes, a dive step's and a trial
+	// evaluation's.
+	root, dive, trial netRoutes
+	// cands holds the violations strong branching considers; kids, kidBans
+	// and kidRoutes collect one violation's children, their ban deltas and
+	// their routes.
+	cands     []drc.Violation
+	kids      []childNode
+	kidBans   []banKey
+	kidRoutes netRoutes
+
+	// testRoute, if non-nil, is called on every per-net route evaluate
+	// takes, an unroutable net's included; inherited reports that it came
+	// from the reference routes. Tests use it to re-solve inherited routes.
+	testRoute func(w *bnbWorker, k int, arcs []int32, cost int64, inherited bool)
 
 	// Counters folded into SolveStats after the search. The per-worker split
 	// is scheduling-dependent; the sums are deterministic, except cacheHits,
 	// which depends on how workers interleave route computations.
 	nodes     int
 	cacheHits int
+	inherited int
 	drcChecks int
 	drcTime   time.Duration
 	dives     int
@@ -360,14 +389,14 @@ func newBnBWorker(id int, g *rgraph.Graph, own ownership, cache routeCache, fl *
 	nNets := len(g.Clip.Nets)
 	w := &bnbWorker{
 		id: id, g: g, cache: cache, fl: fl,
-		ctxs:        make([]*steinerCtx, nNets),
-		baseBans:    make([][]bool, nNets),
-		drc:         drc.NewChecker(g),
-		bans:        newBanSet(nNets, len(g.Arcs)),
-		clock:       obs.NewPhaseClock(),
-		nodeRoutes:  make([][]int32, nNets),
-		diveRoutes:  make([][]int32, nNets),
-		trialRoutes: make([][]int32, nNets),
+		ctxs:     make([]*steinerCtx, nNets),
+		baseBans: make([][]bool, nNets),
+		drc:      drc.NewChecker(g),
+		bans:     newBanSet(nNets, len(g.Arcs)),
+		clock:    obs.NewPhaseClock(),
+		root:     newNetRoutes(nNets),
+		dive:     newNetRoutes(nNets),
+		trial:    newNetRoutes(nNets),
 	}
 	for k := 0; k < nNets; k++ {
 		w.ctxs[k] = newSteinerCtx(g, own, k, arena)
@@ -377,12 +406,48 @@ func newBnBWorker(id int, g *rgraph.Graph, own ownership, cache routeCache, fl *
 }
 
 // evaluate solves all per-net Steiner problems under the live ban set into
-// routes, sharing routes through the route cache. On a cache miss it reads
-// only the net's own bans.
-func (w *bnbWorker) evaluate(routes [][]int32) (lb int64, feasible bool) {
-	prev := w.clock.Swap(PhaseSteiner)
-	defer w.clock.Enter(prev)
+// out and returns their total cost, or feasible = false at the first
+// unroutable net (out is then partly stale).
+//
+// ref, if non-nil, holds routes evaluated under a subset of the live bans:
+// the expanded node's for a strong-branching trial, the dive step's for a
+// dive trial or the next dive step. Route inheritance: when none of net k's
+// live bans lies on ref's route for k, that route and its cost are taken,
+// and neither the route cache nor the kernel is consulted. The route avoids
+// every live ban and was optimal under a subset of them, so it is optimal
+// under the live set: its cost, and with it every bound and answer of the
+// search, is the kernel's.
+//
+// The arcs are the kernel's as well unless the kernel has several optimal
+// trees. The bucket-queue Dreyfus-Wagner kernel (steinerTree,
+// dijkstraBuckets) has nonnegative arc costs, updates a label only on strict
+// improvement (the first achiever keeps a tie), and drains each bucket as a
+// LIFO stack; banning arcs off the returned tree only raises labels off the
+// tree, so every tree cell keeps its label and its parent is still an
+// achiever. But which tied achiever pops first follows push order, and a ban
+// can delay an off-tree label's push past a tree cell's achiever and win the
+// tie: the kernel then returns another tree of the same cost, and the search
+// explores a different, equally exact tree (EXPERIMENTS.md "Route
+// inheritance"; TestInheritedRoutesMatchKernel pins equality on the golden
+// clips). The heap fallback's tie order shifts with every off-tree label, so
+// nets whose solves may take it (bucketsOnly false) always solve.
+//
+// Inherited routes are neither looked up in nor inserted into the route
+// cache, so cache entries stay pure kernel outputs; whether a trial inherits
+// depends only on the expanded node, so the parallel search stays
+// deterministic. The Steiner phase clock runs only around kernel solves;
+// cache lookups and inheritance checks are charged to the calling phase.
+func (w *bnbWorker) evaluate(out netRoutes, ref *netRoutes) (lb int64, feasible bool) {
 	for k, ctx := range w.ctxs {
+		if ref != nil && ctx.bucketsOnly() && w.misses(k, ref.arcs[k]) {
+			out.arcs[k], out.cost[k] = ref.arcs[k], ref.cost[k]
+			w.inherited++
+			if w.testRoute != nil {
+				w.testRoute(w, k, out.arcs[k], out.cost[k], true)
+			}
+			lb += out.cost[k]
+			continue
+		}
 		cr := w.cache.lookup(k, w.bans)
 		if cr != nil {
 			w.cacheHits++
@@ -392,6 +457,7 @@ func (w *bnbWorker) evaluate(routes [][]int32) (lb int64, feasible bool) {
 			for _, a := range ids {
 				ctx.banned[a] = true
 			}
+			prev := w.clock.Swap(PhaseSteiner)
 			arcs, cost, ok := steinerTree(ctx)
 			ent := &cachedRoute{ids: slices.Clone(ids), cost: cost, ok: ok}
 			if ok {
@@ -399,15 +465,29 @@ func (w *bnbWorker) evaluate(routes [][]int32) (lb int64, feasible bool) {
 				// the next solve, so it keeps a copy.
 				ent.arcs = slices.Clone(arcs)
 			}
+			w.clock.Enter(prev)
 			cr = w.cache.insert(k, w.bans, ent)
+		}
+		if w.testRoute != nil {
+			w.testRoute(w, k, cr.arcs, cr.cost, false)
 		}
 		if !cr.ok {
 			return 0, false
 		}
-		routes[k] = cr.arcs
+		out.arcs[k], out.cost[k] = cr.arcs, cr.cost
 		lb += cr.cost
 	}
 	return lb, true
+}
+
+// misses reports whether net k's live ban set has no arc of route.
+func (w *bnbWorker) misses(k int, route []int32) bool {
+	for _, a := range route {
+		if w.bans.has(k, a) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkDRC wraps the worker's rule checker with count/time accounting,
@@ -423,12 +503,13 @@ func (w *bnbWorker) checkDRC(routes [][]int32) []drc.Violation {
 	return viols
 }
 
-// tryBans speculatively adds child bans to the live set and evaluates. The
-// bans stay pushed: the caller reads the delta at journal[mark:] and rolls
-// back to mark.
-func (w *bnbWorker) tryBans(childBans []banKey) (cost int64, ok bool, mark int) {
+// tryBans speculatively adds child bans to the live set and evaluates into
+// the trial buffer, inheriting from ref, the routes under the set before the
+// push. The bans stay pushed: the caller reads the delta at journal[mark:]
+// and rolls back to mark.
+func (w *bnbWorker) tryBans(childBans []banKey, ref netRoutes) (cost int64, ok bool, mark int) {
 	mark = w.bans.push(childBans)
-	cost, ok = w.evaluate(w.trialRoutes)
+	cost, ok = w.evaluate(w.trial, &ref)
 	return cost, ok, mark
 }
 
@@ -437,29 +518,32 @@ func (w *bnbWorker) tryBans(childBans []banKey) (cost int64, ok bool, mark int) 
 // is a primal heuristic only — bans explored here are not removed from the
 // tree — but it supplies early incumbents that best-first search needs for
 // pruning, especially under SADP rules where the standalone heuristic
-// router often fails. The live set is restored before it returns. It
-// returns (-1, nil) when it finds nothing below cutoff.
-func (w *bnbWorker) diveRepair(cutoff int64) (int64, [][]int32) {
+// router often fails. node holds the routes under the live set. The live
+// set is restored before it returns. It returns (-1, nil) when it finds
+// nothing below cutoff.
+func (w *bnbWorker) diveRepair(cutoff int64, node netRoutes) (int64, [][]int32) {
 	start := len(w.bans.journal)
 	defer w.bans.rollback(start)
-	routes := w.diveRoutes
+	routes := w.dive
+	routes.copyFrom(node)
 	for step := 0; step < 24; step++ {
-		cost, feasible := w.evaluate(routes)
+		// Each step's routes inherit from the previous step's, in place.
+		cost, feasible := w.evaluate(routes, &routes)
 		if !feasible || cost >= cutoff {
 			return -1, nil // infeasible or already dominated
 		}
-		viols := w.checkDRC(routes)
+		viols := w.checkDRC(routes.arcs)
 		if len(viols) == 0 {
-			return cost, slices.Clone(routes)
+			return cost, slices.Clone(routes.arcs)
 		}
 		v := pickViolation(viols)
 		bestCost := int64(-1)
 		var bestBans []banKey
-		for _, childBans := range branchBans(w.g, v, routes) {
+		for _, childBans := range branchBans(w.g, v, routes.arcs) {
 			if len(childBans) == 0 {
 				continue
 			}
-			c, ok, mark := w.tryBans(childBans)
+			c, ok, mark := w.tryBans(childBans, routes)
 			w.bans.rollback(mark)
 			if !ok {
 				continue
@@ -492,11 +576,13 @@ type nodeTask struct {
 
 // childNode is one feasible, non-dominated child produced by strong
 // branching: the bans it adds to its parent's set, the size of the branch's
-// ban set before bans already in the parent's were dropped, and its bound.
+// ban set before bans already in the parent's were dropped, its routes, and
+// its bound (their total cost).
 type childNode struct {
-	bans []banKey
-	gen  int
-	lb   int64
+	bans   []banKey
+	gen    int
+	routes netRoutes
+	lb     int64
 }
 
 // expansion is the outcome of expanding one node. Everything the fold needs
@@ -532,10 +618,11 @@ func nodeEvent(fl *obs.Flight, act string, n, d int, lb int64, worker int, bnd, 
 	fl.Event("node", append(attrs, extra...)...)
 }
 
-// expand is the one node-expansion routine of the CDC-BnB: evaluate the
-// node's per-net Steiner optima, prune, check the design rules, and —
-// when the routes conflict — run the primal dive if due, then strong-branch.
-// It runs on the worker's own clock.
+// expand is the one node-expansion routine of the CDC-BnB: take the node's
+// per-net Steiner optima (evaluated here only at the root; every other node
+// carries the routes strong branching evaluated for it), prune, check the
+// design rules, and — when the routes conflict — run the primal dive if
+// due, then strong-branch. It runs on the worker's own clock.
 func (w *bnbWorker) expand(t nodeTask) expansion {
 	w.clock.Enter(PhaseSearch)
 	defer w.clock.Stop()
@@ -549,19 +636,22 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 	}
 
 	w.bans.load(nd)
-	routes := w.nodeRoutes
-	lb, feasible := w.evaluate(routes)
-	if !feasible {
-		return emit("infeasible", nd.lb)
+	routes, lb := nd.routes, nd.lb
+	if routes.arcs == nil {
+		routes = w.root
+		var feasible bool
+		if lb, feasible = w.evaluate(routes, nil); !feasible {
+			return emit("infeasible", nd.lb)
+		}
 	}
 	out.lb = lb
 	if lb >= t.cut {
 		return emit("dominated", lb)
 	}
-	viols := w.checkDRC(routes)
+	viols := w.checkDRC(routes.arcs)
 	if len(viols) == 0 {
 		// The per-net optima are jointly legal: node solved exactly.
-		out.routes = slices.Clone(routes)
+		out.routes = slices.Clone(routes.arcs)
 		return emit("solved", lb)
 	}
 
@@ -574,14 +664,14 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 		}
 		w.clock.Enter(PhaseDive)
 		w.dives++
-		out.diveCost, out.diveRoutes = w.diveRepair(t.cut)
+		out.diveCost, out.diveRoutes = w.diveRepair(t.cut, routes)
 		w.clock.Enter(PhaseSearch)
 	}
 
 	// Strong branching: among the highest-ranked violations, pick the one
 	// whose worst (minimum-bound) feasible child is largest — it tightens the
-	// subtree the most. Child evaluations are cached, so the lookahead is
-	// amortized when a child is later popped.
+	// subtree the most. Children carry the routes evaluated here, so a
+	// popped child is not evaluated again.
 	w.clock.Enter(PhaseBranch)
 	bestScore := int64(-1)
 	var kind string // violation kind branched on (flight-recorder attr)
@@ -589,18 +679,26 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 		// Children are collected in worker scratch; only the chosen ones are
 		// copied into the expansion.
 		kids, delta := w.kids[:0], w.kidBans[:0]
+		kr := netRoutes{w.kidRoutes.arcs[:0], w.kidRoutes.cost[:0]}
 		minLB := int64(1) << 60
-		for _, childBans := range branchBans(w.g, v, routes) {
-			clb, ok, mark := w.tryBans(childBans)
+		for _, childBans := range branchBans(w.g, v, routes.arcs) {
+			clb, ok, mark := w.tryBans(childBans, routes)
 			if ok && clb < t.cut {
-				n := len(delta)
+				n, r := len(delta), len(kr.arcs)
 				delta = append(delta, w.bans.journal[mark:]...)
-				kids = append(kids, childNode{bans: delta[n:len(delta):len(delta)], gen: len(childBans), lb: clb})
+				kr.arcs = append(kr.arcs, w.trial.arcs...)
+				kr.cost = append(kr.cost, w.trial.cost...)
+				kids = append(kids, childNode{
+					bans:   delta[n:len(delta):len(delta)],
+					gen:    len(childBans),
+					routes: netRoutes{kr.arcs[r:], kr.cost[r:]},
+					lb:     clb,
+				})
 				minLB = min(minLB, clb)
 			}
 			w.bans.rollback(mark)
 		}
-		w.kids, w.kidBans = kids, delta
+		w.kids, w.kidBans, w.kidRoutes = kids, delta, kr
 		if len(kids) == 0 {
 			// Every child of this violation is infeasible or dominated: the
 			// node itself is settled.
@@ -743,6 +841,7 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 				a = NewSteinerArena()
 			}
 			w := newBnBWorker(id, g, own, cache, fl, a)
+			w.testRoute = opt.testRoute
 			workers = append(workers, w)
 			clocks = append(clocks, w.clock)
 		}
@@ -868,9 +967,10 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 					for _, b := range ch.bans {
 						fp[b.net].add(b.arc)
 					}
-					heap.Push(pq, &bnbNode{parent: nd, bans: ch.bans, fp: fp, lb: ch.lb, depth: nd.depth + 1, tie: tieKey(seq)})
+					heap.Push(pq, &bnbNode{parent: nd, bans: ch.bans, fp: fp, routes: ch.routes, lb: ch.lb, depth: nd.depth + 1, tie: tieKey(seq)})
 				}
 			}
+			nd.routes = netRoutes{} // an expanded node is only a ban-chain link
 		}
 		if stats.Termination == "cancelled" {
 			break
@@ -899,6 +999,7 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 			stats.NodesPerWorker[id] = w.nodes
 		}
 		stats.SteinerCacheHits += w.cacheHits
+		stats.SteinerInherited += w.inherited
 		stats.DRCChecks += w.drcChecks
 		stats.DRCTime += w.drcTime
 		stats.Dives += w.dives
@@ -994,19 +1095,24 @@ func cloneViolation(v drc.Violation) drc.Violation {
 }
 
 // cloneChildren copies children collected in worker scratch, their ban
-// deltas into one shared backing array.
+// deltas into one shared backing array and their routes into another.
 func cloneChildren(kids []childNode) []childNode {
 	n := 0
 	for _, ch := range kids {
 		n += len(ch.bans)
 	}
 	bans := make([]banKey, 0, n)
+	nNets := len(kids[0].routes.arcs)
+	routes := newNetRoutes(len(kids) * nNets)
 	out := make([]childNode, len(kids))
 	for i, ch := range kids {
 		start := len(bans)
 		bans = append(bans, ch.bans...)
+		lo, hi := i*nNets, (i+1)*nNets
 		out[i] = ch
 		out[i].bans = bans[start:len(bans):len(bans)]
+		out[i].routes = netRoutes{routes.arcs[lo:hi:hi], routes.cost[lo:hi:hi]}
+		out[i].routes.copyFrom(ch.routes)
 	}
 	return out
 }

@@ -47,6 +47,9 @@ func deterministicStats(s SolveStats) map[string]int {
 		"bans_generated": s.BansGenerated,
 		"drc_checks":     s.DRCChecks,
 		"dives":          s.Dives,
+		// Whether a trial inherits a route depends only on the expanded
+		// node, so the count is deterministic too.
+		"steiner_inherited": s.SteinerInherited,
 	}
 }
 

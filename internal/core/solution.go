@@ -82,6 +82,7 @@ type SolveStats struct {
 	SteinerSolves    int           // exact Steiner lower-bound computations
 	SteinerCells     int64         // finite Steiner DP cells visited (deterministic work)
 	SteinerCacheHits int           // per-net route cache hits avoided recomputation
+	SteinerInherited int           // per-net routes inherited from the parent's (no cache lookup, no solve)
 	DRCChecks        int           // design-rule evaluations of candidate routings
 	DRCTime          time.Duration // wall time inside the DRC
 	Dives            int           // primal dive-repair attempts

@@ -58,6 +58,15 @@ func checkSinkLimit(g *rgraph.Graph) error {
 // grow large) fall back to the pooled binary heap.
 const maxBucketSpan = 1 << 16
 
+// bucketsOnly reports whether every solve on c takes the bucket-queue path
+// for each mask row. A finite label is an optimal arborescence cost, at most
+// maxArc·(nV−1), and a row's seeds are sums of two such labels, so a row's
+// span is below 3·maxArc·nV. Penalties can change between solves, so a
+// penalized context never qualifies.
+func (c *steinerCtx) bucketsOnly() bool {
+	return c.penalty == nil && 3*c.maxCost()*int64(c.g.NumVerts) <= maxBucketSpan
+}
+
 // pqItem is a priority-queue entry for the heap-fallback Dijkstra.
 type pqItem struct {
 	v    int32

@@ -110,23 +110,23 @@ var treeGoldens = map[string]treeGolden{
 	"RULE7-par0-s254": {1, 3, 0, 0, 0, 43, "7fdc8f8c18edd296"},
 	"RULE7-par0-s42":  {1, 3, 0, 0, 0, 48, "c38d0ac82d1cc845"},
 	"RULE7-par0-s139": {7, 25, 10, 8, 1, 33, "f239d74755e95dd0"},
-	"RULE7-par0-s223": {3, 14, 7, 12, 1, 53, "27439fea453be906"},
-	"RULE7-par0-s180": {14, 105, 24, 46, 1, 57, "5b6d3d91d3986055"},
-	"RULE7-par0-s149": {1, 9, 2, 0, 1, 60, "5f0b7f53dd0aaefe"},
-	"RULE7-par0-s290": {8, 123, 23, 60, 1, 49, "2980f79d641c4880"},
-	"RULE7-par0-s245": {33, 255, 40, 148, 1, 59, "ab88e83885835ec7"},
-	"RULE7-par0-s157": {167, 1328, 176, 924, 1, 46, "49cb2cfe50779549"},
-	"RULE7-par0-s138": {22, 172, 36, 124, 1, 77, "304989f37ae68f1a"},
-	"RULE7-par0-s72":  {7, 77, 14, 36, 1, 88, "1e7748e9c3d84e15"},
-	"RULE7-par0-s170": {400, 3062, 424, 2536, 1, 67, "f52fc7cccd960cf6"},
-	"RULE7-par0-s84":  {750, 1341, 775, 4474, 2, 76, "5f2badc7bed0bfe7"},
-	"RULE7-par0-s74":  {419, 3189, 431, 3166, 1, 64, "9602853f87e43719"},
-	"RULE7-par0-s43":  {774, 6867, 787, 5908, 2, 47, "e2fe14fb68fb498a"},
-	"RULE7-par0-s141": {388, 3177, 396, 2194, 1, 72, "406bc08072bc6c87"},
-	"RULE7-par0-s68":  {1350, 7630, 1371, 6378, 3, 74, "8bf4dcb4a4be0acc"},
-	"RULE7-par0-s256": {1035, 6916, 1054, 7580, 3, 65, "b7db33f997230211"},
-	"RULE7-par0-s115": {1587, 13695, 1622, 12758, 4, 69, "feff68ccc5562cc2"},
-	"RULE7-par0-s259": {2395, 15563, 2495, 18732, 5, 66, "cf1f60744557f611"},
+	"RULE7-par0-s223": {3, 11, 7, 12, 1, 53, "27439fea453be906"},
+	"RULE7-par0-s180": {14, 82, 24, 46, 1, 57, "5b6d3d91d3986055"},
+	"RULE7-par0-s149": {1, 5, 2, 0, 1, 60, "5f0b7f53dd0aaefe"},
+	"RULE7-par0-s290": {8, 97, 23, 60, 1, 49, "2980f79d641c4880"},
+	"RULE7-par0-s245": {33, 195, 40, 148, 1, 59, "ab88e83885835ec7"},
+	"RULE7-par0-s157": {167, 675, 176, 924, 1, 46, "49cb2cfe50779549"},
+	"RULE7-par0-s138": {22, 142, 36, 124, 1, 77, "304989f37ae68f1a"},
+	"RULE7-par0-s72":  {7, 49, 14, 36, 1, 88, "1e7748e9c3d84e15"},
+	"RULE7-par0-s170": {400, 2502, 424, 2536, 1, 67, "f52fc7cccd960cf6"},
+	"RULE7-par0-s84":  {750, 1070, 775, 4474, 2, 76, "5f2badc7bed0bfe7"},
+	"RULE7-par0-s74":  {419, 1942, 431, 3166, 1, 64, "9602853f87e43719"},
+	"RULE7-par0-s43":  {774, 4219, 787, 5908, 2, 47, "e2fe14fb68fb498a"},
+	"RULE7-par0-s141": {388, 1675, 396, 2194, 1, 72, "406bc08072bc6c87"},
+	"RULE7-par0-s68":  {1350, 4768, 1371, 6378, 3, 74, "8bf4dcb4a4be0acc"},
+	"RULE7-par0-s256": {1035, 3760, 1054, 7580, 3, 65, "b7db33f997230211"},
+	"RULE7-par0-s115": {1587, 8758, 1622, 12758, 4, 69, "feff68ccc5562cc2"},
+	"RULE7-par0-s259": {2395, 10547, 2495, 18732, 5, 66, "cf1f60744557f611"},
 	"RULE7-par2-s254": {1, -1, 0, 0, 0, 43, "7fdc8f8c18edd296"},
 	"RULE7-par2-s42":  {1, -1, 0, 0, 0, 48, "c38d0ac82d1cc845"},
 	"RULE7-par2-s139": {7, -1, 10, 8, 1, 33, "f239d74755e95dd0"},
@@ -150,23 +150,23 @@ var treeGoldens = map[string]treeGolden{
 	"RULE8-par0-s254": {1, 3, 0, 0, 0, 43, "7fdc8f8c18edd296"},
 	"RULE8-par0-s42":  {1, 3, 0, 0, 0, 48, "c38d0ac82d1cc845"},
 	"RULE8-par0-s139": {7, 25, 10, 8, 1, 33, "f239d74755e95dd0"},
-	"RULE8-par0-s223": {3, 14, 7, 12, 1, 53, "27439fea453be906"},
-	"RULE8-par0-s180": {14, 103, 24, 46, 1, 57, "5b6d3d91d3986055"},
-	"RULE8-par0-s149": {3, 21, 7, 20, 1, 60, "5f0b7f53dd0aaefe"},
-	"RULE8-par0-s290": {8, 119, 23, 60, 1, 49, "2980f79d641c4880"},
-	"RULE8-par0-s245": {33, 231, 40, 148, 1, 59, "ab88e83885835ec7"},
-	"RULE8-par0-s157": {167, 1228, 175, 924, 1, 46, "a77895fdbbe2a212"},
-	"RULE8-par0-s138": {21, 170, 35, 112, 1, 77, "304989f37ae68f1a"},
-	"RULE8-par0-s72":  {7, 65, 14, 36, 1, 88, "1e7748e9c3d84e15"},
-	"RULE8-par0-s170": {400, 3023, 424, 2536, 1, 67, "f52fc7cccd960cf6"},
-	"RULE8-par0-s84":  {133, 311, 141, 402, 1, 76, "d1df7bb018c3a506"},
-	"RULE8-par0-s74":  {419, 2741, 431, 3166, 1, 64, "9602853f87e43719"},
-	"RULE8-par0-s43":  {775, 5551, 799, 8256, 2, 47, "e2fe14fb68fb498a"},
-	"RULE8-par0-s141": {388, 2929, 396, 2194, 1, 72, "a27281a0f533bb93"},
-	"RULE8-par0-s68":  {1342, 7592, 1363, 6330, 3, 74, "8bf4dcb4a4be0acc"},
-	"RULE8-par0-s256": {1035, 6018, 1055, 7580, 3, 65, "b7db33f997230211"},
-	"RULE8-par0-s115": {1544, 12418, 1582, 12484, 4, 69, "8e2e6b1eea0664af"},
-	"RULE8-par0-s259": {2395, 15548, 2495, 18732, 5, 66, "cf1f60744557f611"},
+	"RULE8-par0-s223": {3, 11, 7, 12, 1, 53, "27439fea453be906"},
+	"RULE8-par0-s180": {14, 80, 24, 46, 1, 57, "5b6d3d91d3986055"},
+	"RULE8-par0-s149": {3, 11, 7, 20, 1, 60, "5f0b7f53dd0aaefe"},
+	"RULE8-par0-s290": {8, 93, 23, 60, 1, 49, "2980f79d641c4880"},
+	"RULE8-par0-s245": {33, 171, 40, 148, 1, 59, "ab88e83885835ec7"},
+	"RULE8-par0-s157": {167, 575, 175, 924, 1, 46, "a77895fdbbe2a212"},
+	"RULE8-par0-s138": {21, 140, 35, 112, 1, 77, "304989f37ae68f1a"},
+	"RULE8-par0-s72":  {7, 37, 14, 36, 1, 88, "1e7748e9c3d84e15"},
+	"RULE8-par0-s170": {400, 2468, 424, 2536, 1, 67, "f52fc7cccd960cf6"},
+	"RULE8-par0-s84":  {133, 270, 141, 402, 1, 76, "d1df7bb018c3a506"},
+	"RULE8-par0-s74":  {419, 1494, 431, 3166, 1, 64, "9602853f87e43719"},
+	"RULE8-par0-s43":  {775, 2889, 799, 8256, 2, 47, "e2fe14fb68fb498a"},
+	"RULE8-par0-s141": {388, 1427, 396, 2194, 1, 72, "a27281a0f533bb93"},
+	"RULE8-par0-s68":  {1342, 4730, 1363, 6330, 3, 74, "8bf4dcb4a4be0acc"},
+	"RULE8-par0-s256": {1035, 2858, 1055, 7580, 3, 65, "b7db33f997230211"},
+	"RULE8-par0-s115": {1544, 7558, 1582, 12484, 4, 69, "8e2e6b1eea0664af"},
+	"RULE8-par0-s259": {2395, 10536, 2495, 18732, 5, 66, "cf1f60744557f611"},
 	"RULE8-par2-s254": {1, -1, 0, 0, 0, 43, "7fdc8f8c18edd296"},
 	"RULE8-par2-s42":  {1, -1, 0, 0, 0, 48, "c38d0ac82d1cc845"},
 	"RULE8-par2-s139": {7, -1, 10, 8, 1, 33, "f239d74755e95dd0"},

@@ -525,6 +525,7 @@ func recordSolveMetrics(m *obs.Registry, r ClipRuleResult) {
 	m.Counter("lp_iters").Add(int64(st.LPIters))
 	m.Counter("steiner_solves").Add(int64(st.SteinerSolves))
 	m.Counter("steiner_cache_hits").Add(int64(st.SteinerCacheHits))
+	m.Counter("steiner_inherited").Add(int64(st.SteinerInherited))
 	m.Counter("drc_checks").Add(int64(st.DRCChecks))
 	m.Counter("drc_ms").Add(st.DRCTime.Milliseconds())
 	m.Counter("bans_generated").Add(int64(st.BansGenerated))

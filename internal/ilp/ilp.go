@@ -205,13 +205,11 @@ type Stats struct {
 	// LP sums the node LPs' telemetry counters; its PresolveRows and
 	// PresolveCols are the root presolve's reductions (0 when presolve
 	// found nothing or was disabled). The search runs on the reduced model.
-	LP            lp.Counters
-	LPTime        time.Duration // wall time inside the LP subsolver
-	BranchTime    time.Duration // wall time outside the LP (Elapsed - LPTime)
-	Incumbents    int           // incumbent updates (including warm start)
-	HeuristicHits int           // incumbents found by the rounding heuristic
-	Elapsed       time.Duration // total wall time of the solve
-	Termination   TerminationReason
+	LP          lp.Counters
+	LPTime      time.Duration // wall time inside the LP subsolver
+	Incumbents  int           // incumbent updates (including warm start)
+	Elapsed     time.Duration // total wall time of the solve
+	Termination TerminationReason
 	// BoundTrace samples the (bound, incumbent) pair at the root, at every
 	// incumbent update and at termination (capped at 1024 points).
 	BoundTrace []BoundPoint
@@ -321,7 +319,6 @@ func (m *Model) Solve(opt Options) Result {
 		stats.Nodes = nodes
 		stats.LPIters = lpIters
 		stats.Elapsed = time.Since(start)
-		stats.BranchTime = stats.Elapsed - stats.LPTime
 		switch {
 		case term != "":
 			stats.Termination = term
@@ -683,7 +680,6 @@ func (m *Model) Solve(opt Options) Result {
 				bestX = cand
 				haveInc = true
 				stats.Incumbents++
-				stats.HeuristicHits++
 				sample()
 				span.Event("incumbent", obs.A("obj", obj), obs.A("node", nodes), obs.A("source", "rounding"))
 				progress()
