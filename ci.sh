@@ -130,9 +130,12 @@ echo "== bench: short corpus + schema validation + two-tier regression gate"
 bench_latest=$(ls BENCH_*.json | sort -t_ -k2 -n | tail -1)
 # Built (not `go run`) because go run collapses every nonzero child exit to 1,
 # which would make the drift warning indistinguishable from a hard failure.
+# -j 1 because the committed trajectory points are written at -j 1: cases
+# timed two at a time on a small machine contend for its cores, and the
+# calibration probes, which run alone, cannot divide that out.
 go build -o "$bench_tmp/benchrun" ./cmd/benchrun
 set +e
-"$bench_tmp/benchrun" -short -timeout 30s -o "$bench_tmp/BENCH_ci.json" \
+"$bench_tmp/benchrun" -short -j 1 -timeout 30s -o "$bench_tmp/BENCH_ci.json" \
 	-sample "$bench_tmp/profile.jsonl" \
 	-baseline "$bench_latest" -max-regress 1.2 -max-work-regress 1.02
 bench_rc=$?

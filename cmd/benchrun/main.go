@@ -10,8 +10,8 @@
 //
 //	benchrun [-short] [-timeout 30s] [-j N] [-o file | -dir dir]
 //	benchrun [-baseline file [-max-regress R] [-max-work-regress R]]
-//	benchrun [-par N] [-sample file [-sample-hz N]]
-//	benchrun [-trace file [-flight] [-flight-every N] [-trace-max-mb MB] [-trace-keep K]] ...
+//	benchrun [-par N] [-sample file]
+//	benchrun [-trace file [-flight]] ...
 //	benchrun -check file.json
 //	benchrun -calib
 //
@@ -39,7 +39,7 @@
 // -sample profiles every case with the in-process sampling profiler
 // (obs.Sampler), attaching per-case top-function summaries to the document
 // and streaming one JSONL record per case to the named file ("-" = stderr
-// summary only); -sample-hz tunes the rate (default 100).
+// summary only), at 100 Hz.
 //
 // -par N runs every serial bnb case with N in-solve workers (the parallel
 // engine is deterministic, so answers — and hence the -baseline answer gate —
@@ -56,7 +56,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"optrouter/internal/calib"
@@ -85,16 +84,13 @@ func main() {
 }
 
 func run() (int, error) {
+	s := exp.BindFlags(flag.CommandLine, "benchrun", 30*time.Second)
 	var (
 		short   = flag.Bool("short", false, "run the reduced CI corpus")
-		timeout = flag.Duration("timeout", 30*time.Second, "per-case solve budget")
-		jobs    = flag.Int("j", runtime.NumCPU(), "parallel solve workers")
 		out     = flag.String("o", "", "output file (\"-\" = stdout; default: first free BENCH_<n>.json in -dir)")
 		dir     = flag.String("dir", ".", "directory for auto-numbered BENCH_<n>.json output")
 		check   = flag.String("check", "", "validate an existing benchmark document and exit")
 		calOnly = flag.Bool("calib", false, "run the machine-calibration probe suite, print it, and exit")
-
-		par = flag.Int("par", 0, "run serial bnb cases with this many in-solve workers (0 = as pinned; pinned par twins keep their worker count)")
 
 		baseline   = flag.String("baseline", "", "baseline benchmark document to compare the run against")
 		maxRegress = flag.Float64("max-regress", 0,
@@ -102,15 +98,7 @@ func run() (int, error) {
 		maxWorkRegress = flag.Float64("max-work-regress", 0,
 			"fail (exit 3) when any case's deterministic work ratio vs -baseline exceeds this (0 = report only)")
 
-		sample   = flag.String("sample", "", "profile each case with the sampling profiler, writing JSONL records here (\"-\" = no file, document only)")
-		sampleHz = flag.Int("sample-hz", 100, "sampling-profiler rate in stacks/second")
-
-		trace      = flag.String("trace", "", "write a JSONL span trace of every solve to this file")
-		traceMaxMB = flag.Int("trace-max-mb", 64, "rotate the trace when a file exceeds this size")
-		traceKeep  = flag.Int("trace-keep", 4, "trace files retained across rotation (live + archives)")
-		flight     = flag.Bool("flight", false,
-			"record per-node search events onto the trace (requires -trace; costs solve wall time)")
-		flightEvery = flag.Int("flight-every", 1, "sample 1 in N node events after the burst")
+		sample = flag.String("sample", "", "profile each case with the sampling profiler (100 Hz), writing JSONL records here (\"-\" = no file, document only)")
 	)
 	flag.Parse()
 
@@ -138,19 +126,24 @@ func run() (int, error) {
 		return 0, nil
 	}
 
+	defer s.Close()
+	if err := s.Open(false); err != nil {
+		return 1, err
+	}
+
 	corpus := "full"
 	if *short {
 		corpus = "short"
 	}
 	specs := exp.BenchCorpus(*short)
-	if *par > 0 {
+	if par := s.Solve.Par; par > 0 {
 		for i := range specs {
 			if specs[i].Solver != "ilp" && specs[i].Par == 0 {
-				specs[i].Par = *par
+				specs[i].Par = par
 			}
 		}
 	}
-	fmt.Fprintf(os.Stderr, "benchrun: %s corpus, %d cases, %d workers\n", corpus, len(specs), *jobs)
+	fmt.Fprintf(os.Stderr, "benchrun: %s corpus, %d cases, %d workers\n", corpus, len(specs), s.Solve.Workers)
 
 	// Calibrate before solving anything: the document must say what machine
 	// state produced it, and the operator should see the score up front.
@@ -159,16 +152,14 @@ func run() (int, error) {
 		calRes.ScoreNs, calRes.WallMS)
 
 	runOpt := exp.BenchRunOptions{
-		Timeout: *timeout, Workers: *jobs, Corpus: corpus,
+		Timeout: s.Solve.PerClipTimeout, Workers: s.Solve.Workers, Corpus: corpus,
+		Tracer: s.Solve.Tracer, Flight: s.Solve.Flight,
 		Calibration: &report.BenchCalibration{
 			ProbesNs: calRes.ProbesNs(), ScoreNs: calRes.ScoreNs, WallMS: calRes.WallMS,
 		},
 	}
-	if *flight && *trace == "" {
-		return 1, fmt.Errorf("-flight needs -trace (node events have nowhere to go)")
-	}
 	if *sample != "" {
-		sampler := obs.StartSampler(obs.SamplerOptions{Hz: *sampleHz})
+		sampler := obs.StartSampler(obs.SamplerOptions{})
 		defer sampler.Stop()
 		runOpt.Sampler = sampler
 		if *sample != "-" {
@@ -192,25 +183,6 @@ func run() (int, error) {
 				sampler.Samples(), sampler.Hz())
 		}()
 	}
-	if *trace != "" {
-		tr, err := obs.NewRotatingTracer(*trace, int64(*traceMaxMB)<<20, *traceKeep)
-		if err != nil {
-			return 1, err
-		}
-		// Close (not just flush) so SIGINT-shortened runs still leave a
-		// parseable trace behind; Close is idempotent.
-		defer func() {
-			if err := tr.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "benchrun: trace: %v\n", err)
-			}
-			if n := tr.Dropped(); n > 0 {
-				fmt.Fprintf(os.Stderr, "benchrun: trace dropped %d records (rotation)\n", n)
-			}
-		}()
-		runOpt.Tracer = tr
-		runOpt.Flight = obs.FlightOptions{Enabled: *flight, Every: *flightEvery}
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	doc, err := exp.RunBenchCorpus(ctx, specs, runOpt)

@@ -9,8 +9,7 @@
 //	         [-par N]
 //	         [-rules] [-table2] [-fig8] [-fig10] [-validate] [-csv dir]
 //	         [-stats] [-quiet] [-converge out.jsonl]
-//	         [-trace out.jsonl [-flight] [-flight-every N] [-trace-max-mb MB] [-trace-keep K]]
-//	         [-pprof addr]
+//	         [-trace out.jsonl [-flight]] [-pprof addr] [-calib] [-sample]
 //
 // With no selection flags, everything runs. -j dispatches the independent
 // (clip, rule) solves to N parallel workers (default: all CPUs); outputs are
@@ -20,32 +19,29 @@
 // -stats emits end-of-run metrics JSON (to <csvdir>/metrics.json when -csv
 // is set, stdout otherwise) and a live merged progress line on stderr
 // (done/in-flight/total across all workers; -quiet suppresses the line);
-// -trace records a JSON-lines span trace of every solve (size-capped and
-// rotated by -trace-max-mb/-trace-keep; -flight adds per-node search events
-// for cmd/traceview); -converge dumps one
+// -trace records a JSON-lines span trace of every solve (rotated at 64 MB,
+// 4 files kept; -flight adds per-node search events for cmd/traceview);
+// -converge dumps one
 // JSON line per solve with its incumbent/bound convergence trace; -pprof
 // serves net/http/pprof plus /metrics (Prometheus text exposition) and
 // /statusz (live sweep state) on the given address. -calib runs the
 // machine-calibration probe suite before the sweep (score on stderr, gauges
 // on /metrics, block on /statusz); -sample profiles the sweep with the
-// in-process sampling profiler (-sample-hz rate) and prints the top
-// self-time functions at exit. Interrupt (Ctrl-C)
-// cancels in-flight solves, drains cleanly and still flushes every sink.
+// in-process sampling profiler (100 Hz) and prints the top self-time
+// functions at exit. Interrupt (Ctrl-C) cancels in-flight solves, drains
+// cleanly and still flushes every sink. The solver and observability flags
+// are declared once, in exp.Session, for all three solving commands.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"time"
 
-	"optrouter/internal/calib"
 	"optrouter/internal/exp"
 	"optrouter/internal/obs"
 	"optrouter/internal/report"
@@ -63,83 +59,34 @@ func main() {
 }
 
 func run() error {
+	s := exp.BindFlags(flag.CommandLine, "beoleval", 10*time.Second)
+	s.BindObservability(flag.CommandLine)
 	var (
-		techName   = flag.String("tech", "all", "technology: N28-12T, N28-8T, N7-9T or all")
-		full       = flag.Bool("full", false, "use the large testbed (paper-scale clip geometry; slower)")
-		insts      = flag.Int("insts", 0, "override design instance count (0 = preset)")
-		layers     = flag.Int("nz", 0, "override clip stack depth (0 = preset)")
-		topK       = flag.Int("topk", 0, "override top-K clip selection (0 = preset)")
-		maxNets    = flag.Int("maxnets", 0, "override per-clip net cap (0 = preset)")
-		timeout    = flag.Duration("timeout", 10*time.Second, "per-clip solve budget")
-		jobs       = flag.Int("j", runtime.NumCPU(), "parallel solve workers (1 = serial; output is identical for any value)")
-		par        = flag.Int("par", 0, "parallel tree-search workers inside each solve (0 = serial engine; output is identical for any value)")
-		rules      = flag.Bool("rules", false, "print Table 3 rule configurations")
-		table2     = flag.Bool("table2", false, "print Table 2 benchmark matrix")
-		fig8       = flag.Bool("fig8", false, "print Fig. 8 pin-cost distributions")
-		fig10      = flag.Bool("fig10", false, "print Fig. 10 delta-cost study")
-		fig9       = flag.Bool("fig9", false, "print Fig. 9 pin-access analysis")
-		runtimeF   = flag.Bool("runtime", false, "print the Sec. 5 runtime study")
-		validate   = flag.Bool("validate", false, "run the Sec. 4.2 validation vs the heuristic router")
-		csvDir     = flag.String("csv", "", "also write figure data as CSV into this directory")
-		stats      = flag.Bool("stats", false, "collect per-solve metrics; emit metrics JSON and a live progress line")
-		quiet      = flag.Bool("quiet", false, "suppress the live progress line (metrics are still collected)")
-		traceOut   = flag.String("trace", "", "write a JSON-lines span trace of every solve to this file")
-		traceMaxMB = flag.Int("trace-max-mb", 64, "rotate the trace when a file exceeds this size")
-		traceKeep  = flag.Int("trace-keep", 4, "trace files retained across rotation (live + archives)")
-		flight     = flag.Bool("flight", false,
-			"record per-node search events onto the trace (requires -trace; costs solve wall time)")
-		flightEvery = flag.Int("flight-every", 1, "sample 1 in N node events after the burst")
-		convOut     = flag.String("converge", "", "write per-solve convergence traces (JSON lines) to this file")
-		pprofA      = flag.String("pprof", "", "serve net/http/pprof, /metrics and /statusz on this address (e.g. localhost:6060)")
-		calibrate   = flag.Bool("calib", false, "run the machine-calibration probe suite before the sweep and report its score")
-		sampleOn    = flag.Bool("sample", false, "run the sampling profiler across the sweep; print top functions at exit")
-		sampleHz    = flag.Int("sample-hz", 100, "sampling-profiler rate in stacks/second (with -sample)")
+		techName = flag.String("tech", "all", "technology: N28-12T, N28-8T, N7-9T or all")
+		full     = flag.Bool("full", false, "use the large testbed (paper-scale clip geometry; slower)")
+		insts    = flag.Int("insts", 0, "override design instance count (0 = preset)")
+		layers   = flag.Int("nz", 0, "override clip stack depth (0 = preset)")
+		topK     = flag.Int("topk", 0, "override top-K clip selection (0 = preset)")
+		maxNets  = flag.Int("maxnets", 0, "override per-clip net cap (0 = preset)")
+		rules    = flag.Bool("rules", false, "print Table 3 rule configurations")
+		table2   = flag.Bool("table2", false, "print Table 2 benchmark matrix")
+		fig8     = flag.Bool("fig8", false, "print Fig. 8 pin-cost distributions")
+		fig10    = flag.Bool("fig10", false, "print Fig. 10 delta-cost study")
+		fig9     = flag.Bool("fig9", false, "print Fig. 9 pin-access analysis")
+		runtimeF = flag.Bool("runtime", false, "print the Sec. 5 runtime study")
+		validate = flag.Bool("validate", false, "run the Sec. 4.2 validation vs the heuristic router")
+		csvDir   = flag.String("csv", "", "also write figure data as CSV into this directory")
+		stats    = flag.Bool("stats", false, "collect per-solve metrics; emit metrics JSON and a live progress line")
+		quiet    = flag.Bool("quiet", false, "suppress the live progress line (metrics are still collected)")
 	)
 	flag.Parse()
-
-	solve := exp.SolveOptions{PerClipTimeout: *timeout, Workers: *jobs, Par: *par}
-	var metrics *obs.Registry
-	if *stats || *pprofA != "" {
-		// /metrics needs a registry even without -stats; the end-of-run
-		// metrics document stays opt-in.
-		metrics = obs.NewRegistry()
-		solve.Metrics = metrics
+	defer s.Close()
+	// /metrics needs a registry even without -stats; the end-of-run metrics
+	// document stays opt-in.
+	if err := s.Open(*stats); err != nil {
+		return err
 	}
-	var status *obs.Status
-	if *pprofA != "" {
-		status = obs.NewStatus()
-		http.Handle("/metrics", obs.MetricsHandler(metrics))
-		http.Handle("/statusz", obs.StatusHandler(status))
-		go func() {
-			if err := http.ListenAndServe(*pprofA, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "beoleval: pprof: %v\n", err)
-			}
-		}()
-	}
-	if *calibrate {
-		res := calib.Run(calib.Options{})
-		fmt.Fprintf(os.Stderr, "beoleval: calibration score %.3f ns (suite %.0fms)\n",
-			res.ScoreNs, res.WallMS)
-		status.SetCalibration(res.ScoreNs, res.ProbesNs())
-		if metrics != nil {
-			metrics.Gauge("calib_score_ns").Set(res.ScoreNs)
-			for name, ns := range res.ProbesNs() {
-				metrics.Gauge("calib_ns_" + name).Set(ns)
-			}
-		}
-	}
-	if *sampleOn {
-		sampler := obs.StartSampler(obs.SamplerOptions{Hz: *sampleHz, Registry: metrics})
-		status.SetSampler(sampler)
-		defer func() {
-			sampler.Stop()
-			p := sampler.Profile(10)
-			fmt.Fprintf(os.Stderr, "beoleval: sampler: %d stacks at %d Hz\n", p.Samples, p.Hz)
-			for _, f := range p.Funcs {
-				fmt.Fprintf(os.Stderr, "beoleval:   self %5d  cum %5d  %s\n", f.Self, f.Cum, f.Fn)
-			}
-		}()
-	}
+	solve := s.Solve
 
 	all := !*rules && !*table2 && !*fig8 && !*fig10 && !*fig9 && !*runtimeF && !*validate
 	if *rules || all {
@@ -195,38 +142,6 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *flight && *traceOut == "" {
-		return fmt.Errorf("-flight needs -trace (node events have nowhere to go)")
-	}
-	if *traceOut != "" {
-		tr, err := obs.NewRotatingTracer(*traceOut, int64(*traceMaxMB)<<20, *traceKeep)
-		if err != nil {
-			return fmt.Errorf("trace: %w", err)
-		}
-		// Close flushes buffered spans and closes the file on every exit path.
-		defer func() {
-			tr.Close()
-			if n := tr.Dropped(); n > 0 {
-				fmt.Fprintf(os.Stderr, "beoleval: trace dropped %d records (rotation)\n", n)
-			}
-		}()
-		if metrics != nil {
-			tr.SetDropCounter(metrics.Counter("trace_dropped_total"))
-		}
-		solve.Tracer = tr
-		solve.Flight = obs.FlightOptions{Enabled: *flight, Every: *flightEvery}
-	}
-	var conv *report.ConvergenceWriter
-	if *convOut != "" {
-		f, err := os.Create(*convOut)
-		if err != nil {
-			return fmt.Errorf("converge: %w", err)
-		}
-		defer f.Close()
-		conv = report.NewConvergenceWriter(f)
-		defer conv.Flush()
-	}
-
 	// Progress fan-out: the throttled live line (unless -quiet), the /statusz
 	// tracker and the convergence dump all feed off the same serialized
 	// per-clip events.
@@ -234,16 +149,16 @@ func run() error {
 	if *stats && !*quiet {
 		sinks = append(sinks, progressLine(os.Stderr))
 	}
-	if status != nil {
-		sinks = append(sinks, statusSink(status))
+	if s.Status != nil {
+		sinks = append(sinks, statusSink(s.Status))
 	}
-	if conv != nil {
-		sinks = append(sinks, convergeSink(conv))
+	if s.Converge != nil {
+		sinks = append(sinks, convergeSink(s.Converge))
 	}
 	if len(sinks) > 0 {
 		solve.Progress = func(p exp.ClipProgress) {
-			for _, s := range sinks {
-				s(p)
+			for _, sink := range sinks {
+				sink(p)
 			}
 		}
 	}
@@ -252,7 +167,7 @@ func run() error {
 	needTB := all || *table2 || *fig8 || *fig10 || *validate
 	for _, t := range techs {
 		fmt.Printf("=== %s ===\n", t.Name)
-		status.SetLabel(t.Name)
+		s.Status.SetLabel(t.Name)
 		var tb *exp.Testbed
 		if needTB {
 			var err error
@@ -285,7 +200,7 @@ func run() error {
 	}
 
 	if *stats {
-		if err := writeMetrics(metrics, *csvDir, time.Since(runStart)); err != nil {
+		if err := writeMetrics(solve.Metrics, *csvDir, time.Since(runStart)); err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
 	}
@@ -312,14 +227,7 @@ func convergeSink(c *report.ConvergenceWriter) func(exp.ClipProgress) {
 			return
 		}
 		r := p.Result
-		if err := c.Write(report.ConvergenceRecord{
-			Clip: r.Clip, Rule: r.Rule, Solver: "bnb",
-			Termination: r.Stats.Termination,
-			Feasible:    r.Feasible, Cost: r.Cost,
-			Nodes: r.Stats.Nodes, MaxDepth: r.Stats.MaxDepth,
-			WallMS: float64(r.Runtime.Microseconds()) / 1000,
-			Trace:  r.Stats.BoundTrace,
-		}); err != nil {
+		if err := c.Write(report.NewConvergenceRecord(r.Clip, r.Rule, "bnb", r.Feasible, r.Cost, r.Stats)); err != nil {
 			fmt.Fprintf(os.Stderr, "beoleval: converge: %v\n", err)
 		}
 	}

@@ -25,6 +25,19 @@ type ConvergenceRecord struct {
 	Trace       []core.BoundSample `json:"trace"`
 }
 
+// NewConvergenceRecord assembles the record of one finished solve from its
+// outcome and telemetry.
+func NewConvergenceRecord(clip, rule, solver string, feasible bool, cost int, st core.SolveStats) ConvergenceRecord {
+	return ConvergenceRecord{
+		Clip: clip, Rule: rule, Solver: solver,
+		Termination: st.Termination,
+		Feasible:    feasible, Cost: cost,
+		Nodes: st.Nodes, MaxDepth: st.MaxDepth,
+		WallMS: float64(st.Elapsed.Microseconds()) / 1000,
+		Trace:  st.BoundTrace,
+	}
+}
+
 // ConvergenceWriter appends one JSON record per line to a sink. It is safe
 // for concurrent use (sweep workers finish solves in arbitrary order) and
 // buffers writes; call Flush before closing the underlying file.

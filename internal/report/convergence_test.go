@@ -7,6 +7,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"optrouter/internal/core"
 )
@@ -78,5 +79,29 @@ func TestConvergenceWriterStickyError(t *testing.T) {
 	}
 	if err := w.Write(ConvergenceRecord{Clip: "y"}); err == nil {
 		t.Error("error did not stick on later writes")
+	}
+}
+
+// TestNewConvergenceRecordLine pins the JSONL line of a record built from a
+// solve's telemetry, byte for byte.
+func TestNewConvergenceRecordLine(t *testing.T) {
+	st := core.SolveStats{
+		Termination: "optimal", Nodes: 3941, MaxDepth: 13,
+		Elapsed:    851234567 * time.Nanosecond,
+		BoundTrace: []core.BoundSample{{ElapsedMS: 0.5, Nodes: 1, Bound: 51, Incumbent: -1}},
+	}
+	var buf bytes.Buffer
+	w := NewConvergenceWriter(&buf)
+	if err := w.Write(NewConvergenceRecord("clip0", "RULE7", "bnb", true, 65, st)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"clip":"clip0","rule":"RULE7","solver":"bnb","termination":"optimal","feasible":true,"cost":65,` +
+		`"nodes":3941,"max_depth":13,"wall_ms":851.234,` +
+		`"trace":[{"elapsed_ms":0.5,"nodes":1,"depth":0,"open":0,"bound":51,"incumbent":-1}]}` + "\n"
+	if got := buf.String(); got != want {
+		t.Errorf("line\n got %s\nwant %s", got, want)
 	}
 }

@@ -126,6 +126,27 @@ func TestStatsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestFlightNeedsTrace: every solving command rejects -flight without -trace
+// before doing any work, with a nonzero exit and the reason.
+func TestFlightNeedsTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	names := []string{"optroute", "beoleval", "benchrun"}
+	bin := buildCmds(t, names...)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			out, err := exec.Command(filepath.Join(bin, name), "-flight").CombinedOutput()
+			if err == nil {
+				t.Fatalf("%s -flight exited 0:\n%s", name, out)
+			}
+			if !strings.Contains(string(out), "-flight needs -trace") {
+				t.Fatalf("%s -flight: %v, output lacks the reason:\n%s", name, err, out)
+			}
+		})
+	}
+}
+
 // interruptWhenTracing starts cmd, waits until the trace file has grown past
 // a few records (so the interrupt lands mid-sweep, not during setup), sends
 // SIGINT and waits for exit (any status — a cancelled sweep exits non-zero
