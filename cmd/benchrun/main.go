@@ -15,9 +15,12 @@
 //	benchrun -check file.json
 //	benchrun -calib
 //
-// -short runs the CI corpus (seconds); the default full corpus takes on the
-// order of a minute. -o writes to the named file ("-" = stdout); -dir picks
-// the first free BENCH_<n>.json in the directory (default "."). -check only
+// Every case is solved once untimed and then five times timed, and reports
+// the fastest timed solve; only the untimed warm-up is traced,
+// flight-recorded and sampled. -short runs the CI corpus (seconds); the
+// default full corpus takes tens of seconds. -o writes to the named file
+// ("-" = stdout); -dir picks the first free BENCH_<n>.json in the directory
+// (default "."). -check only
 // validates an existing document against the schema and exits. -calib runs
 // the machine-calibration probe suite alone, prints it, and exits — the
 // same suite every corpus run stamps into its document's calibration block.
@@ -167,7 +170,7 @@ func run() (int, error) {
 			if err != nil {
 				return 1, err
 			}
-			pw := report.NewProfileWriter(f)
+			pw := report.NewJSONLWriter[report.ProfileRecord](f)
 			defer func() {
 				if err := pw.Flush(); err != nil {
 					fmt.Fprintf(os.Stderr, "benchrun: sample: %v\n", err)

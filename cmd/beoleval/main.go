@@ -221,7 +221,7 @@ func statusSink(s *obs.Status) func(exp.ClipProgress) {
 }
 
 // convergeSink appends one convergence record per finished solve.
-func convergeSink(c *report.ConvergenceWriter) func(exp.ClipProgress) {
+func convergeSink(c *report.JSONLWriter[report.ConvergenceRecord]) func(exp.ClipProgress) {
 	return func(p exp.ClipProgress) {
 		if p.Phase != "done" || p.Result == nil || p.Result.Err != "" {
 			return

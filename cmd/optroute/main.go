@@ -301,17 +301,12 @@ func (r router) runAllRules(ctx context.Context, c *clip.Clip) error {
 
 func printStats(sol *core.Solution) {
 	st := sol.Stats
-	fmt.Printf("stats: nodes=%d max_depth=%d incumbents=%d termination=%s elapsed=%s\n",
-		st.Nodes, st.MaxDepth, st.Incumbents, st.Termination, st.Elapsed.Round(time.Millisecond))
-	if st.LPSolves > 0 {
-		fmt.Printf("       lp_solves=%d lp_iters=%d lp_time=%s\n",
-			st.LPSolves, st.LPIters, st.LPTime.Round(time.Millisecond))
-	}
-	if st.SteinerSolves > 0 || st.DRCChecks > 0 {
-		fmt.Printf("       steiner_solves=%d steiner_cache_hits=%d steiner_inherited=%d drc_checks=%d drc_time=%s\n",
-			st.SteinerSolves, st.SteinerCacheHits, st.SteinerInherited, st.DRCChecks, st.DRCTime.Round(time.Millisecond))
-		fmt.Printf("       bans=%d dives=%d\n", st.BansGenerated, st.Dives)
-	}
+	fmt.Printf("stats: max_depth=%d termination=%s elapsed=%s lp_time=%s drc_time=%s\n",
+		st.MaxDepth, st.Termination, st.Elapsed.Round(time.Millisecond),
+		st.LPTime.Round(time.Millisecond), st.DRCTime.Round(time.Millisecond))
+	fmt.Print("       counters:")
+	st.EachNonzero(func(name string, v int64) { fmt.Printf(" %s=%d", name, v) })
+	fmt.Println()
 	if st.Par > 0 {
 		fmt.Printf("       par=%d nodes_per_worker=%v steals=%d\n",
 			st.Par, st.NodesPerWorker, st.Steals)

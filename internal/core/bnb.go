@@ -1027,9 +1027,9 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	sample()
 	sol.Stats = stats
 	reportProgress()
-	span.SetAttr("nodes", nodes)
-	span.SetAttr("steiner_solves", stats.SteinerSolves)
-	span.SetAttr("drc_checks", stats.DRCChecks)
+	if span != nil { // untraced solves skip boxing every counter
+		stats.EachNonzero(func(name string, v int64) { span.SetAttr(name, v) })
+	}
 	span.SetAttr("steals", stats.Steals)
 	span.SetAttr("feasible", sol.Feasible)
 	span.SetAttr("proven", sol.Proven)

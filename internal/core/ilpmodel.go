@@ -516,16 +516,10 @@ func SolveILP(g *rgraph.Graph, opt ilp.Options) (*Solution, error) {
 	sol := &Solution{
 		Runtime: time.Since(start), Nodes: res.Nodes, LPIters: res.LPIters,
 		Stats: SolveStats{
-			Nodes:        res.Stats.Nodes,
-			MaxDepth:     res.Stats.MaxDepth,
-			Incumbents:   res.Stats.Incumbents,
-			LPSolves:     res.Stats.LPSolves,
-			LPIters:      res.Stats.LPIters,
-			LPWarmStarts: res.Stats.LPWarmStarts,
-			LPFTRANNnz:   res.Stats.LPFTRANNnz,
-			LPBTRANNnz:   res.Stats.LPBTRANNnz,
-			LPTime:       res.Stats.LPTime,
-			LP:           res.Stats.LP,
+			Nodes:      res.Stats.Nodes,
+			MaxDepth:   res.Stats.MaxDepth,
+			Incumbents: res.Stats.Incumbents,
+			LPStats:    res.Stats.LPStats,
 
 			ModelRows:   m.Model.NumConstraints(),
 			ModelCols:   m.Model.NumVars(),

@@ -21,7 +21,7 @@ import (
 	"fmt"
 	"time"
 
-	"optrouter/internal/lp"
+	"optrouter/internal/ilp"
 	"optrouter/internal/obs"
 	"optrouter/internal/rgraph"
 )
@@ -59,7 +59,7 @@ type Solution struct {
 // BoundSample is one point of a solve's convergence trace: the proven lower
 // bound and best incumbent cost at a moment of the search. Samples are taken
 // at the root, at every incumbent update and at termination (capped at 1024
-// per solve) and dump as JSONL through report.ConvergenceWriter.
+// per solve) and dump as JSONL through report.JSONLWriter.
 type BoundSample struct {
 	ElapsedMS float64 `json:"elapsed_ms"` // since the start of the solve
 	Nodes     int     `json:"nodes"`      // nodes explored at the sample
@@ -91,14 +91,8 @@ type SolveStats struct {
 	// it; the next change to the benchmark removes it.
 	LagrangianRounds int
 
-	// MILP path specific.
-	LPSolves     int           // LP relaxations solved
-	LPIters      int           // total simplex iterations
-	LPWarmStarts int           // node LPs reoptimized from the parent basis
-	LPFTRANNnz   int64         // sparse FTRAN result nonzeros (deterministic work)
-	LPBTRANNnz   int64         // sparse BTRAN result nonzeros (deterministic work)
-	LPTime       time.Duration // wall time inside the LP subsolver
-	LP           lp.Counters   // the LP engine's telemetry counters (zero for CDC-BnB)
+	// MILP path specific: the LP subsolver's effort (zero for CDC-BnB).
+	ilp.LPStats
 
 	// Model dimensions of the MILP path's LP relaxation (zero for the
 	// combinatorial BnB): constraint rows, variable columns, and structural

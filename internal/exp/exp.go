@@ -511,26 +511,20 @@ func solveClipCtx(ctx context.Context, c *clip.Clip, rule tech.RuleConfig, opt S
 	return r, nil
 }
 
-// recordSolveMetrics folds one solve's stats into the run-wide registry.
-// The flat key set (nodes, lp_solves, wall_ms, ...) is the metrics schema
-// cmd/beoleval -stats emits; see README "Observability".
+// recordSolveMetrics folds one solve's stats into the run-wide registry:
+// every core.SolveCounters row under its name, plus the solve count, wall
+// and DRC time and the outcome tallies. The flat key set is the metrics
+// schema cmd/beoleval -stats emits; see README "Observability".
 func recordSolveMetrics(m *obs.Registry, r ClipRuleResult) {
 	if m == nil {
 		return
 	}
 	st := r.Stats
 	m.Counter("solves").Inc()
-	m.Counter("nodes").Add(int64(st.Nodes))
-	m.Counter("lp_solves").Add(int64(st.LPSolves))
-	m.Counter("lp_iters").Add(int64(st.LPIters))
-	m.Counter("steiner_solves").Add(int64(st.SteinerSolves))
-	m.Counter("steiner_cache_hits").Add(int64(st.SteinerCacheHits))
-	m.Counter("steiner_inherited").Add(int64(st.SteinerInherited))
-	m.Counter("drc_checks").Add(int64(st.DRCChecks))
+	for _, c := range core.SolveCounters {
+		m.Counter(c.Name).Add(c.Get(&st))
+	}
 	m.Counter("drc_ms").Add(st.DRCTime.Milliseconds())
-	m.Counter("bans_generated").Add(int64(st.BansGenerated))
-	m.Counter("dives").Add(int64(st.Dives))
-	m.Counter("incumbents").Add(int64(st.Incumbents))
 	m.Counter("wall_ms").Add(r.Runtime.Milliseconds())
 	if !r.Feasible {
 		m.Counter("infeasible").Inc()

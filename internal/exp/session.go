@@ -37,7 +37,7 @@ type Session struct {
 	Status *obs.Status
 	// Converge receives one record per finished solve; nil without
 	// -converge.
-	Converge *report.ConvergenceWriter
+	Converge *report.JSONLWriter[report.ConvergenceRecord]
 
 	name     string // prefix of the session's stderr lines
 	trace    string
@@ -143,7 +143,7 @@ func (s *Session) Open(metrics bool) error {
 		if err != nil {
 			return fmt.Errorf("converge: %w", err)
 		}
-		conv := report.NewConvergenceWriter(f)
+		conv := report.NewJSONLWriter[report.ConvergenceRecord](f)
 		s.Converge = conv
 		s.closers = append(s.closers, func() {
 			if err := conv.Flush(); err != nil {

@@ -46,16 +46,20 @@ func TestSolveMetricsGolden(t *testing.T) {
 	}
 	want := map[string]int64{
 		"bans_generated":     787,
+		"btran_nnz":          0,
 		"dives":              8,
 		"drc_checks":         312,
+		"ftran_nnz":          0,
 		"incumbents":         3,
 		"infeasible":         8,
-		"lp_iters":           0,
 		"lp_solves":          0,
+		"lp_warm_starts":     0,
 		"nodes":              271,
 		"sched_jobs_done":    1,
+		"simplex_iters":      0,
 		"solves":             11,
 		"steiner_cache_hits": 547,
+		"steiner_cells":      124582,
 		"steiner_inherited":  2692,
 		"steiner_solves":     1100,
 	}

@@ -113,8 +113,6 @@ type Options struct {
 	// Incumbent optionally provides a known integer-feasible solution
 	// (a warm start); it must satisfy all constraints.
 	Incumbent []float64
-	// IntTol is the integrality tolerance; 0 means 1e-6.
-	IntTol float64
 	// IntegralObjective asserts that every integer-feasible point has an
 	// integral objective value, enabling stronger pruning (ceil bounds).
 	IntegralObjective bool
@@ -143,12 +141,12 @@ type Options struct {
 	Flight obs.FlightOptions
 }
 
+// intTol is the integrality tolerance.
+const intTol = 1e-6
+
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = math.MaxInt / 2
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
 	}
 	if o.ProgressEvery == 0 {
 		o.ProgressEvery = 128
@@ -193,20 +191,26 @@ const (
 	PhaseSearch    = "search"    // node pop, bound application, pruning
 )
 
-// Stats are per-solve branch-and-bound statistics.
-type Stats struct {
-	Nodes        int   // nodes explored
-	MaxDepth     int   // deepest node processed
-	LPSolves     int   // LP relaxations solved
-	LPIters      int   // total simplex iterations
-	LPWarmStarts int   // node LPs reoptimized from the parent basis
-	LPFTRANNnz   int64 // sparse FTRAN result nonzeros across node LPs
-	LPBTRANNnz   int64 // sparse BTRAN result nonzeros across node LPs
+// LPStats is a MILP solve's LP-subsolver effort, summed over its node LPs.
+// Stats and core.SolveStats embed it.
+type LPStats struct {
+	LPSolves     int           // LP relaxations solved
+	LPIters      int           // total simplex iterations
+	LPWarmStarts int           // node LPs reoptimized from the parent basis
+	LPFTRANNnz   int64         // sparse FTRAN result nonzeros (deterministic work)
+	LPBTRANNnz   int64         // sparse BTRAN result nonzeros (deterministic work)
+	LPTime       time.Duration // wall time inside the LP subsolver
 	// LP sums the node LPs' telemetry counters; its PresolveRows and
 	// PresolveCols are the root presolve's reductions (0 when presolve
 	// found nothing or was disabled). The search runs on the reduced model.
-	LP          lp.Counters
-	LPTime      time.Duration // wall time inside the LP subsolver
+	LP lp.Counters
+}
+
+// Stats are per-solve branch-and-bound statistics.
+type Stats struct {
+	Nodes    int // nodes explored
+	MaxDepth int // deepest node processed
+	LPStats
 	Incumbents  int           // incumbent updates (including warm start)
 	Elapsed     time.Duration // total wall time of the solve
 	Termination TerminationReason
@@ -371,7 +375,7 @@ func (m *Model) Solve(opt Options) Result {
 	}
 
 	if opt.Incumbent != nil {
-		if ok, obj := m.CheckFeasible(opt.Incumbent, opt.IntTol); ok {
+		if ok, obj := m.CheckFeasible(opt.Incumbent, intTol); ok {
 			bestX = append([]float64(nil), opt.Incumbent...)
 			bestObj = obj
 			haveInc = true
@@ -634,7 +638,7 @@ func (m *Model) Solve(opt Options) Result {
 		// Find most fractional integer variable.
 		clock.Enter(PhaseBranch)
 		branchVar := -1
-		worst := opt.IntTol
+		worst := intTol
 		for j := 0; j < snv; j++ {
 			if !search.isInt[j] {
 				continue
@@ -675,7 +679,7 @@ func (m *Model) Solve(opt Options) Result {
 			// rounded point is postsolved first, so eliminated rows and
 			// bounds are rechecked in the caller's space.
 			cand := toFull(roundX(search, res.X))
-			if ok, obj := m.CheckFeasible(cand, opt.IntTol); ok && obj < bestObj-1e-9 {
+			if ok, obj := m.CheckFeasible(cand, intTol); ok && obj < bestObj-1e-9 {
 				bestObj = obj
 				bestX = cand
 				haveInc = true

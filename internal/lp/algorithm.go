@@ -75,7 +75,7 @@ func dualSolve(p *Problem, opt Options) (Result, *simplex, bool) {
 // rest on. Returns the imposed bounds for later restoration.
 func (s *simplex) dualBasis() []dualArtBound {
 	m, n := s.m, s.n
-	tol := s.opt.Tol
+	tol := feasTol
 	var art []dualArtBound
 
 	s.state = make([]varState, s.ncols, s.ncols+m)

@@ -195,7 +195,7 @@ func (s *simplex) loadBasis(bs *Basis) bool {
 //     counted in Stats.DualBoundFlips.
 func (s *simplex) dualRestore() (Status, bool) {
 	m := s.m
-	tol := s.opt.Tol
+	tol := feasTol
 	cost := s.cost[:s.ncols]
 	pr := &s.pr
 
@@ -454,7 +454,7 @@ func (s *simplex) applyBoundFlips() {
 // refresh adds all), and drops the rows it finds feasible. The choice is
 // that of a scan of every row (the test oracle in dual_test.go).
 func (s *simplex) leavingRow() (r int, above bool, viol float64) {
-	tol := s.opt.Tol
+	tol := feasTol
 	r = -1
 	worst := 0.0
 	set := &s.viol

@@ -9,7 +9,7 @@ import (
 // leavingScan is leavingRow's test oracle: the dual restore's leaving-row
 // choice as a scan of every row.
 func (s *simplex) leavingScan() (r int, above bool, viol float64) {
-	tol := s.opt.Tol
+	tol := feasTol
 	r = -1
 	worst := 0.0
 	for i := 0; i < s.m; i++ {

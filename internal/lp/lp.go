@@ -323,8 +323,6 @@ type Options struct {
 	// MaxIters bounds total simplex iterations; 0 means a generous default
 	// derived from the problem size.
 	MaxIters int
-	// Tol is the feasibility/optimality tolerance; 0 means 1e-9.
-	Tol float64
 	// CollectPhases enables per-phase wall-time attribution (Stats.Phases).
 	// It costs a few clock reads per iteration, so it is opt-in.
 	CollectPhases bool
@@ -352,6 +350,9 @@ type Options struct {
 	Ctx context.Context
 }
 
+// feasTol is the simplex's feasibility and optimality tolerance.
+const feasTol = 1e-9
+
 // ctxPollIters is the iteration (and elimination-step) interval at which
 // Options.Ctx is polled.
 const ctxPollIters = 64
@@ -359,9 +360,6 @@ const ctxPollIters = 64
 func (o Options) withDefaults(m, n int) Options {
 	if o.MaxIters == 0 {
 		o.MaxIters = 200*(m+n) + 20000
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-9
 	}
 	return o
 }

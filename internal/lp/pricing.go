@@ -224,7 +224,7 @@ func (s *simplex) priceIncremental(cost []float64) (int, float64) {
 		return -1, 0 // empty problem (possible after heavy presolve)
 	}
 	pr := &s.pr
-	tol := s.opt.Tol
+	tol := feasTol
 	synced := false
 	if !pr.valid || pr.costPtr != &cost[0] {
 		s.resyncPricing(cost)

@@ -186,7 +186,7 @@ func (s *simplex) coldBasis() {
 	s.xB = make([]float64, m)
 	for i := 0; i < m; i++ {
 		sl := n + i
-		if resid[i] >= s.lo[sl]-s.opt.Tol && resid[i] <= s.hi[sl]+s.opt.Tol {
+		if resid[i] >= s.lo[sl]-feasTol && resid[i] <= s.hi[sl]+feasTol {
 			s.basis[i] = sl
 			s.state[sl] = stBasic
 			s.xB[i] = resid[i]
@@ -383,7 +383,7 @@ func (s *simplex) residScratch() []float64 {
 
 // solve runs phase 1 (drive artificials to zero) then phase 2.
 func (s *simplex) solve() Result {
-	tol := s.opt.Tol
+	tol := feasTol
 
 	if s.nArt > 0 {
 		// Phase-1 costs: 1 on artificial columns.
@@ -487,7 +487,7 @@ func (s *simplex) snapshot() *Basis {
 // routes through (lowest-index eligible column, which needs exact duals
 // rather than the maintained reduced costs of pricing.go).
 func (s *simplex) priceDantzig(cost []float64) (int, float64) {
-	tol := s.opt.Tol
+	tol := feasTol
 
 	// Duals: y = cB^T B^{-1} (a BTRAN).
 	s.computeDuals(cost)
@@ -556,7 +556,7 @@ func (s *simplex) stopOr(st Status) Status {
 // optimality, unboundedness, the iteration limit (IterLimit) or a done
 // Options.Ctx (Stopped).
 func (s *simplex) iterate(cost []float64) Status {
-	tol := s.opt.Tol
+	tol := feasTol
 	for {
 		if s.iters >= s.opt.MaxIters {
 			return IterLimit

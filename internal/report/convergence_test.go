@@ -14,7 +14,7 @@ import (
 
 func TestConvergenceWriterJSONL(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewConvergenceWriter(&buf)
+	w := NewJSONLWriter[ConvergenceRecord](&buf)
 	recs := []ConvergenceRecord{
 		{Clip: "clip0", Rule: "RULE7", Solver: "bnb", Termination: "optimal",
 			Feasible: true, Cost: 65, Nodes: 3941, MaxDepth: 13, WallMS: 851.2,
@@ -55,7 +55,7 @@ func TestConvergenceWriterJSONL(t *testing.T) {
 		t.Errorf("wrote %d lines, want %d", n, len(recs))
 	}
 
-	var nilW *ConvergenceWriter
+	var nilW *JSONLWriter[ConvergenceRecord]
 	if err := nilW.Write(recs[0]); err != nil {
 		t.Errorf("nil writer Write: %v", err)
 	}
@@ -69,7 +69,7 @@ type failWriter struct{}
 func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
 
 func TestConvergenceWriterStickyError(t *testing.T) {
-	w := NewConvergenceWriter(failWriter{})
+	w := NewJSONLWriter[ConvergenceRecord](failWriter{})
 	// The bufio layer absorbs small writes; force the error out via Flush.
 	if err := w.Write(ConvergenceRecord{Clip: "x"}); err != nil {
 		t.Logf("write surfaced error early: %v", err)
@@ -91,7 +91,7 @@ func TestNewConvergenceRecordLine(t *testing.T) {
 		BoundTrace: []core.BoundSample{{ElapsedMS: 0.5, Nodes: 1, Bound: 51, Incumbent: -1}},
 	}
 	var buf bytes.Buffer
-	w := NewConvergenceWriter(&buf)
+	w := NewJSONLWriter[ConvergenceRecord](&buf)
 	if err := w.Write(NewConvergenceRecord("clip0", "RULE7", "bnb", true, 65, st)); err != nil {
 		t.Fatal(err)
 	}

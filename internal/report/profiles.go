@@ -1,12 +1,8 @@
 package report
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
-	"sync"
 )
 
 // ProfileRecord is one bench case's sampling profile as dumped to the
@@ -20,58 +16,6 @@ type ProfileRecord struct {
 	Hz      int               `json:"hz"`
 	Samples int64             `json:"samples"`
 	Funcs   []BenchFuncSample `json:"funcs,omitempty"`
-}
-
-// ProfileWriter appends one JSON record per line to a sink. Safe for
-// concurrent use (parallel bench workers finish in arbitrary order); call
-// Flush before closing the underlying file. Nil-safe like the other report
-// writers, so callers thread it through unconditionally.
-type ProfileWriter struct {
-	mu  sync.Mutex
-	w   *bufio.Writer
-	err error
-}
-
-// NewProfileWriter wraps w in a line-buffered JSONL writer.
-func NewProfileWriter(w io.Writer) *ProfileWriter {
-	return &ProfileWriter{w: bufio.NewWriter(w)}
-}
-
-// Write appends one record. The first write error sticks and is returned by
-// this and every later call (and by Flush).
-func (p *ProfileWriter) Write(rec ProfileRecord) error {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.err != nil {
-		return p.err
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		p.err = err
-		return err
-	}
-	data = append(data, '\n')
-	if _, err := p.w.Write(data); err != nil {
-		p.err = err
-	}
-	return p.err
-}
-
-// Flush drains the buffer to the sink. Nil-safe.
-func (p *ProfileWriter) Flush() error {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.err != nil {
-		return p.err
-	}
-	p.err = p.w.Flush()
-	return p.err
 }
 
 // ReadProfiles parses a profile JSONL stream, validating each record

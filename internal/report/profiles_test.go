@@ -8,7 +8,7 @@ import (
 
 func TestProfileWriterRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewProfileWriter(&buf)
+	w := NewJSONLWriter[ProfileRecord](&buf)
 	recs := []ProfileRecord{
 		{Clip: "4x5x3", Rule: "RULE1", Solver: "bnb", WallMS: 12.5, Hz: 100, Samples: 3,
 			Funcs: []BenchFuncSample{
@@ -41,7 +41,7 @@ func TestProfileWriterRoundTrip(t *testing.T) {
 }
 
 func TestProfileWriterNilSafe(t *testing.T) {
-	var w *ProfileWriter
+	var w *JSONLWriter[ProfileRecord]
 	if err := w.Write(ProfileRecord{}); err != nil {
 		t.Fatalf("nil Write: %v", err)
 	}
