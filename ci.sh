@@ -17,7 +17,8 @@
 # MILP root presolve's BenchmarkPresolve (so they keep building), a
 # parallel end-to-end smoke run of both CLIs at -j 4, a traced -par 2
 # solve whose phase breakdown traceview checks against the solve span's
-# duration, a traced MILP solve whose LP counters must reach both
+# duration and whose worker count must reach traceview's par: line, a
+# traced MILP solve whose LP counters must reach both
 # optroute -stats and traceview's rendering of the ilp.solve span, and one
 # untraced perfbench rule-sweep pass whose answers must match its golden
 # file.
@@ -91,6 +92,8 @@ go run ./cmd/traceview -validate "$smoke_tmp/optroute_ilp.jsonl"
 go run ./cmd/traceview -top 5 "$smoke_tmp/optroute.jsonl" >/dev/null
 go run ./cmd/traceview "$smoke_tmp/optroute_ilp.jsonl" >"$smoke_tmp/traceview_ilp.txt"
 grep -q "lp: .*presolve_rows=" "$smoke_tmp/traceview_ilp.txt"
+go run ./cmd/traceview "$smoke_tmp/optroute_par.jsonl" >"$smoke_tmp/traceview_par.txt"
+grep -q "^  par: *2 workers$" "$smoke_tmp/traceview_par.txt"
 
 echo "== perfbench: rule-sweep answers match golden.json"
 # perfbench checks every answer against its golden file; a wrong rule-sweep

@@ -308,8 +308,7 @@ func printStats(sol *core.Solution) {
 	st.EachNonzero(func(name string, v int64) { fmt.Printf(" %s=%d", name, v) })
 	fmt.Println()
 	if st.Par > 0 {
-		fmt.Printf("       par=%d nodes_per_worker=%v steals=%d\n",
-			st.Par, st.NodesPerWorker, st.Steals)
+		fmt.Printf("       par=%d nodes_per_worker=%v\n", st.Par, st.NodesPerWorker)
 	}
 	if !st.LP.IsZero() {
 		fmt.Printf("       lp: %s\n", st.LP)

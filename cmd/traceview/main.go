@@ -3,7 +3,7 @@
 // prints, per solve: the solver's own phase attribution (the flame summary),
 // search-tree statistics from the flight recorder's node events — depth
 // histogram, fathom-reason mix, bound-gap convergence — and the flight
-// sampling accounting. A pprof-style top-N table of hot span names (by self
+// recorder's seen/kept/dropped accounting. A pprof-style top-N table of hot span names (by self
 // time) covers everything outside the solvers.
 //
 // Usage:
@@ -159,7 +159,7 @@ func printSolve(i int, s *report.SolveTrace) {
 		fmt.Printf("  phases: %s (%.1fms attributed)\n", s.PhaseLine(), s.PhaseTotal())
 	}
 	if s.Par > 0 {
-		fmt.Printf("  par:    %d workers, %d steals\n", s.Par, s.Steals)
+		fmt.Printf("  par:    %d workers\n", s.Par)
 	}
 	if !s.LP.IsZero() {
 		fmt.Printf("  lp:     %s (%d iters)\n", s.LP, s.LPIters)
@@ -168,7 +168,7 @@ func printSolve(i int, s *report.SolveTrace) {
 		fmt.Printf("  flight: off (rerun with -flight for search-tree statistics)\n")
 		return
 	}
-	fmt.Printf("  flight: %d node events seen, %d kept, %d dropped by sampling\n",
+	fmt.Printf("  flight: %d node events seen, %d kept, %d dropped over the cap\n",
 		s.FlightSeen, s.FlightKept, s.FlightDropped)
 	if len(s.Events) == 0 {
 		return

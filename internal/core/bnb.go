@@ -735,7 +735,7 @@ func (w *bnbWorker) expand(t nodeTask) expansion {
 // depends on the worker count, and the queue order, the expansion and the
 // fold are all deterministic, the explored tree is identical for every
 // Par >= 1. Scheduling-dependent quantities (which worker expanded which
-// node, steals, cache hits, wall times) are outside that guarantee. A clip
+// node, cache hits, wall times) are outside that guarantee. A clip
 // with a net of more sinks than the Steiner kernel solves is an error, not
 // an infeasible verdict.
 func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
@@ -851,7 +851,6 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	if runCtx == nil {
 		runCtx = context.Background()
 	}
-	var rs sched.RunStats
 
 	clock.Enter(PhaseSearch)
 	proven := true
@@ -928,7 +927,7 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 					return workers[sched.WorkerID(jctx)].expand(t), nil
 				}
 			}
-			outs = sched.Run(runCtx, jobs, sched.Options{Workers: nw, Stats: &rs})
+			outs = sched.Run(runCtx, jobs, sched.Options{Workers: nw})
 		}
 		clock.Apportion(PhaseSearch, clocks...)
 
@@ -1008,7 +1007,6 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 			stats.SteinerCells += ctx.cells
 		}
 	}
-	stats.Steals = int(rs.Steals.Load())
 	stats.Elapsed = sol.Runtime
 	if stats.Termination == "" {
 		if sol.Feasible {
@@ -1030,7 +1028,6 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	if span != nil { // untraced solves skip boxing every counter
 		stats.EachNonzero(func(name string, v int64) { span.SetAttr(name, v) })
 	}
-	span.SetAttr("steals", stats.Steals)
 	span.SetAttr("feasible", sol.Feasible)
 	span.SetAttr("proven", sol.Proven)
 	span.SetAttr("termination", stats.Termination)

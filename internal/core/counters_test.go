@@ -18,7 +18,6 @@ var notCounters = map[string]string{
 	"ModelCols":        "model dimension",
 	"ModelNNZ":         "model dimension",
 	"Par":              "scheduling",
-	"Steals":           "scheduling",
 }
 
 // TestSolveCountersCoverStats checks the counter table against SolveStats by

@@ -37,7 +37,7 @@ func bigSynthGraph(tb testing.TB, seed int64, ruleName string) *rgraph.Graph {
 
 // deterministicStats projects SolveStats onto the fields the parallel engine
 // guarantees identical for every worker count. Scheduling-dependent fields
-// (cache hits, per-worker splits, steals, wall times) are excluded by
+// (cache hits, per-worker splits, wall times) are excluded by
 // construction.
 func deterministicStats(s SolveStats) map[string]int {
 	return map[string]int{

@@ -108,9 +108,6 @@ type SolveStats struct {
 	// search (nil when Par is 0). The split is scheduling-dependent (not
 	// deterministic across runs); the sum equals Nodes.
 	NodesPerWorker []int
-	// Steals counts scheduler work-stealing events during the parallel tree
-	// search (scheduling-dependent).
-	Steals int
 
 	Elapsed time.Duration // total wall time of the solve
 	// Termination says why the solve stopped: "optimal", "infeasible",

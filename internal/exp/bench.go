@@ -123,13 +123,10 @@ type BenchRunOptions struct {
 	// schema v5 documents always carry the block.
 	Calibration *report.BenchCalibration
 	// Sampler, if non-nil, profiles each case's warm-up solve through a
-	// sampling window and attaches the top-N frame summary to the case.
-	// Attribution matches the per-case runtime deltas: exact under one
-	// worker, approximate under parallel workers.
+	// sampling window and attaches its benchProfileTopN hottest functions to
+	// the case. Attribution matches the per-case runtime deltas: exact under
+	// one worker, approximate under parallel workers.
 	Sampler *obs.Sampler
-	// ProfileTopN caps the per-case profile at the N hottest functions
-	// (default 15).
-	ProfileTopN int
 	// ProfileW, if non-nil, additionally receives one JSONL record per
 	// sampled case (the -sample stream cmd/traceview renders).
 	ProfileW *report.JSONLWriter[report.ProfileRecord]
@@ -240,6 +237,9 @@ func RunBenchCorpus(ctx context.Context, specs []BenchSpec, opt BenchRunOptions)
 // and the short corpus gated against it thus time every case the same way.
 const benchTimedRuns = 5
 
+// benchProfileTopN caps each case's profile at its hottest functions.
+const benchProfileTopN = 15
+
 // runBenchCase synthesizes one pinned instance and solves it once untimed
 // and benchTimedRuns times timed. The warm-up solve is the only one traced,
 // flight-recorded and sampled, and the runtime deltas are taken across it,
@@ -291,11 +291,7 @@ func runBenchCase(ctx context.Context, s BenchSpec, opt BenchRunOptions) (report
 	bc.AllocMB = float64(m1.TotalAlloc-m0.TotalAlloc) / (1 << 20)
 	bc.GCPauseMS = float64(m1.PauseTotalNs-m0.PauseTotalNs) / 1e6
 	bc.NumGC = int(m1.NumGC - m0.NumGC)
-	topN := opt.ProfileTopN
-	if topN <= 0 {
-		topN = 15
-	}
-	if p := pw.End(topN); opt.Sampler != nil {
+	if p := pw.End(benchProfileTopN); opt.Sampler != nil {
 		bp := &report.BenchProfile{Hz: p.Hz, Samples: p.Samples}
 		for _, f := range p.Funcs {
 			bp.Funcs = append(bp.Funcs, report.BenchFuncSample{Fn: f.Fn, Self: f.Self, Cum: f.Cum})

@@ -1,49 +1,28 @@
-// Flight recorder: a sampling layer between the solvers' per-node search
+// Flight recorder: a capping layer between the solvers' per-node search
 // events and the Tracer, so multi-thousand-node solves produce bounded
 // traces. The solvers emit one structured event per search node (open /
 // branch / fathom / prune, with bounds, depth and the chosen branching
-// variable); the Flight decides which of them reach the trace and counts the
-// rest in an explicit dropped counter — truncation is always visible, never
-// silent.
+// variable); the Flight passes them to the trace up to maxFlightEvents per
+// solve and counts the rest in an explicit dropped counter — truncation is
+// always visible, never silent.
 package obs
 
 import "sync/atomic"
 
+// maxFlightEvents caps the node events one solve records.
+const maxFlightEvents = 100000
+
 // FlightOptions configures per-node search-event recording. The zero value
-// is disabled (no events, zero overhead beyond a nil check); enabling it with
-// all other fields zero records every node up to the MaxEvents default.
+// is disabled (no events, zero overhead beyond a nil check).
 type FlightOptions struct {
 	// Enabled turns per-node event recording on. Off by default: node events
 	// cost one JSON record per search node, which full-corpus sweeps do not
 	// want unless a trace is being collected for analysis.
 	Enabled bool
-	// Every samples one in Every node events after the first Burst
-	// (default 1 = record all).
-	Every int
-	// Burst is the number of initial events always recorded before sampling
-	// starts (default 1024). The head of the search — root, first dives,
-	// first incumbents — is where most per-node variance lives.
-	Burst int
-	// MaxEvents caps recorded events per solve (default 100000, < 0 =
-	// unlimited). Events beyond the cap are counted as dropped.
-	MaxEvents int
 }
 
-func (o FlightOptions) withDefaults() FlightOptions {
-	if o.Every <= 0 {
-		o.Every = 1
-	}
-	if o.Burst == 0 {
-		o.Burst = 1024
-	}
-	if o.MaxEvents == 0 {
-		o.MaxEvents = 100000
-	}
-	return o
-}
-
-// Flight is one solve's search-event recorder: events pass through sampling
-// and capping before reaching the span's tracer. All methods are safe for
+// Flight is one solve's search-event recorder: events pass through the
+// event cap before reaching the span's tracer. All methods are safe for
 // concurrent use — the parallel tree search emits node events from every
 // worker onto one Flight — and the accounting invariant seen == kept +
 // dropped holds at every quiescent point (each event increments exactly one
@@ -52,44 +31,33 @@ func (o FlightOptions) withDefaults() FlightOptions {
 // *Flight.
 type Flight struct {
 	span    *Span
-	opt     FlightOptions
 	seen    atomic.Int64
 	kept    atomic.Int64
 	dropped atomic.Int64
 }
 
-// NewFlight returns a recorder emitting sampled events under span, or nil
-// when recording is disabled or there is no span to attach to.
+// NewFlight returns a recorder emitting events under span, or nil when
+// recording is disabled or there is no span to attach to.
 func NewFlight(span *Span, opt FlightOptions) *Flight {
 	if !opt.Enabled || span == nil {
 		return nil
 	}
-	return &Flight{span: span, opt: opt.withDefaults()}
+	return &Flight{span: span}
 }
 
-// Event records one search event, subject to sampling and the event cap.
-// It reports whether the event reached the trace, so callers can skip
-// building expensive attributes for dropped events. Safe for concurrent use:
-// the sampling decision is made on the atomically claimed sequence number,
-// and the cap reservation rolls back (into dropped) on overshoot, so each
-// event lands in exactly one of kept/dropped.
+// Event records one search event, subject to the event cap. It reports
+// whether the event reached the trace, so callers can skip building
+// expensive attributes for dropped events. Safe for concurrent use: the cap
+// reservation rolls back (into dropped) on overshoot, so each event lands in
+// exactly one of kept/dropped.
 func (f *Flight) Event(name string, attrs ...Attr) bool {
 	if f == nil {
 		return false
 	}
-	seen := f.seen.Add(1)
-	keep := seen <= int64(f.opt.Burst) ||
-		(seen-int64(f.opt.Burst))%int64(f.opt.Every) == 0
-	if keep && f.opt.MaxEvents >= 0 {
-		// Reserve a kept slot; on overshoot give it back and drop instead.
-		if f.kept.Add(1) > int64(f.opt.MaxEvents) {
-			f.kept.Add(-1)
-			keep = false
-		}
-	} else if keep {
-		f.kept.Add(1)
-	}
-	if !keep {
+	f.seen.Add(1)
+	// Reserve a kept slot; on overshoot give it back and drop instead.
+	if f.kept.Add(1) > maxFlightEvents {
+		f.kept.Add(-1)
 		f.dropped.Add(1)
 		return false
 	}
@@ -122,7 +90,7 @@ func (f *Flight) Dropped() int64 {
 }
 
 // Finish stamps the recorder's accounting onto the solve span, making
-// sampling visible to trace consumers: flight_seen / flight_kept /
+// truncation visible to trace consumers: flight_seen / flight_kept /
 // flight_dropped. Call it just before ending the span, after every emitting
 // goroutine has stopped.
 func (f *Flight) Finish() {

@@ -23,22 +23,18 @@ func TestFlightDisabledIsNil(t *testing.T) {
 	}
 }
 
-func TestFlightSamplingAndCap(t *testing.T) {
+// TestFlightCap: every event up to maxFlightEvents reaches the trace, and
+// the ones beyond it are counted as dropped.
+func TestFlightCap(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
 	span := tr.Start("solve")
-	f := NewFlight(span, FlightOptions{Enabled: true, Burst: 4, Every: 3, MaxEvents: 8})
-	total := 40
-	kept := 0
+	f := NewFlight(span, FlightOptions{Enabled: true})
+	total, kept := maxFlightEvents+40, maxFlightEvents
 	for i := 0; i < total; i++ {
-		if f.Event("node", A("n", i)) {
-			kept++
+		if got, want := f.Event("node", A("n", i)), i < kept; got != want {
+			t.Fatalf("event %d: recorded=%v, want %v (cap %d)", i, got, want, kept)
 		}
-	}
-	// First 4 always kept, then every 3rd of the remaining 36 (12 more), but
-	// capped at 8 total.
-	if kept != 8 {
-		t.Errorf("kept = %d, want 8 (cap)", kept)
 	}
 	if f.Seen() != int64(total) {
 		t.Errorf("seen = %d, want %d", f.Seen(), total)
@@ -87,10 +83,9 @@ func TestFlightConcurrentAccounting(t *testing.T) {
 	span := tr.Start("solve")
 	const (
 		goroutines = 16
-		perG       = 500
-		maxEv      = 900
+		perG       = maxFlightEvents/goroutines + 100
 	)
-	f := NewFlight(span, FlightOptions{Enabled: true, Burst: 64, Every: 2, MaxEvents: maxEv})
+	f := NewFlight(span, FlightOptions{Enabled: true})
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		g := g
@@ -111,11 +106,8 @@ func TestFlightConcurrentAccounting(t *testing.T) {
 	if f.Seen() != f.Kept()+f.Dropped() {
 		t.Errorf("accounting: seen %d != kept %d + dropped %d", f.Seen(), f.Kept(), f.Dropped())
 	}
-	if f.Kept() > maxEv {
-		t.Errorf("kept %d exceeds cap %d", f.Kept(), maxEv)
-	}
-	if f.Kept() == 0 {
-		t.Error("no events kept")
+	if f.Kept() != maxFlightEvents {
+		t.Errorf("kept %d, want the cap %d", f.Kept(), maxFlightEvents)
 	}
 
 	f.Finish()
@@ -148,21 +140,5 @@ func TestFlightConcurrentAccounting(t *testing.T) {
 	dropped, _ := solve.Attrs["flight_dropped"].(float64)
 	if int64(seen) != int64(kept)+int64(dropped) {
 		t.Errorf("span attrs: seen %v != kept %v + dropped %v", seen, kept, dropped)
-	}
-}
-
-func TestFlightBurstThenEvery(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer(&buf)
-	f := NewFlight(tr.Start("s"), FlightOptions{Enabled: true, Burst: 2, Every: 5, MaxEvents: -1})
-	var pattern []bool
-	for i := 0; i < 12; i++ {
-		pattern = append(pattern, f.Event("node"))
-	}
-	want := []bool{true, true, false, false, false, false, true, false, false, false, false, true}
-	for i := range want {
-		if pattern[i] != want[i] {
-			t.Fatalf("event %d recorded=%v, want %v (pattern %v)", i, pattern[i], want[i], pattern)
-		}
 	}
 }

@@ -88,7 +88,7 @@ type BenchCase struct {
 	// DRC checks. Required on successful non-portfolio cases; the legacy
 	// portfolio cases of BENCH_3–BENCH_9 omit it (the race was
 	// scheduling-dependent), and parallel-BnB
-	// cases carry only the counters deterministic under work stealing.
+	// cases carry only the counters deterministic across worker counts.
 	Work map[string]int64 `json:"work,omitempty"`
 
 	// Profile is the case's sampling-profiler summary (schema v5+, present

@@ -25,10 +25,8 @@ type SolveTrace struct {
 	Solver string // "bnb" or "ilp", from the span name
 	Clip   string // clip attr ("" when the producer predates it)
 
-	// Parallel-search attribution (zero on serial solves): Par is the
-	// in-solve worker count, Steals the scheduler's work-steal count.
-	Par    int
-	Steals int64
+	// Par is the in-solve worker count (zero on serial solves).
+	Par int
 
 	// LP engine telemetry from ilp solves (zero on bnb solves): total
 	// simplex iterations and the lp.Counters read from the "lp_<name>"
@@ -86,9 +84,6 @@ func ExtractSolves(tree *obs.TraceTree) []SolveTrace {
 		st := SolveTrace{Span: n, Solver: solver, Clip: n.AttrString("clip")}
 		if v, ok := n.AttrFloat("par"); ok {
 			st.Par = int(v)
-		}
-		if v, ok := n.AttrFloat("steals"); ok {
-			st.Steals = int64(v)
 		}
 		if v, ok := n.AttrFloat("lp_iters"); ok {
 			st.LPIters = int64(v)

@@ -9,8 +9,8 @@ import (
 )
 
 // FuzzScheduler drives the pool through randomized job counts, worker
-// counts, per-job budgets, cancellation points and injected panics, and
-// asserts the pool's invariants:
+// counts, cancellation points and injected panics, and asserts the pool's
+// invariants:
 //
 //   - no deadlock (the run completes; guarded by the per-case watchdog),
 //   - no lost jobs (every input index has exactly one accounted Result),
@@ -18,13 +18,13 @@ import (
 //   - clean drain on cancel (unstarted jobs report the context error),
 //   - panics are contained (flagged on the Result, never escape Run).
 func FuzzScheduler(f *testing.F) {
-	f.Add(uint8(0), uint8(1), uint8(0), uint16(0), false)
-	f.Add(uint8(1), uint8(1), uint8(0), uint16(1), false)
-	f.Add(uint8(17), uint8(3), uint8(5), uint16(0xA5A5), true)
-	f.Add(uint8(64), uint8(8), uint8(1), uint16(0xFFFF), true)
-	f.Add(uint8(33), uint8(200), uint8(0), uint16(7), false)
+	f.Add(uint8(0), uint8(1), uint8(0), uint16(0))
+	f.Add(uint8(1), uint8(1), uint8(0), uint16(1))
+	f.Add(uint8(17), uint8(3), uint8(5), uint16(0xA5A5))
+	f.Add(uint8(64), uint8(8), uint8(1), uint16(0xFFFF))
+	f.Add(uint8(33), uint8(200), uint8(0), uint16(7))
 
-	f.Fuzz(func(t *testing.T, nJobs, workers, cancelAfter uint8, panicMask uint16, useTimeout bool) {
+	f.Fuzz(func(t *testing.T, nJobs, workers, cancelAfter uint8, panicMask uint16) {
 		n := int(nJobs)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
@@ -50,9 +50,6 @@ func FuzzScheduler(f *testing.F) {
 		}
 
 		opt := Options{Workers: int(workers)}
-		if useTimeout {
-			opt.JobTimeout = 50 * time.Millisecond
-		}
 
 		// Watchdog: the jobs above never block, so a run that does not
 		// finish promptly is a pool deadlock.

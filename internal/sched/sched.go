@@ -1,7 +1,7 @@
 // Package sched is the repository's parallel-evaluation substrate: a
-// work-stealing worker pool that runs a fixed set of independent jobs —
-// typically one exact (clip, rule) solve each — across N workers while
-// keeping the *results* deterministic.
+// worker pool that runs a fixed set of independent jobs — typically one
+// exact (clip, rule) solve each — across N workers while keeping the
+// *results* deterministic.
 //
 // Design points, in the order the rule-evaluation pipeline needs them:
 //
@@ -15,22 +15,18 @@
 //   - Cancellation: cancelling the context stops dispatch; jobs not yet
 //     started complete immediately with the context's error, so the pool
 //     drains cleanly and every job is still accounted for in the results.
-//   - Budgets: Options.JobTimeout bounds each job via its context. Jobs that
-//     also take wall-clock budgets (e.g. solver time limits) keep those; the
-//     context is the hard backstop.
+//     Jobs that take wall-clock budgets (solver time limits) keep their own.
 //   - Observability: with Options.Metrics set, the pool maintains an
-//     in-flight gauge, per-worker job gauges, steal/failure counters and a
+//     in-flight gauge, per-worker job gauges, outcome counters and a
 //     job-latency histogram; Options.OnUpdate receives serialized lifecycle
 //     events (never two concurrently), so a single live progress line cannot
 //     interleave across workers.
 //
-// Scheduling is work-stealing over per-worker deques: jobs are dealt
-// round-robin, each worker consumes its own deque front-to-back (preserving
-// rough input order, which tends to group similar solves), and an idle
-// worker steals from the back of a victim's deque. For hundreds of
-// multi-second MILP solves the steal path is cold, but it keeps the pool
-// balanced when per-job cost is wildly skewed — the paper's hardest clips
-// run 100x longer than the easy ones.
+// Scheduling is one shared in-order queue: an idle worker claims the next
+// unstarted job by index (Graham's list scheduling). Jobs therefore start in
+// exactly the caller's order, so a caller that wants longest-first
+// scheduling sorts its job slice, and a skewed job mix still balances — no
+// worker idles while a job is unclaimed.
 package sched
 
 import (
@@ -46,8 +42,7 @@ import (
 )
 
 // Job is one unit of work. The context is cancelled when the pool's parent
-// context is cancelled or the per-job timeout expires; long-running jobs
-// should poll it.
+// context is cancelled; long-running jobs should poll it.
 type Job[T any] func(ctx context.Context) (T, error)
 
 // workerKey carries the executing worker's id in the job context.
@@ -68,26 +63,12 @@ type Options struct {
 	// Workers is the worker-goroutine count (default runtime.NumCPU();
 	// 1 degenerates to a serial run through the same code path).
 	Workers int
-	// JobTimeout, when positive, bounds each job via its context.
-	JobTimeout time.Duration
 	// Metrics, if non-nil, receives pool gauges/counters/histograms under
 	// the "sched_" prefix (see package comment).
 	Metrics *obs.Registry
 	// OnUpdate, if non-nil, receives serialized per-job lifecycle events.
 	// It is never invoked concurrently with itself.
 	OnUpdate func(Update)
-	// Stats, if non-nil, accumulates pool-level counters across the Run
-	// (incremented atomically while the pool runs; read it after Run
-	// returns). Callers without a metrics registry — the parallel tree
-	// search wanting its steal count in SolveStats — use this instead of
-	// scraping Metrics.
-	Stats *RunStats
-}
-
-// RunStats are the pool-level counters of one (or several accumulated) Runs.
-type RunStats struct {
-	// Steals counts jobs an idle worker took from another worker's deque.
-	Steals atomic.Int64
 }
 
 func (o Options) withDefaults() Options {
@@ -136,39 +117,11 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sched: job panicked: %v", e.Value)
 }
 
-// deque is one worker's job queue (indices into the job slice). The owner
-// pops from the front; thieves pop from the back.
-type deque struct {
-	mu   sync.Mutex
-	jobs []int
-}
-
-func (d *deque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.jobs) == 0 {
-		return 0, false
-	}
-	j := d.jobs[0]
-	d.jobs = d.jobs[1:]
-	return j, true
-}
-
-func (d *deque) popBack() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.jobs) == 0 {
-		return 0, false
-	}
-	j := d.jobs[len(d.jobs)-1]
-	d.jobs = d.jobs[:len(d.jobs)-1]
-	return j, true
-}
-
-// Run executes the jobs on a work-stealing pool and returns one Result per
-// job, in input order. It always returns len(jobs) results: jobs skipped
-// because ctx was cancelled carry ctx's error. Run itself never panics on a
-// job panic; the panic is recorded in that job's Result.
+// Run executes the jobs on a pool of workers that claim them in input order
+// and returns one Result per job, in input order. It always returns len(jobs)
+// results: jobs skipped because ctx was cancelled carry ctx's error. Run
+// itself never panics on a job panic; the panic is recorded in that job's
+// Result.
 func Run[T any](ctx context.Context, jobs []Job[T], opt Options) []Result[T] {
 	opt = opt.withDefaults()
 	n := len(jobs)
@@ -192,16 +145,11 @@ func Run[T any](ctx context.Context, jobs []Job[T], opt Options) []Result[T] {
 	m.Gauge("sched_jobs_total").Set(float64(n))
 	inflight := m.Gauge("sched_inflight")
 	jobMS := m.Histogram("sched_job_ms")
-
-	// Deal jobs round-robin so each worker starts on a contiguous-ish slice
-	// of the input order.
-	deques := make([]*deque, nw)
-	for w := range deques {
-		deques[w] = &deque{}
-	}
-	for i := 0; i < n; i++ {
-		w := i % nw
-		deques[w].jobs = append(deques[w].jobs, i)
+	workerJobs := make([]*obs.Gauge, nw)
+	if m != nil {
+		for w := range workerJobs {
+			workerJobs[w] = m.Gauge(fmt.Sprintf("sched_worker_%02d_jobs", w))
+		}
 	}
 
 	// agg serializes OnUpdate and owns the aggregate counters.
@@ -244,10 +192,6 @@ func Run[T any](ctx context.Context, jobs []Job[T], opt Options) []Result[T] {
 			return
 		}
 		jctx := context.WithValue(ctx, workerKey{}, worker)
-		var cancel context.CancelFunc
-		if opt.JobTimeout > 0 {
-			jctx, cancel = context.WithTimeout(jctx, opt.JobTimeout)
-		}
 		notify("start", idx, worker, nil)
 		inflight.Add(1)
 		tm := jobMS.StartTimer()
@@ -261,11 +205,8 @@ func Run[T any](ctx context.Context, jobs []Job[T], opt Options) []Result[T] {
 			r.Value, r.Err = jobs[idx](jctx)
 		}()
 		r.Runtime = tm.ObserveDuration()
-		if cancel != nil {
-			cancel()
-		}
 		inflight.Add(-1)
-		m.Gauge(fmt.Sprintf("sched_worker_%02d_jobs", worker)).Add(1)
+		workerJobs[worker].Add(1)
 		if r.Panicked {
 			m.Counter("sched_jobs_panicked").Inc()
 		}
@@ -277,29 +218,18 @@ func Run[T any](ctx context.Context, jobs []Job[T], opt Options) []Result[T] {
 		notify("done", idx, worker, r.Err)
 	}
 
+	// next is the shared in-order queue: each claim takes the lowest index
+	// not yet claimed.
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
 			for {
-				idx, ok := deques[worker].popFront()
-				if !ok {
-					// Own deque empty: steal from the back of the first
-					// non-empty victim, scanning from our right neighbor so
-					// thieves spread out.
-					for off := 1; off < nw && !ok; off++ {
-						idx, ok = deques[(worker+off)%nw].popBack()
-					}
-					if ok {
-						m.Counter("sched_steals").Inc()
-						if opt.Stats != nil {
-							opt.Stats.Steals.Add(1)
-						}
-					}
-				}
-				if !ok {
-					return // all deques drained; in-flight jobs are others'
+				idx := int(next.Add(1)) - 1
+				if idx >= n {
+					return // every job is claimed; in-flight jobs are others'
 				}
 				runOne(worker, idx)
 			}

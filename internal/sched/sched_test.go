@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"optrouter/internal/obs"
 )
@@ -109,24 +108,6 @@ func TestCancellationDrains(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Fatal("expected at least one cancelled job")
-	}
-}
-
-// TestJobTimeout: the per-job context expires after JobTimeout.
-func TestJobTimeout(t *testing.T) {
-	jobs := []Job[bool]{
-		func(ctx context.Context) (bool, error) {
-			select {
-			case <-ctx.Done():
-				return false, ctx.Err()
-			case <-time.After(5 * time.Second):
-				return true, nil
-			}
-		},
-	}
-	res := Run(context.Background(), jobs, Options{Workers: 1, JobTimeout: 20 * time.Millisecond})
-	if !errors.Is(res[0].Err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", res[0].Err)
 	}
 }
 
@@ -240,37 +221,40 @@ func TestEmptyAndOversizedPool(t *testing.T) {
 	}
 }
 
-// TestWorkStealingBalances: with one slow job first, the other worker must
-// steal the remaining work rather than idle.
-func TestWorkStealingBalances(t *testing.T) {
-	m := obs.NewRegistry()
+// TestInOrderClaiming: workers claim jobs from one shared queue in input
+// order, so while job 0 blocks one worker, the other runs jobs 1..7 in index
+// order.
+func TestInOrderClaiming(t *testing.T) {
 	block := make(chan struct{})
+	var mu sync.Mutex
+	var order, workers []int
 	jobs := make([]Job[int], 8)
-	jobs[0] = func(ctx context.Context) (int, error) { <-block; return 0, nil }
-	var fast atomic.Int32
+	jobs[0] = func(ctx context.Context) (int, error) { <-block; return WorkerID(ctx), nil }
 	for i := 1; i < len(jobs); i++ {
+		i := i
 		jobs[i] = func(ctx context.Context) (int, error) {
-			if fast.Add(1) == 7 {
-				close(block) // all fast jobs done; release the slow one
+			mu.Lock()
+			defer mu.Unlock()
+			order = append(order, i)
+			workers = append(workers, WorkerID(ctx))
+			if len(order) == 7 {
+				close(block) // all other jobs done; release job 0
 			}
-			return 0, nil
+			return WorkerID(ctx), nil
 		}
 	}
-	var rs RunStats
-	res := Run(context.Background(), jobs, Options{Workers: 2, Metrics: m, Stats: &rs})
+	res := Run(context.Background(), jobs, Options{Workers: 2})
 	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("job %d: %v", i, r.Err)
+		if r.Err != nil || r.Value != r.Worker {
+			t.Fatalf("job %d: value %d on worker %d, err %v", i, r.Value, r.Worker, r.Err)
 		}
 	}
-	// Worker 0 is stuck on job 0; its dealt jobs (2,4,6) must be stolen.
-	steals := m.Snapshot().Counters["sched_steals"]
-	if steals < 3 {
-		t.Fatalf("steals = %d, want >= 3", steals)
-	}
-	// The registry-free counter (what the parallel tree search reads into
-	// SolveStats) must agree with the metrics counter.
-	if got := rs.Steals.Load(); got != steals {
-		t.Fatalf("RunStats.Steals = %d, metrics counter = %d", got, steals)
+	for k, idx := range order {
+		if idx != k+1 {
+			t.Fatalf("jobs 1..7 ran in order %v, want 1..7", order)
+		}
+		if workers[k] == res[0].Worker {
+			t.Fatalf("job %d ran on worker %d, which was blocked on job 0", idx, workers[k])
+		}
 	}
 }
