@@ -10,7 +10,9 @@
 # calib's probes must stay race-clean because they run inside instrumented
 # bench sessions), the full test suite in short mode, the CDC-BnB
 # search-tree golden over all 120 of its pinned solves (short mode pins only
-# 5; it gates every change meant to keep the search tree), one iteration of
+# 5; it gates every change meant to keep the search tree), the rule-dominance
+# oracle over its whole clip set (every cell of the study's chained per-clip
+# sweep against a plain solve; short mode keeps a subset), one iteration of
 # the full-design router's BenchmarkRoute, of the Steiner kernel's and
 # CDC-BnB's BenchmarkSteinerTree and BenchmarkBnBFlightOff, of the LP
 # factorization's BenchmarkFactorize and BenchmarkFactorizeLarge, and of the
@@ -51,6 +53,9 @@ go test -short ./...
 
 echo "== search-tree golden: every pinned CDC-BnB solve (not short mode)"
 go test -run TestSearchTreeGolden ./internal/core
+
+echo "== dominance oracle: every chained sweep cell against a plain solve (not short mode)"
+go test -run TestDominanceSweepMatchesPlainSolves ./internal/exp
 
 echo "== bench: route benchmark builds and runs once"
 go test -run '^$' -bench BenchmarkRoute -benchtime 1x ./internal/route

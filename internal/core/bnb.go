@@ -60,6 +60,17 @@ type BnBOptions struct {
 	// identical for every Par >= 1, including Par = 1.
 	Par int
 
+	// Floor is a proven lower bound on the optimum, for example a looser
+	// rule's proven optimum on the same clip. The search stops as optimal
+	// (termination "floor") once its incumbent costs no more than Floor.
+	// 0 sets no floor.
+	Floor int64
+	// Incumbent, if non-nil, is a routing of g (NetArcs layout) that seeds
+	// the incumbent before the heuristic seed, which replaces it only when
+	// strictly cheaper. It must pass drc.Check on g and respect pin
+	// ownership; SolveBnB returns an error otherwise.
+	Incumbent [][]int32
+
 	// testRoute, if non-nil, becomes every worker's bnbWorker.testRoute.
 	testRoute func(w *bnbWorker, k int, arcs []int32, cost int64, inherited bool)
 }
@@ -743,6 +754,12 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	if err := checkSinkLimit(g); err != nil {
 		return nil, err
 	}
+	own := newOwnership(g)
+	if opt.Incumbent != nil {
+		if err := checkIncumbent(g, own, opt.Incumbent); err != nil {
+			return nil, err
+		}
+	}
 	opt = opt.withDefaults()
 	nNets := len(g.Clip.Nets)
 	arena := opt.Arena
@@ -809,15 +826,20 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 		span.Event("incumbent", attrs...)
 	}
 
+	if opt.Incumbent != nil {
+		sol := &Solution{Feasible: true, NetArcs: opt.Incumbent}
+		summarize(g, sol)
+		setIncumbent(sol, 0, "given")
+	}
 	searchable := true
 	if !opt.NoHeuristicSeed {
 		hspan := span.Child("heuristic.seed")
 		h := SolveHeuristic(g, HeuristicOptions{Arena: arena})
 		hspan.SetAttr("feasible", h.Feasible)
 		hspan.End()
-		if h.Feasible {
+		if h.Feasible && int64(h.Cost) < bestCost {
 			setIncumbent(h, 0, "heuristic-seed")
-		} else if h.Proven {
+		} else if !h.Feasible && h.Proven {
 			searchable = false // proven infeasible by the probe
 		}
 	}
@@ -833,7 +855,6 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	var clocks []*obs.PhaseClock
 	if searchable {
 		clock.Enter(PhaseSetup)
-		own := newOwnership(g)
 		cache := newRouteCache(nNets)
 		for id := 0; id < max(opt.Par, 1); id++ {
 			a := arena
@@ -859,6 +880,10 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	tasks := make([]nodeTask, 0, width)
 	outs := make([]sched.Result[expansion], 0, width)
 	for pq.Len() > 0 {
+		if opt.Floor > 0 && best != nil && bestCost <= opt.Floor {
+			stats.Termination = "floor" // the incumbent meets a proven bound
+			break
+		}
 		if nodes >= opt.MaxNodes {
 			proven = false
 			stats.Termination = "node-limit"
@@ -1037,6 +1062,29 @@ func SolveBnB(g *rgraph.Graph, opt BnBOptions) (*Solution, error) {
 	fl.Finish()
 	span.End()
 	return sol, nil
+}
+
+// checkIncumbent verifies a given incumbent: one arc list per net, arc ids
+// in range, no arc pin ownership forbids the net, and no violation of g's
+// design rules.
+func checkIncumbent(g *rgraph.Graph, own ownership, routes [][]int32) error {
+	if len(routes) != len(g.Clip.Nets) {
+		return fmt.Errorf("core: incumbent has %d nets, clip %s has %d", len(routes), g.Clip.Name, len(g.Clip.Nets))
+	}
+	for k, arcs := range routes {
+		for _, a := range arcs {
+			if a < 0 || int(a) >= len(g.Arcs) {
+				return fmt.Errorf("core: incumbent net %d uses arc %d, graph has %d", k, a, len(g.Arcs))
+			}
+			if !own.allowed(k, a) {
+				return fmt.Errorf("core: incumbent net %d uses arc %d at another net's pin", k, a)
+			}
+		}
+	}
+	if v := drc.Check(g, routes); len(v) > 0 {
+		return fmt.Errorf("core: incumbent violates %d design rules under %s, first %v", len(v), g.Opt.Rule.Name, v[0])
+	}
+	return nil
 }
 
 func violationRank(v drc.Violation) int {

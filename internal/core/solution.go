@@ -111,7 +111,10 @@ type SolveStats struct {
 
 	Elapsed time.Duration // total wall time of the solve
 	// Termination says why the solve stopped: "optimal", "infeasible",
+	// "floor" (proven optimal: the incumbent met BnBOptions.Floor),
 	// "time-limit", "node-limit", "cancelled", or an LP failure reason.
+	// exp's rule sweep sets "implied" on a cell it decides by rule dominance
+	// without a search.
 	Termination string
 
 	// Phases attributes the solve's wall time to solver-internal phases.

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -27,6 +28,7 @@ import (
 	"optrouter/internal/cells"
 	"optrouter/internal/clip"
 	"optrouter/internal/core"
+	"optrouter/internal/drc"
 	"optrouter/internal/extract"
 	"optrouter/internal/netlist"
 	"optrouter/internal/obs"
@@ -301,6 +303,15 @@ type ClipRuleResult struct {
 	Vias     int
 	Runtime  time.Duration
 	Nodes    int
+	// Routes are the cell's per-net arc ids (core.Solution.NetArcs; nil when
+	// infeasible). Cells of one clip may share them: they are read-only.
+	Routes [][]int32
+	// ImpliedBy names the looser rule of the same clip whose proven verdict
+	// the cell's proof rests on: its infeasibility, or its optimum as the
+	// floor that the cell's routes meet. Empty when the cell's own search
+	// proved it (or left it unproven). Stats.Termination is "implied" when
+	// the cell needed no search at all.
+	ImpliedBy string
 	// Err is non-empty when the solve itself failed (e.g. a panic isolated
 	// by the scheduler); such cells chart as unresolved, not as a proven
 	// verdict.
@@ -325,10 +336,12 @@ type RuleCurve struct {
 }
 
 // DeltaCostStudy runs OptRouter on each clip under each rule and assembles
-// the sorted delta-cost curves of Fig. 10 for one technology. The (clip,
-// rule) solves are independent MILPs; they are dispatched to
-// SolveOptions.Workers scheduler workers and the curves are assembled in
-// study order, so the output is identical for any worker count.
+// the sorted delta-cost curves of Fig. 10 for one technology. Each clip is
+// one job: its (clip, rule) cells are CDC-BnB solves chained on one worker,
+// looser rules first, each carrying what the looser rules proved (see
+// clipSweep). The jobs are dispatched to SolveOptions.Workers scheduler
+// workers and the curves are assembled in study order, so the output is
+// identical for any worker count.
 func DeltaCostStudy(t *tech.Technology, clips []*clip.Clip, opt SolveOptions) ([]RuleCurve, []ClipRuleResult, error) {
 	return DeltaCostStudyCtx(context.Background(), t, clips, opt)
 }
@@ -351,16 +364,19 @@ func DeltaCostStudyCtx(ctx context.Context, t *tech.Technology, clips []*clip.Cl
 		return curves, nil, nil
 	}
 
-	// Decompose into one job per clip: the clip's solves under every rule run
+	// Decompose into one job per clip: the clip's cells under every rule run
 	// sequentially on one worker, sharing one Steiner arena. The rule graphs
 	// differ (each rule rebuilds the routing graph), but the solver's pooled
 	// DP tables, queues and ban buffers recycle across all rules of the clip,
 	// so the per-solve allocation cost is paid once per clip rather than once
-	// per (clip, rule) cell. Study order stays rule-major over clips: cell
-	// (ri, ci) reports Index ri*len(clips)+ci+1 and results are reassembled
-	// in that order, so output and progress indices are identical to the
-	// per-cell decomposition for any worker count.
+	// per (clip, rule) cell. The job visits the rules in visitOrder, looser
+	// first, so each cell can use what the looser rules proved. Study order
+	// stays rule-major over clips: cell (ri, ci) reports Index
+	// ri*len(clips)+ci+1 and results are reassembled in that order, so output
+	// and progress indices do not depend on the visit order or the worker
+	// count.
 	total := len(rules) * len(clips)
+	order := visitOrder(rules)
 	prog := newProgressMux(opt.Progress)
 	jobs := make([]sched.Job[[]ClipRuleResult], len(clips))
 	for ci := range clips {
@@ -370,15 +386,15 @@ func DeltaCostStudyCtx(ctx context.Context, t *tech.Technology, clips []*clip.Cl
 			arena := core.NewSteinerArena()
 			jopt := opt
 			jopt.Progress = prog.sink()
-			out := make([]ClipRuleResult, len(rules))
-			for ri, rule := range rules {
-				r, err := solveClipCtx(jctx, c, rule, jopt, ri*len(clips)+ci+1, total, arena)
+			sw := &clipSweep{rules: rules, out: make([]ClipRuleResult, len(rules))}
+			for _, ri := range order {
+				r, err := solveClipCtx(jctx, c, rules[ri], jopt, ri*len(clips)+ci+1, total, arena, sw.prior(ri))
 				if err != nil {
-					return nil, fmt.Errorf("exp: %s under %s: %w", c.Name, rule.Name, err)
+					return nil, fmt.Errorf("exp: %s under %s: %w", c.Name, rules[ri].Name, err)
 				}
-				out[ri] = r
+				sw.record(ri, r)
 			}
-			return out, nil
+			return sw.out, nil
 		}
 	}
 	results := sched.Run(ctx, jobs, sched.Options{
@@ -445,28 +461,194 @@ func DeltaCostStudyCtx(ctx context.Context, t *tech.Technology, clips []*clip.Cl
 	return curves, all, nil
 }
 
+// visitOrder returns the indices of rules in the order a clip's job visits
+// them: a linear extension of tech.Stricter, looser rules first. It takes,
+// again and again, the first unvisited rule in list order that has no
+// unvisited strictly looser rule, so it is a pure function of the list. For
+// Table 3 it is RULE1, 5, 4, 3, 2, 6, 8, 7, 9, 11, 10.
+func visitOrder(rules []tech.RuleConfig) []int {
+	order := make([]int, 0, len(rules))
+	visited := make([]bool, len(rules))
+	for len(order) < len(rules) {
+		for i, a := range rules {
+			if visited[i] {
+				continue
+			}
+			ready := true
+			for j, b := range rules {
+				if !visited[j] && tech.Stricter(a, b) && !tech.Stricter(b, a) {
+					ready = false
+					break
+				}
+			}
+			if ready {
+				visited[i] = true
+				order = append(order, i)
+				break
+			}
+		}
+	}
+	return order
+}
+
+// clipSweep is one clip's job state as it visits the rules looser first: the
+// verdict of every visited cell and the distinct route sets found so far.
+// A stricter rule's feasible set lies inside every looser rule's, because
+// the rule graphs share their arcs and a stricter rule only adds design
+// rules (DESIGN.md "Rule dominance"). So a looser rule's proven
+// infeasibility carries over, its proven optimum is a floor, and any route
+// set found under any rule that passes a rule's DRC is a routing under it.
+type clipSweep struct {
+	rules   []tech.RuleConfig
+	out     []ClipRuleResult // by rule index
+	visited []int            // rule indices in visit order
+	found   []ClipRuleResult // cells with distinct route sets, ascending cost
+}
+
+// cellPrior is what a clip's sweep hands the solve of its next rule.
+type cellPrior struct {
+	infeasibleBy string // a looser rule proven infeasible ("" if none)
+	floor        int    // the largest proven optimum of a looser rule (0 if none)
+	floorBy      string
+	found        []ClipRuleResult // the sweep's cells with distinct route sets, ascending cost
+}
+
+// prior collects the proven verdicts of the visited rules looser than rule
+// ri. Unproven looser cells contribute routes but no bound.
+func (s *clipSweep) prior(ri int) *cellPrior {
+	p := &cellPrior{found: s.found}
+	for _, rj := range s.visited {
+		r := s.out[rj]
+		if !r.Proven || !tech.Stricter(s.rules[ri], s.rules[rj]) {
+			continue
+		}
+		if !r.Feasible {
+			p.infeasibleBy = r.Rule
+			break
+		}
+		if r.Cost > p.floor {
+			p.floor, p.floorBy = r.Cost, r.Rule
+		}
+	}
+	return p
+}
+
+// record keeps rule ri's cell and, when it is new, its route set.
+func (s *clipSweep) record(ri int, r ClipRuleResult) {
+	s.out[ri] = r
+	s.visited = append(s.visited, ri)
+	if !r.Feasible {
+		return
+	}
+	at := len(s.found)
+	for i, f := range s.found {
+		if f.Cost == r.Cost && slices.EqualFunc(f.Routes, r.Routes, slices.Equal[[]int32]) {
+			return
+		}
+		if f.Cost > r.Cost {
+			at = min(at, i)
+		}
+	}
+	s.found = slices.Insert(s.found, at, r)
+}
+
+// cheapestClean returns the cheapest of the found route sets that passes
+// g's design rules, or nil. Route sets cost the same under every rule:
+// costs, wires and via sites are arc properties, and the arcs do not depend
+// on the rule.
+func (p *cellPrior) cheapestClean(g *rgraph.Graph) *ClipRuleResult {
+	if len(p.found) == 0 {
+		return nil
+	}
+	chk := drc.NewChecker(g)
+	for i := range p.found {
+		if len(chk.Check(p.found[i].Routes)) == 0 {
+			return &p.found[i]
+		}
+	}
+	return nil
+}
+
 // SolveClip routes one clip under one rule with the exact CDC-BnB solver.
 func SolveClip(c *clip.Clip, rule tech.RuleConfig, opt SolveOptions) (ClipRuleResult, error) {
-	return solveClipCtx(context.Background(), c, rule, opt, 1, 1, nil)
+	return solveClipCtx(context.Background(), c, rule, opt, 1, 1, nil, nil)
 }
 
 // solveClipCtx is SolveClip plus the study position (solve idx of total) for
 // progress reporting and metrics accounting, a context that cancels the
-// solve between branch-and-bound nodes, and an optional Steiner arena reused
-// across the solves of one worker (nil = private arena per solve).
-func solveClipCtx(ctx context.Context, c *clip.Clip, rule tech.RuleConfig, opt SolveOptions, idx, total int, arena *core.SteinerArena) (ClipRuleResult, error) {
+// solve between branch-and-bound nodes, an optional Steiner arena reused
+// across the solves of one worker (nil = private arena per solve) and an
+// optional prior from the looser rules of the clip's sweep (nil = none).
+// With a prior, a cell whose verdict follows from it is decided without a
+// search; otherwise the prior's floor and cheapest clean route set become
+// the search's Floor and Incumbent.
+func solveClipCtx(ctx context.Context, c *clip.Clip, rule tech.RuleConfig, opt SolveOptions, idx, total int, arena *core.SteinerArena, p *cellPrior) (ClipRuleResult, error) {
 	opt = opt.withDefaults()
 	worker := sched.WorkerID(ctx)
-	g, err := rgraph.Build(c, rgraph.Options{Rule: rule})
-	if err != nil {
-		return ClipRuleResult{}, err
+	start := func() {
+		if opt.Progress != nil {
+			opt.Progress(ClipProgress{
+				Phase: "start", Clip: c.Name, Rule: rule.Name,
+				Index: idx, Total: total, Worker: worker, Incumbent: -1, Bound: -1,
+			})
+		}
 	}
+	if p == nil {
+		p = &cellPrior{}
+	}
+	var r ClipRuleResult
+	if p.infeasibleBy != "" {
+		start()
+		r = impliedCell(c, rule, opt, time.Now(), p.infeasibleBy, nil)
+	} else {
+		g, err := rgraph.Build(c, rgraph.Options{Rule: rule})
+		if err != nil {
+			return ClipRuleResult{}, err
+		}
+		start()
+		t0 := time.Now()
+		seed := p.cheapestClean(g)
+		if seed != nil && p.floor > 0 && seed.Cost <= p.floor {
+			r = impliedCell(c, rule, opt, t0, p.floorBy, seed)
+		} else if r, err = searchCell(ctx, c, g, opt, idx, total, arena, p, seed); err != nil {
+			return ClipRuleResult{}, err
+		}
+	}
+	recordSolveMetrics(opt.Metrics, r)
 	if opt.Progress != nil {
+		inc := int64(-1)
+		if r.Feasible {
+			inc = int64(r.Cost)
+		}
 		opt.Progress(ClipProgress{
-			Phase: "start", Clip: c.Name, Rule: rule.Name,
-			Index: idx, Total: total, Worker: worker, Incumbent: -1, Bound: -1,
+			Phase: "done", Clip: c.Name, Rule: rule.Name,
+			Index: idx, Total: total, Worker: worker, Elapsed: r.Runtime,
+			Nodes: r.Nodes, Incumbent: inc, Bound: inc, Result: &r,
 		})
 	}
+	return r, nil
+}
+
+// impliedCell is a cell proven without a search, on the proof of rule by:
+// infeasible when seed is nil, else optimal with seed's routes.
+func impliedCell(c *clip.Clip, rule tech.RuleConfig, opt SolveOptions, t0 time.Time, by string, seed *ClipRuleResult) ClipRuleResult {
+	r := ClipRuleResult{
+		Clip: c.Name, Rule: rule.Name, Proven: true, ImpliedBy: by,
+		Stats: core.SolveStats{Par: opt.Par, Termination: "implied"},
+	}
+	if seed != nil {
+		r.Feasible = true
+		r.Cost, r.WL, r.Vias, r.Routes = seed.Cost, seed.WL, seed.Vias, seed.Routes
+	}
+	r.Runtime = time.Since(t0)
+	r.Stats.Elapsed = r.Runtime
+	return r
+}
+
+// searchCell runs the CDC-BnB on one cell's graph, seeded with the prior's
+// floor and route set.
+func searchCell(ctx context.Context, c *clip.Clip, g *rgraph.Graph, opt SolveOptions, idx, total int, arena *core.SteinerArena, p *cellPrior, seed *ClipRuleResult) (ClipRuleResult, error) {
+	rule := g.Opt.Rule
 	bnbOpt := core.BnBOptions{
 		TimeLimit: opt.PerClipTimeout,
 		MaxNodes:  opt.MaxNodes,
@@ -475,13 +657,18 @@ func solveClipCtx(ctx context.Context, c *clip.Clip, rule tech.RuleConfig, opt S
 		Flight:    opt.Flight,
 		Ctx:       ctx,
 		Arena:     arena,
+		Floor:     int64(p.floor),
+	}
+	if seed != nil {
+		bnbOpt.Incumbent = seed.Routes
 	}
 	if opt.Progress != nil {
-		bnbOpt.Progress = func(p core.BnBProgress) {
+		worker := sched.WorkerID(ctx)
+		bnbOpt.Progress = func(bp core.BnBProgress) {
 			opt.Progress(ClipProgress{
 				Phase: "progress", Clip: c.Name, Rule: rule.Name,
-				Index: idx, Total: total, Worker: worker, Elapsed: p.Elapsed,
-				Nodes: p.Nodes, Incumbent: p.Incumbent, Bound: p.Bound,
+				Index: idx, Total: total, Worker: worker, Elapsed: bp.Elapsed,
+				Nodes: bp.Nodes, Incumbent: bp.Incumbent, Bound: bp.Bound,
 			})
 		}
 	}
@@ -494,29 +681,32 @@ func solveClipCtx(ctx context.Context, c *clip.Clip, rule tech.RuleConfig, opt S
 		Feasible: sol.Feasible, Proven: sol.Proven,
 		Cost: sol.Cost, WL: sol.Wirelength, Vias: sol.Vias,
 		Runtime: sol.Runtime, Nodes: sol.Nodes,
-		Stats: sol.Stats,
+		Routes: sol.NetArcs,
+		Stats:  sol.Stats,
 	}
-	recordSolveMetrics(opt.Metrics, r)
-	if opt.Progress != nil {
-		inc := int64(-1)
-		if sol.Feasible {
-			inc = int64(sol.Cost)
-		}
-		opt.Progress(ClipProgress{
-			Phase: "done", Clip: c.Name, Rule: rule.Name,
-			Index: idx, Total: total, Worker: worker, Elapsed: sol.Runtime,
-			Nodes: sol.Nodes, Incumbent: inc, Bound: inc, Result: &r,
-		})
+	if sol.Stats.Termination == "floor" {
+		r.ImpliedBy = p.floorBy
 	}
 	return r, nil
 }
 
-// recordSolveMetrics folds one solve's stats into the run-wide registry:
-// every core.SolveCounters row under its name, plus the solve count, wall
-// and DRC time and the outcome tallies. The flat key set is the metrics
-// schema cmd/beoleval -stats emits; see README "Observability".
+// recordSolveMetrics folds one cell into the run-wide registry. A searched
+// cell adds every core.SolveCounters row under its name, plus the solve
+// count, wall and DRC time; a cell implied without a search counts under
+// "implied" instead. Both add to the outcome tallies. The flat key set is
+// the metrics schema cmd/beoleval -stats emits; see README "Observability".
 func recordSolveMetrics(m *obs.Registry, r ClipRuleResult) {
 	if m == nil {
+		return
+	}
+	if !r.Feasible {
+		m.Counter("infeasible").Inc()
+	}
+	if !r.Proven {
+		m.Counter("unproven").Inc()
+	}
+	if r.Stats.Termination == "implied" {
+		m.Counter("implied").Inc()
 		return
 	}
 	st := r.Stats
@@ -526,12 +716,6 @@ func recordSolveMetrics(m *obs.Registry, r ClipRuleResult) {
 	}
 	m.Counter("drc_ms").Add(st.DRCTime.Milliseconds())
 	m.Counter("wall_ms").Add(r.Runtime.Milliseconds())
-	if !r.Feasible {
-		m.Counter("infeasible").Inc()
-	}
-	if !r.Proven {
-		m.Counter("unproven").Inc()
-	}
 	m.Histogram("solve_ms").ObserveDuration(r.Runtime)
 	m.Histogram("nodes_per_solve").Observe(float64(st.Nodes))
 	m.Histogram("depth_per_solve").Observe(float64(st.MaxDepth))

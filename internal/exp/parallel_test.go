@@ -85,7 +85,7 @@ func TestDeltaCostStudyDeterministic(t *testing.T) {
 // study output byte-identical between -par 1 and -par 8, per the engine's
 // determinism guarantee (fixed round width, total node order; see
 // core.SolveBnB). Scheduling-dependent telemetry (cache hits,
-// per-worker splits, steal counts, wall times) is excluded; everything the
+// per-worker splits, wall times) is excluded; everything the
 // study publishes — curves, CSV, answers, search counters — must match.
 func TestDeltaCostStudyParDeterministic(t *testing.T) {
 	tb := quickTB(t, tech.N28T12())

@@ -231,6 +231,17 @@ func (r RuleConfig) String() string {
 	return fmt.Sprintf("%s (%s, %d neighbors blocked)", r.Name, sadp, r.BlockedVias)
 }
 
+// Stricter reports whether rule a is at least as strict as rule b, the
+// partial order of Table 3: a patterns with SADP every layer b does (SADP
+// from the same or a lower layer; any SADP is stricter than none) and blocks
+// at least as many neighbor vias. A routing legal under a is then legal
+// under b, so a's optimum on a clip is at least b's, and a is infeasible
+// wherever b is. Stricter is reflexive.
+func Stricter(a, b RuleConfig) bool {
+	sadp := !b.HasSADP() || (a.HasSADP() && a.SADPMinLayer <= b.SADPMinLayer)
+	return sadp && a.BlockedVias >= b.BlockedVias
+}
+
 // StandardRules returns RULE1..RULE11 exactly as in Table 3.
 func StandardRules() []RuleConfig {
 	return []RuleConfig{

@@ -174,3 +174,35 @@ func TestStringers(t *testing.T) {
 		t.Errorf("RuleConfig.String = %q", got)
 	}
 }
+
+// TestStricterTable3 pins the Table 3 partial order over all 121 rule
+// pairs: row a, column b holds 1 where Stricter(a, b).
+func TestStricterTable3(t *testing.T) {
+	want := []string{
+		//         RULE 1..11
+		"1..........", // RULE1: no SADP, 0 blocked
+		"11111......", // RULE2: SADP >= M2, 0 blocked
+		"1.111......", // RULE3: SADP >= M3, 0 blocked
+		"1..11......", // RULE4: SADP >= M4, 0 blocked
+		"1...1......", // RULE5: SADP >= M5, 0 blocked
+		"1....1.....", // RULE6: no SADP, 4 blocked
+		"11111111...", // RULE7: SADP >= M2, 4 blocked
+		"1.1111.1...", // RULE8: SADP >= M3, 4 blocked
+		"1....1..1..", // RULE9: no SADP, 8 blocked
+		"11111111111", // RULE10: SADP >= M2, 8 blocked
+		"1.1111.11.1", // RULE11: SADP >= M3, 8 blocked
+	}
+	rules := StandardRules()
+	for i, a := range rules {
+		row := make([]byte, len(rules))
+		for j, b := range rules {
+			row[j] = '.'
+			if Stricter(a, b) {
+				row[j] = '1'
+			}
+		}
+		if string(row) != want[i] {
+			t.Errorf("Stricter(%s, RULE1..11) = %s, want %s", a.Name, row, want[i])
+		}
+	}
+}
